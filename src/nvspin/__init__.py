@@ -9,7 +9,7 @@ extract f1, T2', T2 and resonance line parameters.
 
 __version__ = "0.1.0"
 
-from .constants import DIPOLAR_J0_MHZ_NM3, MU_B_MHZ_PER_G, gyromagnetic_ratio
+from .constants import MU_B_MHZ_PER_G, gyromagnetic_ratio
 from .dynamics import (
     NoiseModel,
     ensemble_average,
@@ -21,7 +21,6 @@ from .dynamics import (
 )
 from .experiments import (
     ExperimentConfig,
-    ReadoutParams,
     SweepResult,
     exp_cw_esr,
     exp_field_sweep,
@@ -44,7 +43,6 @@ from .hamiltonian import (
     BathParams,
     DriveParams,
     NvParams,
-    h_dipolar,
     h_n,
     h_nv,
     resonance_field,
@@ -63,6 +61,6 @@ from .pulseq import (
     ramsey_sequence,
     run_sequence,
 )
-from .spinops import SpinSystem, Spin, eigensystem, embed, expm_unitary, spin_matrices
+from .spinops import eigensystem, expm_unitary, spin_matrices
 
 __all__ = [name for name in dir() if not name.startswith("_")]

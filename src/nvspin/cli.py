@@ -35,6 +35,9 @@ from .fitting import FIT_MODELS, FitResult, Trace
 from .hamiltonian import resonance_field
 
 EXPERIMENTS = ("esr", "rabi", "echo", "fieldsweep", "trend", "levels", "fit")
+# these drive on resonance (fieldsweep, trend) or sweep the drive frequency
+# (esr), so a fixed drive.f_rf_mhz would be ignored
+RESONANT_DRIVE = ("esr", "fieldsweep", "trend")
 
 
 @dataclass(frozen=True)
@@ -213,6 +216,8 @@ def _run_experiment(experiment: str, cfg, values,
 def run(experiment: str, values: dict, out_dir: Path) -> RunManifest:
     """Run one experiment and write CSVs, fit report and manifest."""
     cfg = build_experiment_config(values)
+    if experiment in RESONANT_DRIVE and cfg.drive.f_rf_mhz is not None:
+        raise ConfigError(f"drive.f_rf_mhz: {experiment} sets the drive frequency itself")
     out_dir.mkdir(parents=True, exist_ok=True)
     tracker = OutputTracker(out_dir)
     start = time.monotonic()

@@ -18,11 +18,10 @@ from .experiments import (
     STANDARD_GAMMA_PHI,
     STANDARD_SIGMA_STATIC_MHZ,
     ExperimentConfig,
-    ReadoutParams,
     SweepSpec,
 )
 from .hamiltonian import BathParams, DriveParams, NvParams
-from .constants import gyromagnetic_ratio
+from .pulseq import LaserInit, Readout
 
 
 class ConfigError(ValueError):
@@ -42,13 +41,10 @@ SCHEMA: dict[str, SchemaEntry] = {
     "field.b_gauss": SchemaEntry("float", 850.0, "static field along the N-V axis", True),
     "nv.d_mhz": SchemaEntry("float", 2880.0, "zero-field splitting", True),
     "nv.g": SchemaEntry("float", 2.00, "electron g-factor", True),
-    "nv.a_par_mhz": SchemaEntry("float", 2.2, "N-V 14N hyperfine, axial"),
-    "nv.a_perp_mhz": SchemaEntry("float", 2.1, "N-V 14N hyperfine, transverse"),
-    "nv.include_nucleus": SchemaEntry("bool", False, "add the N-V 14N nucleus to the space"),
-    "bath.n_spins": SchemaEntry("int", 1, "explicit P1 electron spins"),
-    "bath.couplings_mhz": SchemaEntry("floats", (0.5,), "secular dipolar coupling per bath spin"),
+    "nv.a_par_mhz": SchemaEntry(
+        "float", 2.2, "N-V 14N hyperfine, axial: step of the nuclear-state average"),
+    "bath.coupling_mhz": SchemaEntry("float", 0.5, "secular dipolar coupling of the P1 spin"),
     "bath.a_n_par_mhz": SchemaEntry("float", 100.0, "P1 14N hyperfine, axial"),
-    "bath.a_n_perp_mhz": SchemaEntry("float", 80.0, "P1 14N hyperfine, transverse"),
     "bath.include_n_nucleus": SchemaEntry("bool", False, "hyperfine sidepeaks in the field sweep"),
     "bath.gamma_bath": SchemaEntry("float", 50.0, "P1 dephasing rate, 1/us (resonance width)"),
     "noise.sigma_static_mhz": SchemaEntry(
@@ -59,21 +55,18 @@ SCHEMA: dict[str, SchemaEntry] = {
     "noise.gamma_1": SchemaEntry("float", 0.0, "longitudinal relaxation rate, 1/us"),
     "noise.n_samples": SchemaEntry("int", 24, "quasi-static ensemble size"),
     "noise.seed": SchemaEntry("int", -1, "ensemble seed; -1 follows the master seed"),
-    "noise.nuclear_splitting_mhz": SchemaEntry(
-        "float", 0.0, "hyperfine detuning step for nuclear-state averaging"),
     "noise.nuclear_populations": SchemaEntry(
-        "floats", (), "weights of the -A/0/+A nuclear detunings; empty disables"),
+        "floats", (), "weights of the -A/0/+A nuclear detunings (A = nv.a_par_mhz); "
+        "empty disables"),
     "readout.polarization": SchemaEntry("float", 0.9, "initialization fidelity into m_S=0"),
     "readout.contrast": SchemaEntry("float", 0.3, "relative photoluminescence contrast"),
     "readout.photons": SchemaEntry("float", 1000.0, "expected counts at full brightness"),
-    "readout.repetitions": SchemaEntry("int", 1000, "sequence repetitions", True),
     "drive.f1_mhz": SchemaEntry("float", 5.0, "Rabi frequency at unit relative power"),
     "drive.b1_gauss": SchemaEntry("float", -1.0, "AC field amplitude; overrides f1 if > 0"),
-    "drive.f_rf_mhz": SchemaEntry("float", -1.0, "drive frequency; <= 0 means on resonance"),
-    "drive.phase_rad": SchemaEntry("float", 0.0, "drive phase"),
+    "drive.f_rf_mhz": SchemaEntry(
+        "float", -1.0, "drive frequency for rabi and echo; <= 0 means on resonance"),
     "cw.pump_rate": SchemaEntry("float", 1.0, "optical pumping rate in CW ESR, 1/us"),
     "cw.laser_dephasing": SchemaEntry("float", 0.5, "laser-induced dephasing in CW ESR, 1/us"),
-    "sweep.variable": SchemaEntry("str", "", "swept variable (informational)"),
     "sweep.grid": SchemaEntry("grid", (), "sweep grid; empty uses the experiment default"),
     "rabi.powers": SchemaEntry("floats", (1.0, 4.0, 9.0), "relative RF powers"),
     "echo.tau1_us": SchemaEntry("float", -1.0, "fixed tau1 for a tau2 sweep; < 0 sweeps both"),
@@ -170,14 +163,10 @@ def build_experiment_config(values: dict) -> ExperimentConfig:
         d_mhz=values["nv.d_mhz"],
         g=values["nv.g"],
         a_par_mhz=values["nv.a_par_mhz"],
-        a_perp_mhz=values["nv.a_perp_mhz"],
-        include_nucleus=values["nv.include_nucleus"],
     ))
     bath = section("bath", BathParams, dict(
-        n_spins=values["bath.n_spins"],
-        couplings=values["bath.couplings_mhz"],
+        coupling_mhz=values["bath.coupling_mhz"],
         a_n_par_mhz=values["bath.a_n_par_mhz"],
-        a_n_perp_mhz=values["bath.a_n_perp_mhz"],
         include_n_nucleus=values["bath.include_n_nucleus"],
         gamma_bath=values["bath.gamma_bath"],
     ))
@@ -190,34 +179,30 @@ def build_experiment_config(values: dict) -> ExperimentConfig:
         gamma_1=values["noise.gamma_1"],
         n_samples=values["noise.n_samples"],
         seed=seed if noise_seed < 0 else noise_seed,
-        nuclear_splitting_mhz=values["noise.nuclear_splitting_mhz"],
+        nuclear_splitting_mhz=nv.a_par_mhz,
         nuclear_populations=tuple(pops) if pops else None,
     ))
-    readout = section("readout", ReadoutParams, dict(
-        polarization=values["readout.polarization"],
+    init = section("readout", LaserInit, dict(polarization=values["readout.polarization"]))
+    readout = section("readout", Readout, dict(
         contrast=values["readout.contrast"],
         photons=values["readout.photons"],
-        repetitions=values["readout.repetitions"],
     ))
-    f1 = values["drive.f1_mhz"]
-    if values["drive.b1_gauss"] > 0:
-        f1 = gyromagnetic_ratio(values["nv.g"]) * values["drive.b1_gauss"] / 2.0
     f_rf = values["drive.f_rf_mhz"]
-    drive = section("drive", DriveParams, dict(
-        f1_mhz=f1,
-        f_rf_mhz=f_rf if f_rf > 0 else None,
-        phase_rad=values["drive.phase_rad"],
-    ))
-    sweep = section("sweep", SweepSpec, dict(
-        variable=values["sweep.variable"],
-        grid=values["sweep.grid"],
-    ))
+    f_rf = f_rf if f_rf > 0 else None
+    if values["drive.b1_gauss"] > 0:
+        drive = section("drive", DriveParams.from_b1, dict(
+            b1_gauss=values["drive.b1_gauss"], g=nv.g, f_rf_mhz=f_rf))
+    else:
+        drive = section("drive", DriveParams, dict(
+            f1_mhz=values["drive.f1_mhz"], f_rf_mhz=f_rf))
+    sweep = section("sweep", SweepSpec, dict(grid=values["sweep.grid"]))
     if values["fieldsweep.t_wait_us"] < 0:
         raise ConfigError("fieldsweep.t_wait_us: duration must be >= 0")
     if values["cw.pump_rate"] < 0 or values["cw.laser_dephasing"] < 0:
         raise ConfigError("cw: rates must be >= 0")
     return ExperimentConfig(
-        nv=nv, bath=bath, noise=noise, readout=readout, drive=drive, sweep=sweep,
+        nv=nv, bath=bath, noise=noise, init=init, readout=readout, drive=drive,
+        sweep=sweep,
         seed=seed,
         b_field_gauss=values["field.b_gauss"],
         pump_rate=values["cw.pump_rate"],

@@ -1,13 +1,8 @@
-"""Physical constants in the package unit system (MHz, microseconds, gauss, nm)."""
+"""Physical constants in the package unit system (MHz, microseconds, gauss)."""
 
 # Bohr magneton divided by the Planck constant, in MHz per gauss.
 # An electron with g-factor g has gyromagnetic ratio g * MU_B_MHZ_PER_G.
 MU_B_MHZ_PER_G = 1.3996245
-
-# Point-dipole prefactor (mu0 / 4 pi) * (g mu_B)^2 / h for two g = 2.00
-# electron spins, in MHz * nm^3.  The coupling of two spins a distance
-# r apart scales as DIPOLAR_J0_MHZ_NM3 / r^3.
-DIPOLAR_J0_MHZ_NM3 = 51.9205
 
 # Free-electron g-factor as used throughout (P1 centers and the N-V center).
 ELECTRON_G = 2.00

@@ -34,9 +34,10 @@ class NoiseModel:
     (constant within a shot, Gaussian across shots).  ``gamma_phi`` and
     ``gamma_1`` are Markovian pure-dephasing and relaxation rates in 1/us,
     defined so that a free coherence decays as exp(-gamma_phi t) and an
-    excited population as exp(-gamma_1 t).  ``nuclear_splitting_mhz``
-    together with ``nuclear_populations`` (weights of the discrete detunings
-    -A, 0, +A) enables averaging over the host 14N nuclear spin states.
+    excited population as exp(-gamma_1 t).  ``nuclear_populations``
+    (weights of the discrete detunings -A, 0, +A, with A the nonzero
+    ``nuclear_splitting_mhz``) enables averaging over the host 14N nuclear
+    spin states.
     """
 
     sigma_static_mhz: float = 0.0
@@ -56,6 +57,8 @@ class NoiseModel:
             pops = self.nuclear_populations
             if len(pops) != 3 or min(pops) < 0 or sum(pops) <= 0:
                 raise ValueError("nuclear_populations must be 3 nonnegative weights")
+            if self.nuclear_splitting_mhz == 0.0:
+                raise ValueError("nuclear_populations need a nonzero nuclear_splitting_mhz")
 
     def static_detunings(self) -> np.ndarray:
         """The quasi-static detuning samples for this model, in MHz."""
@@ -66,7 +69,7 @@ class NoiseModel:
 
     def nuclear_branches(self) -> list[tuple[float, float]]:
         """(detuning, weight) pairs for the nuclear-spin average."""
-        if self.nuclear_populations is None or self.nuclear_splitting_mhz == 0.0:
+        if self.nuclear_populations is None:
             return [(0.0, 1.0)]
         a = self.nuclear_splitting_mhz
         total = sum(self.nuclear_populations)
@@ -86,12 +89,6 @@ def basis_density(dim: int, index: int) -> np.ndarray:
 
 def mixed_density(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=complex) / dim
-
-
-def pure_density(state: np.ndarray) -> np.ndarray:
-    v = np.asarray(state, dtype=complex)
-    v = v / np.linalg.norm(v)
-    return np.outer(v, v.conj())
 
 
 def validate_density(rho: np.ndarray, *, herm_atol: float = 1e-8,

@@ -38,26 +38,7 @@ from .spinops import eigensystem
 
 
 @dataclass(frozen=True)
-class ReadoutParams:
-    """Initialization and optical readout of the addressed pair."""
-
-    polarization: float = 0.9
-    contrast: float = 0.3
-    photons: float = 1000.0
-    repetitions: int = 1000
-
-    def __post_init__(self):
-        if not 0.0 <= self.polarization <= 1.0:
-            raise ValueError("polarization must lie in [0, 1]")
-        if not 0.0 <= self.contrast <= 1.0:
-            raise ValueError("contrast must lie in [0, 1]")
-        if self.photons < 0 or self.repetitions < 1:
-            raise ValueError("invalid photon budget or repetition count")
-
-
-@dataclass(frozen=True)
 class SweepSpec:
-    variable: str = ""
     grid: tuple = ()
 
     def __post_init__(self):
@@ -72,7 +53,8 @@ class ExperimentConfig:
     nv: NvParams = NvParams()
     bath: BathParams = BathParams()
     noise: NoiseModel = NoiseModel()
-    readout: ReadoutParams = ReadoutParams()
+    init: LaserInit = LaserInit()
+    readout: Readout = Readout()
     drive: DriveParams = DriveParams()
     sweep: SweepSpec = SweepSpec()
     seed: int = 12345
@@ -120,8 +102,7 @@ class SweepResult:
 def nv_transition_mhz(cfg: ExperimentConfig, b_gauss: float | None = None) -> float:
     """Frequency of the addressed 0 -> -1 transition from the eigenlevels."""
     b = cfg.b_field_gauss if b_gauss is None else b_gauss
-    params = replace(cfg.nv, include_nucleus=False)
-    w, _ = eigensystem(h_nv(b, params))
+    w, _ = eigensystem(h_nv(b, cfg.nv))
     return float(w[1] - w[0])
 
 
@@ -130,18 +111,8 @@ def _frame_hamiltonian(cfg: ExperimentConfig, f1_mhz: float,
     """Addressed-pair rotating-frame Hamiltonian, warning on poor
     selectivity."""
     b = cfg.b_field_gauss if b_gauss is None else b_gauss
-    params = replace(cfg.nv, include_nucleus=False)
     drive = replace(cfg.drive, f1_mhz=f1_mhz)
-    return rotating_frame(h_nv(b, params), drive, (0, 1))
-
-
-def _readout_map(readout: ReadoutParams, p0):
-    return readout.photons * (1.0 - readout.contrast * (1.0 - np.asarray(p0)))
-
-
-def _init_pair_density(polarization: float) -> np.ndarray:
-    p = polarization
-    return np.diag([p + (1 - p) / 2, (1 - p) / 2]).astype(complex)
+    return rotating_frame(h_nv(b, cfg.nv), drive, (0, 1))
 
 
 def _markovian(noise: NoiseModel) -> NoiseModel:
@@ -233,15 +204,14 @@ _P0_JOINT = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
 def _joint_p0_after_wait(cfg: ExperimentConfig, b_gauss: float,
                          detunings: np.ndarray) -> float:
     """Population of m_S = 0 after the init-wait cycle, bath spin mixed."""
-    coupling = cfg.bath.secular_coupling(0) if cfg.bath.n_spins else 0.0
     f_t = nv_transition_mhz(cfg, b_gauss)
     nu0 = cfg.nv.gamma * b_gauss - f_t
-    rho0 = np.kron(_init_pair_density(cfg.readout.polarization), _EYE2 / 2)
+    rho0 = np.kron(cfg.init.density(), _EYE2 / 2)
     collapse = _joint_collapse(_markovian(cfg.noise), cfg.bath)
     total = 0.0
     for shift, weight in _bath_branches(cfg.bath):
         for delta in detunings:
-            h = joint_frame_hamiltonian(delta, nu0 + shift, 0.0, coupling)
+            h = joint_frame_hamiltonian(delta, nu0 + shift, 0.0, cfg.bath.coupling_mhz)
             rho = evolve_lindblad(h, collapse, rho0, cfg.t_wait_us)
             total += weight * float(np.trace(_P0_JOINT @ rho).real)
     return total / len(detunings)
@@ -250,19 +220,19 @@ def _joint_p0_after_wait(cfg: ExperimentConfig, b_gauss: float,
 def _joint_rabi_trace(cfg: ExperimentConfig, b_gauss: float, f1_mhz: float,
                       t_grid: np.ndarray, detunings: np.ndarray) -> Trace:
     """Ensemble-averaged Rabi nutation against the explicit bath spin."""
-    coupling = cfg.bath.secular_coupling(0) if cfg.bath.n_spins else 0.0
     f_t = nv_transition_mhz(cfg, b_gauss)
     nu0 = cfg.nv.gamma * b_gauss - f_t
-    rho0 = np.kron(_init_pair_density(cfg.readout.polarization), _EYE2 / 2)
+    rho0 = np.kron(cfg.init.density(), _EYE2 / 2)
     collapse = _joint_collapse(_markovian(cfg.noise), cfg.bath)
     acc = np.zeros(len(t_grid))
     for shift, weight in _bath_branches(cfg.bath):
         for delta in detunings:
-            h = joint_frame_hamiltonian(delta, nu0 + shift, f1_mhz, coupling)
+            h = joint_frame_hamiltonian(delta, nu0 + shift, f1_mhz,
+                                        cfg.bath.coupling_mhz)
             rhos = lindblad_trajectory(h, collapse, rho0, t_grid)
             p0 = np.einsum("tij,ji->t", rhos, _P0_JOINT).real
             acc += weight * p0
-    y = _readout_map(cfg.readout, acc / len(detunings))
+    y = cfg.readout.counts(acc / len(detunings))
     return Trace(t_grid, y, "us", "counts", {"b_gauss": b_gauss, "f1_mhz": f1_mhz})
 
 
@@ -297,7 +267,7 @@ def exp_cw_esr(cfg: ExperimentConfig, f_grid_mhz) -> Trace:
             )
             rho = steady_state(h, collapse)
             p0[i] = rho[0, 0].real
-        return Trace(f_grid, _readout_map(cfg.readout, p0), "MHz", "counts")
+        return Trace(f_grid, cfg.readout.counts(p0), "MHz", "counts")
 
     trace = ensemble_average(experiment, cfg.noise)
     trace.meta.update(b_gauss=cfg.b_field_gauss, transition_mhz=f_t)
@@ -309,7 +279,7 @@ def exp_rabi(cfg: ExperimentConfig, t_grid_us, powers=None) -> SweepResult:
     square root of the power."""
     t_grid = np.asarray(t_grid_us, dtype=float)
     powers = tuple(cfg.rabi_powers if powers is None else powers)
-    rho0 = _init_pair_density(cfg.readout.polarization)
+    rho0 = cfg.init.density()
     traces: list[Trace] = []
     fits: list[FitResult] = []
     for power in powers:
@@ -322,7 +292,7 @@ def exp_rabi(cfg: ExperimentConfig, t_grid_us, powers=None) -> SweepResult:
             h[1, 1] += delta
             rhos = lindblad_trajectory(h, collapse, rho0, t_grid)
             p0 = rhos[:, 0, 0].real
-            return Trace(t_grid, _readout_map(cfg.readout, p0), "us", "counts")
+            return Trace(t_grid, cfg.readout.counts(p0), "us", "counts")
 
         trace = ensemble_average(experiment, cfg.noise)
         trace.meta.update(power=power, f1_mhz=f1, b_gauss=cfg.b_field_gauss)
@@ -349,16 +319,14 @@ def exp_hahn(cfg: ExperimentConfig, tau_grid_us, tau1_us: float | None = None) -
     """
     tau_grid = np.asarray(tau_grid_us, dtype=float)
     base_detuning = _frame_hamiltonian(cfg, cfg.drive.f1_mhz)[1, 1].real
-    init = LaserInit(polarization=cfg.readout.polarization)
-    readout = Readout(contrast=cfg.readout.contrast, photons=cfg.readout.photons)
     markov = _markovian(cfg.noise)
 
     def experiment(delta: float) -> Trace:
         y = np.empty_like(tau_grid)
         for i, tau in enumerate(tau_grid):
             tau1, tau2 = (tau, tau) if tau1_us is None else (tau1_us, tau)
-            seq = hahn_sequence(tau1, tau2, cfg.drive, init=init, readout=readout,
-                                repetitions=cfg.readout.repetitions)
+            seq = hahn_sequence(tau1, tau2, cfg.drive, init=cfg.init,
+                                readout=cfg.readout)
             _, y[i] = run_sequence(seq, markov, base_detuning + delta)
         x = 2 * tau_grid if tau1_us is None else tau_grid
         return Trace(x, y, "us", "counts")
@@ -385,8 +353,6 @@ def exp_field_sweep(cfg: ExperimentConfig, b_grid_gauss) -> SweepResult:
     ensemble-averaged Rabi trace whose damped-cosine fit gives 1/T2'.
     Both field profiles are then fit with Lorentzians.
     """
-    if cfg.bath.n_spins < 1:
-        raise ValueError("field sweep needs at least one explicit bath spin")
     b_grid = np.asarray(b_grid_gauss, dtype=float)
     t_grid = np.linspace(0.0, 4.0, 161)
     detunings = cfg.noise.static_detunings()
@@ -396,7 +362,7 @@ def exp_field_sweep(cfg: ExperimentConfig, b_grid_gauss) -> SweepResult:
     rabi_fits = []
     for i, b in enumerate(b_grid):
         p0 = _joint_p0_after_wait(cfg, b, detunings)
-        ipl[i] = _readout_map(cfg.readout, p0)
+        ipl[i] = cfg.readout.counts(p0)
         fit = fit_damped_cosine(_joint_rabi_trace(cfg, b, f1, t_grid, detunings))
         rabi_fits.append(fit)
         t2p[i] = fit["t2p_us"]
@@ -432,8 +398,8 @@ def exp_t2p_vs_dip(cfgs: list[ExperimentConfig], b_probe_gauss: float = 850.0,
         b_res = resonance_field(cfg.nv)
         p0_res = _joint_p0_after_wait(cfg, b_res, detunings)
         p0_off = _joint_p0_after_wait(cfg, b_res + off_resonance_offset_gauss, detunings)
-        i_res = _readout_map(cfg.readout, p0_res)
-        i_off = _readout_map(cfg.readout, p0_off)
+        i_res = cfg.readout.counts(p0_res)
+        i_off = cfg.readout.counts(p0_off)
         amplitudes.append((i_off - i_res) / i_off)
         fit = fit_damped_cosine(
             _joint_rabi_trace(cfg, b_probe_gauss, cfg.drive.f1_mhz, t_grid, detunings)
@@ -452,14 +418,14 @@ def exp_t2p_vs_dip(cfgs: list[ExperimentConfig], b_probe_gauss: float = 850.0,
 def trend_configs(cfg: ExperimentConfig) -> list[ExperimentConfig]:
     """Synthetic centers for the trend experiment: coupling strengths from
     ``cfg.trend_couplings`` with the static noise scaled proportionally."""
-    base_j = cfg.bath.secular_coupling(0) if cfg.bath.n_spins else 1.0
+    base_j = cfg.bath.coupling_mhz
     out = []
     for j in cfg.trend_couplings:
         scale = j / base_j if base_j else 1.0
         out.append(
             replace(
                 cfg,
-                bath=replace(cfg.bath, n_spins=1, couplings=(j,)),
+                bath=replace(cfg.bath, coupling_mhz=j),
                 noise=replace(cfg.noise,
                               sigma_static_mhz=cfg.noise.sigma_static_mhz * scale),
             )
@@ -476,8 +442,6 @@ def exp_levels(cfg: ExperimentConfig, b_grid_gauss) -> dict[str, np.ndarray]:
     resonance field.
     """
     b_grid = np.asarray(b_grid_gauss, dtype=float)
-    params = replace(cfg.nv, include_nucleus=False)
-    bath = BathParams(n_spins=1, couplings=(0.0,), include_n_nucleus=False)
     cols = {
         "b_gauss": b_grid,
         "nv_ms0_mhz": np.empty_like(b_grid),
@@ -491,11 +455,11 @@ def exp_levels(cfg: ExperimentConfig, b_grid_gauss) -> dict[str, np.ndarray]:
     # basis order m = +1, 0, -1 per the operator convention
     label_keys = ("nv_msp1_mhz", "nv_ms0_mhz", "nv_msm1_mhz")
     for i, b in enumerate(b_grid):
-        w, v = eigensystem(h_nv(b, params))
+        w, v = eigensystem(h_nv(b, cfg.nv))
         for level in range(3):
             character = int(np.argmax(np.abs(v[:, level]) ** 2))
             cols[label_keys[character]][i] = w[level]
-        wn, _ = eigensystem(h_n(b, bath))
+        wn, _ = eigensystem(h_n(b))
         cols["n_down_mhz"][i] = wn[0]
         cols["n_up_mhz"][i] = wn[1]
         cols["f_nv_mhz"][i] = cols["nv_msm1_mhz"][i] - cols["nv_ms0_mhz"][i]

@@ -1,5 +1,5 @@
-"""Hamiltonians for the N-V center, substitutional-nitrogen (P1) spins and
-their couplings.
+"""Hamiltonians for the N-V center and a substitutional-nitrogen (P1)
+electron spin, and the rotating frame of a driven N-V transition.
 
 All Hamiltonians are frequency operators in MHz; the static magnetic field
 is taken along the N-V symmetry axis (z) and is given in gauss.
@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import DIPOLAR_J0_MHZ_NM3, ELECTRON_G, gyromagnetic_ratio
-from .spinops import Spin, SpinSystem, eigensystem, site_spin_matrices, spin_matrices
+from .constants import ELECTRON_G, gyromagnetic_ratio
+from .spinops import eigensystem, spin_matrices
 
 
 @dataclass(frozen=True)
@@ -19,15 +19,14 @@ class NvParams:
     """Ground-state N-V parameters.
 
     ``d_mhz`` is the zero-field splitting, ``g`` the electron g-factor.
-    ``a_par_mhz``/``a_perp_mhz`` are the hyperfine components to the center's
-    own 14N nucleus (I=1), used only when ``include_nucleus`` is set.
+    ``a_par_mhz`` is the axial hyperfine coupling to the center's own 14N
+    nucleus (I=1): the detuning step -A, 0, +A of the nuclear-state average
+    (``NoiseModel.nuclear_splitting_mhz``).
     """
 
     d_mhz: float = 2880.0
     g: float = ELECTRON_G
     a_par_mhz: float = 2.2
-    a_perp_mhz: float = 2.1
-    include_nucleus: bool = False
 
     def __post_init__(self):
         if self.d_mhz <= 0:
@@ -43,60 +42,35 @@ class NvParams:
 
 @dataclass(frozen=True)
 class BathParams:
-    """Explicitly simulated substitutional-N (P1) spins.
+    """The explicitly simulated substitutional-N (P1) electron spin.
 
-    Each entry of ``couplings`` is either a secular coupling strength in MHz
-    (canonical form, equivalent to a point dipole along z) or a pair
-    ``(distance_nm, orientation)`` with a unit vector, from which the secular
-    strength is derived.  ``gamma_bath`` is the Markovian dephasing rate of
-    each bath spin in 1/us; it sets the width of the cross-relaxation
-    resonance.
+    ``coupling_mhz`` is the secular dipolar coupling J to the N-V center,
+    multiplying J*(SxSx + SySy - 2 SzSz).  With ``include_n_nucleus`` the
+    P1 line splits into three branches at -A, 0, +A (``a_n_par_mhz``, the
+    axial P1 14N hyperfine), giving the field sweep's sidepeaks.
+    ``gamma_bath`` is the Markovian dephasing rate of the P1 spin in 1/us;
+    it sets the width of the cross-relaxation resonance.
     """
 
-    n_spins: int = 1
-    couplings: tuple = (0.5,)
+    coupling_mhz: float = 0.5
     a_n_par_mhz: float = 100.0
-    a_n_perp_mhz: float = 80.0
     include_n_nucleus: bool = False
     gamma_bath: float = 50.0
 
     def __post_init__(self):
-        if self.n_spins < 0:
-            raise ValueError("n_spins must be >= 0")
-        if len(self.couplings) < self.n_spins:
-            raise ValueError("need one coupling entry per bath spin")
         if self.gamma_bath < 0:
             raise ValueError("gamma_bath must be >= 0")
-
-    def secular_coupling(self, k: int) -> float:
-        """Secular coupling strength J of bath spin ``k`` in MHz.
-
-        J multiplies the canonical operator J*(SxSx + SySy - 2 SzSz); a
-        geometric entry (r, n) maps onto it with the usual (1 - 3 cos^2
-        theta)/(-2) angular factor so that n = z reproduces J = J0/r^3.
-        """
-        entry = self.couplings[k]
-        if np.isscalar(entry):
-            return float(entry)
-        r_nm, n_hat = entry
-        if r_nm <= 0:
-            raise ValueError("dipole distance must be positive")
-        n = np.asarray(n_hat, dtype=float)
-        n = n / np.linalg.norm(n)
-        cos2 = n[2] ** 2
-        return DIPOLAR_J0_MHZ_NM3 / r_nm**3 * (3 * cos2 - 1) / 2
 
 
 @dataclass(frozen=True)
 class DriveParams:
-    """RF drive: frequency, Rabi frequency and phase.
+    """RF drive: Rabi frequency and frequency.
 
     ``f_rf_mhz=None`` means "on resonance with the addressed transition".
     """
 
     f1_mhz: float = 5.0
     f_rf_mhz: float | None = None
-    phase_rad: float = 0.0
 
     def __post_init__(self):
         if self.f1_mhz < 0:
@@ -104,79 +78,26 @@ class DriveParams:
 
     @classmethod
     def from_b1(cls, b1_gauss: float, g: float = ELECTRON_G,
-                f_rf_mhz: float | None = None, phase_rad: float = 0.0) -> "DriveParams":
+                f_rf_mhz: float | None = None) -> "DriveParams":
         """Drive from the AC field amplitude: f1 = gamma * B1 / 2.
 
         The factor 1/2 comes from the rotating wave approximation.
         """
         f1 = gyromagnetic_ratio(g) * b1_gauss / 2.0
-        return cls(f1_mhz=f1, f_rf_mhz=f_rf_mhz, phase_rad=phase_rad)
-
-
-def nv_system(p: NvParams) -> SpinSystem:
-    spins = [Spin("nv_e", 1.0, p.gamma)]
-    if p.include_nucleus:
-        spins.append(Spin("nv_n14", 1.0, 0.0))
-    return SpinSystem(tuple(spins))
+        return cls(f1_mhz=f1, f_rf_mhz=f_rf_mhz)
 
 
 def h_nv(b_gauss: float, p: NvParams) -> np.ndarray:
-    """N-V ground-state Hamiltonian D*Sz^2 + gamma*B*Sz (+ 14N hyperfine).
-
-    3x3 without the nucleus, 9x9 (electron x nucleus) with it.  Basis order
-    follows the package convention m = +1, 0, -1 per factor.
-    """
-    system = nv_system(p)
-    sx, sy, sz = site_spin_matrices(system, 0)
-    h = p.d_mhz * (sz @ sz) + p.gamma * b_gauss * sz
-    if p.include_nucleus:
-        ix, iy, iz = site_spin_matrices(system, 1)
-        h = h + p.a_par_mhz * (sz @ iz) + p.a_perp_mhz * (sx @ ix + sy @ iy)
-    return h
+    """N-V ground-state Hamiltonian D*Sz^2 + gamma*B*Sz, 3x3 in the basis
+    m_S = +1, 0, -1."""
+    _, _, sz = spin_matrices(1.0)
+    return p.d_mhz * (sz @ sz) + p.gamma * b_gauss * sz
 
 
-def h_n(b_gauss: float, bath: BathParams, k: int = 0, g: float = ELECTRON_G) -> np.ndarray:
-    """Hamiltonian of one P1 electron spin, optionally with its 14N nucleus.
-
-    2x2 for the bare electron (Zeeman term only), 6x6 with the nuclear
-    hyperfine interaction.  The nuclear Zeeman term is negligible on the
-    MHz scale and is omitted.
-    """
-    if not 0 <= k < bath.n_spins:
-        raise IndexError(f"bath spin {k} out of range for n_spins={bath.n_spins}")
-    gamma = gyromagnetic_ratio(g)
-    spins = [Spin("n_e", 0.5, gamma)]
-    if bath.include_n_nucleus:
-        spins.append(Spin("n_n14", 1.0, 0.0))
-    system = SpinSystem(tuple(spins))
-    sx, sy, sz = site_spin_matrices(system, 0)
-    h = gamma * b_gauss * sz
-    if bath.include_n_nucleus:
-        ix, iy, iz = site_spin_matrices(system, 1)
-        h = h + bath.a_n_par_mhz * (sz @ iz) + bath.a_n_perp_mhz * (sx @ ix + sy @ iy)
-    return h
-
-
-def h_dipolar(system: SpinSystem, site_a: int, site_b: int,
-              r_nm: float, n_hat) -> np.ndarray:
-    """Point-dipole coupling J(r) * [Sa.Sb - 3 (Sa.n)(Sb.n)] on the composite
-    space, with J(r) = J0 / r^3 for two electron spins."""
-    if r_nm <= 0:
-        raise ValueError("dipole distance must be positive")
-    if site_a == site_b:
-        raise ValueError("dipolar coupling needs two distinct sites")
-    n = np.asarray(n_hat, dtype=float)
-    norm = np.linalg.norm(n)
-    if not np.isclose(norm, 1.0, atol=1e-6):
-        raise ValueError("orientation must be a unit vector")
-    n = n / norm
-    j = DIPOLAR_J0_MHZ_NM3 / r_nm**3
-    sa = site_spin_matrices(system, site_a)
-    sb = site_spin_matrices(system, site_b)
-    dot = sum(a @ b for a, b in zip(sa, sb))
-    proj_a = sum(ni * ai for ni, ai in zip(n, sa))
-    proj_b = sum(ni * bi for ni, bi in zip(n, sb))
-    return j * (dot - 3 * (proj_a @ proj_b))
+def h_n(b_gauss: float, g: float = ELECTRON_G) -> np.ndarray:
+    """Zeeman Hamiltonian of one P1 electron spin, 2x2."""
+    _, _, sz = spin_matrices(0.5)
+    return gyromagnetic_ratio(g) * b_gauss * sz
 
 
 def resonance_field(p: NvParams) -> float:
@@ -185,21 +106,13 @@ def resonance_field(p: NvParams) -> float:
     return p.d_mhz / (2 * p.gamma)
 
 
-def transition_frequency(h: np.ndarray, pair: tuple[int, int]) -> float:
-    """Frequency (MHz) between two eigenlevels of ``h``, indices into the
-    ascending eigenvalue list."""
-    w, _ = eigensystem(h)
-    i, j = pair
-    return float(w[j] - w[i])
-
-
 def rotating_frame(h_static: np.ndarray, drive: DriveParams,
                    transition: tuple[int, int],
                    selectivity_factor: float = 20.0) -> np.ndarray:
     """Two-level rotating-frame Hamiltonian for a selectively driven pair.
 
     Levels are indices into the ascending eigenvalues of ``h_static``.  The
-    result is the 2x2 matrix [[0, f1/2 e^{-i phase}], [c.c., detuning]] with
+    result is the 2x2 matrix [[0, f1/2], [f1/2, detuning]] with
     detuning = transition frequency - drive frequency; counter-rotating
     terms are dropped.
 
@@ -232,5 +145,5 @@ def rotating_frame(h_static: np.ndarray, drive: DriveParams,
                         f"({a},{b}) lies within {selectivity_factor} f1 of the drive",
                         stacklevel=2,
                     )
-    off = 0.5 * drive.f1_mhz * np.exp(-1j * drive.phase_rad)
-    return np.array([[0.0, off], [np.conj(off), detuning]], dtype=complex)
+    off = 0.5 * drive.f1_mhz
+    return np.array([[0.0, off], [off, detuning]], dtype=complex)

@@ -19,15 +19,19 @@ from .hamiltonian import DriveParams
 
 @dataclass(frozen=True)
 class LaserInit:
-    """Polarizing laser pulse; maps the addressed pair to polarization p."""
+    """Polarizing laser pulse: leaves the addressed pair in m_S = 0 with
+    probability p + (1 - p)/2, the rest in the driven level."""
 
-    duration_us: float = 5.0
     polarization: float = 0.9
 
     def __post_init__(self):
-        _check_duration(self.duration_us)
         if not 0.0 <= self.polarization <= 1.0:
             raise ValueError("polarization must lie in [0, 1]")
+
+    def density(self) -> np.ndarray:
+        """Pair density matrix p |0><0| + (1 - p) * identity / 2."""
+        p = self.polarization
+        return np.diag([p + (1 - p) / 2, (1 - p) / 2]).astype(complex)
 
 
 @dataclass(frozen=True)
@@ -51,16 +55,18 @@ class Delay:
 class Readout:
     """Laser readout: expected counts N * (1 - contrast * (1 - P0))."""
 
-    duration_us: float = 2.0
     contrast: float = 0.3
     photons: float = 1000.0
 
     def __post_init__(self):
-        _check_duration(self.duration_us)
         if not 0.0 <= self.contrast <= 1.0:
             raise ValueError("contrast must lie in [0, 1]")
         if self.photons < 0:
             raise ValueError("photon budget must be >= 0")
+
+    def counts(self, p0):
+        """Expected counts for the m_S = 0 population ``p0`` (broadcasts)."""
+        return self.photons * (1.0 - self.contrast * (1.0 - np.asarray(p0)))
 
 
 Segment = LaserInit | RfPulse | Delay | Readout
@@ -80,11 +86,8 @@ class PulseSequence:
     """
 
     segments: tuple[Segment, ...]
-    repetitions: int = 1000
 
     def __post_init__(self):
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
         segs = self.segments
         n_read = sum(isinstance(s, Readout) for s in segs)
         if n_read != 1 or not isinstance(segs[-1], Readout):
@@ -110,18 +113,14 @@ def pi2_duration(f1_mhz: float) -> float:
 
 def rabi_sequence(t_pulse_us: float, drive: DriveParams, *,
                   init: LaserInit = LaserInit(),
-                  readout: Readout = Readout(),
-                  repetitions: int = 1000) -> PulseSequence:
+                  readout: Readout = Readout()) -> PulseSequence:
     """Init - drive for a variable duration - read out."""
-    return PulseSequence(
-        (init, RfPulse(t_pulse_us, drive), readout), repetitions
-    )
+    return PulseSequence((init, RfPulse(t_pulse_us, drive), readout))
 
 
 def hahn_sequence(tau1_us: float, tau2_us: float, drive: DriveParams, *,
                   init: LaserInit = LaserInit(),
-                  readout: Readout = Readout(),
-                  repetitions: int = 1000) -> PulseSequence:
+                  readout: Readout = Readout()) -> PulseSequence:
     """Hahn echo: pi/2 - tau1 - pi - tau2 - pi/2 - readout.
 
     The final pi/2 pulse maps the echo amplitude back onto the populations
@@ -140,62 +139,45 @@ def hahn_sequence(tau1_us: float, tau2_us: float, drive: DriveParams, *,
             Delay(tau2_us),
             RfPulse(t_pi2, drive),
             readout,
-        ),
-        repetitions,
+        )
     )
 
 
 def ramsey_sequence(tau_us: float, drive: DriveParams, *,
                     init: LaserInit = LaserInit(),
-                    readout: Readout = Readout(),
-                    repetitions: int = 1000) -> PulseSequence:
+                    readout: Readout = Readout()) -> PulseSequence:
     """Unrefocused pi/2 - tau - pi/2 reference for the echo comparison."""
     t_pi2 = pi2_duration(drive.f1_mhz)
     return PulseSequence(
-        (init, RfPulse(t_pi2, drive), Delay(tau_us), RfPulse(t_pi2, drive), readout),
-        repetitions,
+        (init, RfPulse(t_pi2, drive), Delay(tau_us), RfPulse(t_pi2, drive), readout)
     )
 
 
 def _segment_hamiltonian(segment: Segment, detuning_mhz: float) -> np.ndarray:
-    if isinstance(segment, RfPulse):
-        off = 0.5 * segment.drive.f1_mhz * np.exp(-1j * segment.drive.phase_rad)
-        return np.array([[0.0, off], [np.conj(off), detuning_mhz]], dtype=complex)
-    return np.array([[0.0, 0.0], [0.0, detuning_mhz]], dtype=complex)
+    off = 0.5 * segment.drive.f1_mhz if isinstance(segment, RfPulse) else 0.0
+    return np.array([[0.0, off], [off, detuning_mhz]], dtype=complex)
 
 
 def run_sequence(seq: PulseSequence, noise: NoiseModel | None = None,
-                 detuning_mhz: float = 0.0, *, poisson: bool = False,
-                 rng: np.random.Generator | None = None) -> tuple[float, float]:
+                 detuning_mhz: float = 0.0) -> tuple[float, float]:
     """Interpret a sequence and return (P0, I_PL).
 
     ``detuning_mhz`` is the frame detuning of the drive from the addressed
     transition (quasi-static noise enters here; Markovian rates from
-    ``noise`` act during pulses and delays).  In Poisson mode the expected
-    counts are replaced by a sampled per-repetition average.
+    ``noise`` act during pulses and delays).  ``I_PL`` is the expected
+    count of the final Readout.
     """
     rho = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     collapse = pair_collapse_ops(noise)
-    p0 = 1.0
-    i_pl = 0.0
-    for segment in seq.segments:
+    *body, readout = seq.segments
+    for segment in body:
         if isinstance(segment, LaserInit):
-            p = segment.polarization
-            rho = p * np.diag([1.0, 0.0]).astype(complex) + (1 - p) * np.eye(2) / 2
-            continue
-        if isinstance(segment, Readout):
-            p0 = float(rho[0, 0].real)
-            expected = segment.photons * (1.0 - segment.contrast * (1.0 - p0))
-            if poisson and expected > 0:
-                if rng is None:
-                    rng = np.random.default_rng(noise.seed if noise else 0)
-                i_pl = rng.poisson(expected * seq.repetitions) / seq.repetitions
-            else:
-                i_pl = expected
+            rho = segment.density()
             continue
         h = _segment_hamiltonian(segment, detuning_mhz)
         if collapse:
             rho = evolve_lindblad(h, collapse, rho, segment.duration_us)
         else:
             rho = propagate([(h, segment.duration_us)], rho)
-    return p0, i_pl
+    p0 = float(rho[0, 0].real)
+    return p0, float(readout.counts(p0))

@@ -5,13 +5,11 @@ Conventions used by every module in this package:
 * Hamiltonians are frequency operators in MHz (hbar absorbed), time is in
   microseconds, so the propagator for a constant Hamiltonian is
   ``exp(-i 2 pi H t)``.
-* Composite spaces are Kronecker products in the order the spins appear in
-  the :class:`SpinSystem`; within each factor the Sz eigenbasis is ordered
-  m = +s ... -s (Sz diagonal, largest projection first).
+* The Sz eigenbasis is ordered m = +s ... -s (Sz diagonal, largest
+  projection first).
 """
 
-from dataclasses import dataclass
-from math import isclose, prod
+from math import isclose
 
 import numpy as np
 
@@ -47,66 +45,6 @@ def spin_matrices(s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     sx = (sp + sm) / 2
     sy = (sp - sm) / 2j
     return sx, sy, sz
-
-
-@dataclass(frozen=True)
-class Spin:
-    """One spin in a composite system."""
-
-    label: str
-    s: float
-    gamma_mhz_per_g: float = 0.0
-
-    @property
-    def dim(self) -> int:
-        return int(round(2 * self.s + 1))
-
-
-@dataclass(frozen=True)
-class SpinSystem:
-    """Ordered collection of spins defining a composite Hilbert space."""
-
-    spins: tuple[Spin, ...]
-
-    def __post_init__(self):
-        labels = [sp.label for sp in self.spins]
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"spin labels must be unique, got {labels}")
-        for sp in self.spins:
-            if not any(isclose(sp.s, v) for v in SUPPORTED_SPINS):
-                raise UnsupportedSpinError(f"spin {sp.label}: s={sp.s} unsupported")
-
-    @property
-    def total_dim(self) -> int:
-        return prod(sp.dim for sp in self.spins)
-
-    def dim(self, site: int) -> int:
-        return self.spins[site].dim
-
-    def identity(self) -> np.ndarray:
-        return np.eye(self.total_dim, dtype=complex)
-
-
-def embed(op: np.ndarray, site: int, system: SpinSystem) -> np.ndarray:
-    """Embed a single-site operator into the composite space.
-
-    The result acts as ``op`` on ``site`` and as the identity on every
-    other tensor factor.
-    """
-    if not 0 <= site < len(system.spins):
-        raise IndexError(f"site {site} out of range for {len(system.spins)} spins")
-    d = system.dim(site)
-    if op.shape != (d, d):
-        raise ValueError(f"operator shape {op.shape} does not match site dim {d}")
-    before = prod(sp.dim for sp in system.spins[:site])
-    after = prod(sp.dim for sp in system.spins[site + 1:])
-    out = np.kron(np.eye(before), np.kron(op, np.eye(after)))
-    return out.astype(complex)
-
-
-def site_spin_matrices(system: SpinSystem, site: int) -> tuple[np.ndarray, ...]:
-    """(Sx, Sy, Sz) of one site, embedded into the composite space."""
-    return tuple(embed(m, site, system) for m in spin_matrices(system.spins[site].s))
 
 
 def is_hermitian(a: np.ndarray, atol: float = 1e-9) -> bool:

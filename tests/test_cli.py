@@ -26,13 +26,13 @@ class TestParseConfig:
             # scenario
             field.b_gauss = 100   # Fig 1(b)
             nv.d_mhz = 2870
-            bath.couplings_mhz = 0.2,0.4
-            nv.include_nucleus = true
+            bath.coupling_mhz = 0.2
+            bath.include_n_nucleus = true
         """)
         assert cfg.b_field_gauss == 100.0
         assert cfg.nv.d_mhz == 2870.0
-        assert cfg.bath.couplings == (0.2, 0.4)
-        assert cfg.nv.include_nucleus is True
+        assert cfg.bath.coupling_mhz == 0.2
+        assert cfg.bath.include_n_nucleus is True
 
     def test_grid_shorthand(self):
         cfg = parse_config("sweep.grid = 0:1:5")
@@ -166,6 +166,16 @@ class TestRunCommand:
         assert self.run_cli("run", "esr", "--config", str(cfg),
                             "--out", str(tmp_path / "o")) == 1
         assert "did you mean" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment", ["esr", "fieldsweep", "trend"])
+    def test_fixed_drive_frequency_rejected(self, tmp_path, capsys, experiment):
+        # these experiments drive on resonance or sweep the drive frequency
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("drive.f_rf_mhz = 2000\n")
+        out = tmp_path / "o"
+        assert self.run_cli("run", experiment, "--config", str(cfg), "--out", str(out)) == 1
+        assert "drive.f_rf_mhz" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_file(self, tmp_path):
         assert self.run_cli("run", "esr", "--config", str(tmp_path / "nope.cfg"),

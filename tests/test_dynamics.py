@@ -288,7 +288,12 @@ class TestEnsembleAverage:
         with pytest.raises(ValueError):
             NoiseModel(n_samples=0)
         with pytest.raises(ValueError):
-            NoiseModel(nuclear_populations=(1.0, 0.0))
+            NoiseModel(nuclear_populations=(1.0, 0.0), nuclear_splitting_mhz=2.2)
+
+    def test_nuclear_populations_need_a_splitting(self):
+        # with A = 0 the three branches coincide and the weights do nothing
+        with pytest.raises(ValueError, match="splitting"):
+            NoiseModel(nuclear_populations=(1, 1, 1))
 
     def test_drifting_grid_rejected(self):
         def experiment(delta):

@@ -17,7 +17,7 @@ from nvspin.experiments import (
     trend_configs,
 )
 from nvspin.fitting import fit_lorentzian
-from nvspin.hamiltonian import BathParams, resonance_field
+from nvspin.hamiltonian import resonance_field
 
 
 def quiet_config(**kwargs):
@@ -155,18 +155,13 @@ class TestHahn:
 class TestFieldSweep:
     def test_decoupled_limit_flat(self):
         cfg = quiet_config()
-        cfg = replace(cfg, bath=replace(cfg.bath, couplings=(0.0,)),
+        cfg = replace(cfg, bath=replace(cfg.bath, coupling_mhz=0.0),
                       noise=replace(cfg.noise, gamma_phi=1.0 / 6.0))
         b_grid = np.linspace(500.0, 530.0, 11)
         result = exp_field_sweep(cfg, b_grid)
         ipl, inv = result.traces
         assert np.ptp(ipl.y) < 1e-6 * cfg.readout.photons
         assert np.ptp(inv.y) / np.mean(inv.y) < 1e-3
-
-    def test_requires_bath_spin(self):
-        cfg = replace(standard_config(), bath=BathParams(n_spins=0, couplings=()))
-        with pytest.raises(ValueError, match="bath"):
-            exp_field_sweep(cfg, np.linspace(500, 530, 11))
 
     def test_centers_coincide_at_resonance(self):
         cfg = standard_config()
@@ -224,7 +219,7 @@ class TestTrend:
 
     def test_zero_coupling_center(self):
         cfg = standard_config()
-        zero = replace(cfg, bath=replace(cfg.bath, couplings=(0.0,)),
+        zero = replace(cfg, bath=replace(cfg.bath, coupling_mhz=0.0),
                        noise=replace(cfg.noise, sigma_static_mhz=0.0))
         strong = trend_configs(cfg)[-1]
         trace = exp_t2p_vs_dip([zero, strong])
@@ -265,4 +260,4 @@ class TestConfigDefaults:
         from nvspin.experiments import SweepSpec
 
         with pytest.raises(ValueError):
-            SweepSpec("b", (1.0, 1.0, 2.0))
+            SweepSpec((1.0, 1.0, 2.0))

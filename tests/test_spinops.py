@@ -5,11 +5,8 @@ from hypothesis import strategies as st
 
 from nvspin.spinops import (
     NonHermitianError,
-    Spin,
-    SpinSystem,
     UnsupportedSpinError,
     eigensystem,
-    embed,
     expm_unitary,
     spin_matrices,
 )
@@ -57,69 +54,6 @@ class TestSpinMatrices:
             spin_matrices(2.0)
         with pytest.raises(UnsupportedSpinError):
             spin_matrices(0.3)
-
-
-@pytest.fixture
-def three_spins():
-    return SpinSystem((
-        Spin("e", 1.0, 2.8),
-        Spin("n", 0.5, 2.8),
-        Spin("i", 1.0, 0.0),
-    ))
-
-
-class TestSpinSystem:
-    def test_total_dim(self, three_spins):
-        assert three_spins.total_dim == 3 * 2 * 3
-
-    def test_duplicate_labels_rejected(self):
-        with pytest.raises(ValueError, match="unique"):
-            SpinSystem((Spin("a", 0.5), Spin("a", 1.0)))
-
-
-class TestEmbed:
-    def test_identity_embeds_to_identity(self, three_spins):
-        for site in range(3):
-            d = three_spins.dim(site)
-            out = embed(np.eye(d, dtype=complex), site, three_spins)
-            assert np.allclose(out, np.eye(three_spins.total_dim))
-
-    def test_trace_multiplicativity(self, three_spins):
-        _, _, sz = spin_matrices(1.0)
-        out = embed(sz, 0, three_spins)
-        rest = three_spins.total_dim // 3
-        assert np.isclose(np.trace(out), np.trace(sz) * rest)
-
-    def test_disjoint_supports_commute(self, three_spins):
-        rng = np.random.default_rng(0)
-        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        ea = embed(a, 0, three_spins)
-        eb = embed(b, 1, three_spins)
-        assert max_abs(ea @ eb - eb @ ea) < 1e-12
-
-    @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 10_000), site=st.integers(0, 2))
-    def test_homomorphism(self, seed, site):
-        system = SpinSystem((Spin("e", 1.0), Spin("n", 0.5), Spin("i", 1.0)))
-        rng = np.random.default_rng(seed)
-        d = system.dim(site)
-        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        b = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        lhs = embed(a @ b, site, system)
-        rhs = embed(a, site, system) @ embed(b, site, system)
-        assert max_abs(lhs - rhs) < 1e-12
-
-    def test_embed_preserves_hermiticity(self, three_spins):
-        h = random_hermitian(2, 3)
-        out = embed(h, 1, three_spins)
-        assert max_abs(out - out.conj().T) < 1e-12
-
-    def test_bad_site_and_shape(self, three_spins):
-        with pytest.raises(IndexError):
-            embed(np.eye(3), 5, three_spins)
-        with pytest.raises(ValueError):
-            embed(np.eye(2), 0, three_spins)
 
 
 class TestEigensystem:
