@@ -57,7 +57,6 @@ from .pulseq import (
     hahn_sequence,
     pi2_duration,
     pi_duration,
-    rabi_sequence,
     ramsey_sequence,
     run_sequence,
 )

@@ -67,15 +67,18 @@ class NoiseModel:
         rng = np.random.default_rng(self.seed)
         return rng.normal(0.0, self.sigma_static_mhz, self.n_samples)
 
-    def nuclear_branches(self) -> list[tuple[float, float]]:
-        """(detuning, weight) pairs for the nuclear-spin average."""
-        if self.nuclear_populations is None:
-            return [(0.0, 1.0)]
+    def ensemble(self) -> tuple[np.ndarray, np.ndarray]:
+        """Detuning (MHz) and weight of every ensemble member: each nuclear
+        branch shifted by each quasi-static sample, branch-major.  The
+        weights sum to one."""
+        samples = self.static_detunings()
         a = self.nuclear_splitting_mhz
-        total = sum(self.nuclear_populations)
-        return [(d, p / total)
-                for d, p in zip((-a, 0.0, a), self.nuclear_populations)
-                if p > 0]
+        pops = np.asarray(self.nuclear_populations or (0.0, 1.0, 0.0), dtype=float)
+        keep = pops > 0
+        shifts = np.array([-a, 0.0, a])[keep]
+        weights = pops[keep] / pops.sum() / len(samples)
+        return ((shifts[:, None] + samples).reshape(-1),
+                np.repeat(weights, len(samples)))
 
 
 # ---------------------------------------------------------------------------
@@ -85,10 +88,6 @@ def basis_density(dim: int, index: int) -> np.ndarray:
     rho = np.zeros((dim, dim), dtype=complex)
     rho[index, index] = 1.0
     return rho
-
-
-def mixed_density(dim: int) -> np.ndarray:
-    return np.eye(dim, dtype=complex) / dim
 
 
 def validate_density(rho: np.ndarray, *, herm_atol: float = 1e-8,
@@ -140,22 +139,37 @@ def propagate(segments: Sequence[tuple[np.ndarray, float]], rho0: np.ndarray) ->
 # ---------------------------------------------------------------------------
 # Lindblad dissipation
 
+def _superop(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Matrix of rho -> left @ rho @ right on row-major vectorized rho;
+    broadcasts over leading stack axes."""
+    sup = np.einsum("...ik,...lj->...ijkl", left, right)
+    n = sup.shape[-1] ** 2
+    return sup.reshape(sup.shape[:-4] + (n, n))
+
+
 def build_liouvillian(h: np.ndarray, collapse_ops: CollapseOps) -> np.ndarray:
-    """Matrix of the Lindblad generator acting on row-major vectorized rho."""
-    dim = h.shape[0]
+    """Matrix of the Lindblad generator acting on row-major vectorized rho.
+
+    ``h`` may be a stack of Hamiltonians ``(..., d, d)``; the result is then
+    the matching stack ``(..., d*d, d*d)``.  The generator is written as
+    K rho + rho K+ + sum_k gamma_k L rho L+ with the non-Hermitian
+    K = -i 2 pi H - sum_k gamma_k L+L / 2, so the jump terms are built once
+    for the whole stack.
+    """
+    dim = h.shape[-1]
     ident = np.eye(dim)
-    liou = -2j * np.pi * (np.kron(h, ident) - np.kron(ident, h.T))
+    k = -2j * np.pi * h
+    jumps = np.zeros((dim * dim, dim * dim), dtype=complex)
     for op, rate in collapse_ops:
         if rate < 0:
             raise ValueError("collapse rates must be >= 0")
         if rate == 0:
             continue
-        opd_op = op.conj().T @ op
-        liou = liou + rate * (
-            np.kron(op, op.conj())
-            - 0.5 * (np.kron(opd_op, ident) + np.kron(ident, opd_op.T))
-        )
-    return liou
+        opd = op.conj().T
+        k = k - 0.5 * rate * (opd @ op)
+        jumps = jumps + rate * _superop(op, opd)
+    k_dag = np.conj(np.swapaxes(k, -1, -2))
+    return _superop(k, ident) + _superop(ident, k_dag) + jumps
 
 
 def _lindblad_rhs(h: np.ndarray, collapse_ops: CollapseOps, rho: np.ndarray) -> np.ndarray:
@@ -220,9 +234,11 @@ def lindblad_trajectory(h: np.ndarray, collapse_ops: CollapseOps, rho0: np.ndarr
                         times: np.ndarray) -> np.ndarray:
     """Density matrices at each time in ``times`` (sorted, >= 0).
 
-    Uses the eigendecomposition of the Liouvillian so the cost is one small
-    non-Hermitian eigenproblem regardless of how many times are requested;
-    falls back to stepwise exponentials if the eigenbasis is ill-conditioned.
+    ``h`` is one Hamiltonian ``(d, d)`` or a stack ``(..., d, d)``; the
+    result has shape ``(..., len(times), d, d)``.  One batched
+    eigendecomposition of the Liouvillians serves every member and time; a
+    member whose eigenbasis is ill-conditioned falls back to stepwise
+    exponentials on its own.
     """
     times = np.asarray(times, dtype=float)
     if np.any(times < 0) or np.any(np.diff(times) < 0):
@@ -230,25 +246,33 @@ def lindblad_trajectory(h: np.ndarray, collapse_ops: CollapseOps, rho0: np.ndarr
     rho0 = np.asarray(rho0, dtype=complex)
     dim = rho0.shape[0]
     liou = build_liouvillian(h, collapse_ops)
+    stack = liou.shape[:-2]
     vec0 = rho0.reshape(-1)
     evals, vecs = np.linalg.eig(liou)
-    cond = np.linalg.cond(vecs)
-    out = np.empty((len(times), dim, dim), dtype=complex)
-    if cond < 1e10:
-        coef = np.linalg.solve(vecs, vec0)
-        for i, t in enumerate(times):
-            vec = vecs @ (np.exp(evals * t) * coef)
-            rho = vec.reshape(dim, dim)
-            out[i] = 0.5 * (rho + rho.conj().T)
-    else:
-        vec = vec0
-        prev = 0.0
+    good = np.linalg.cond(vecs) < 1e10
+    # ill-conditioned members solve against the identity; their rows are
+    # replaced by the fallback below
+    vecs = np.where(good[..., None, None], vecs, np.eye(dim * dim))
+    coef = np.linalg.solve(vecs, np.broadcast_to(vec0, stack + vec0.shape)[..., None])
+    # in-place steps keep one (members x times x d^2) buffer alive at a time
+    phases = evals[..., None, :] * times[:, None]
+    np.exp(phases, out=phases)
+    phases *= coef[..., None, :, 0]
+    vec = phases @ np.swapaxes(vecs, -1, -2)
+    del phases
+    for idx in np.ndindex(stack):
+        if good[idx]:
+            continue
+        step, prev = vec0, 0.0
         for i, t in enumerate(times):
             if t > prev:
-                vec = scipy.linalg.expm(liou * (t - prev)) @ vec
+                step = scipy.linalg.expm(liou[idx] * (t - prev)) @ step
                 prev = t
-            rho = vec.reshape(dim, dim)
-            out[i] = 0.5 * (rho + rho.conj().T)
+            vec[idx + (i,)] = step
+    rho = vec.reshape(stack + (len(times), dim, dim))
+    out = np.conj(np.swapaxes(rho, -1, -2))
+    out += rho
+    out *= 0.5
     return out
 
 
@@ -306,27 +330,23 @@ def ensemble_average(experiment: Callable[[float], Trace],
     """Average an experiment over the quasi-static noise ensemble.
 
     ``experiment`` maps a detuning offset in MHz to a Trace on a fixed grid.
-    Detunings are drawn once up front (Gaussian, seeded, plus the discrete
-    nuclear branches when enabled) so the result does not depend on
-    evaluation order.
+    The members come from :meth:`NoiseModel.ensemble`, drawn once up front
+    (Gaussian, seeded, plus the discrete nuclear branches when enabled) so
+    the result does not depend on evaluation order.
     """
     if noise is None:
         noise = NoiseModel()
-    detunings = noise.static_detunings()
-    branches = noise.nuclear_branches()
+    detunings, weights = noise.ensemble()
     ref: Trace | None = None
     total = None
-    for branch_detuning, weight in branches:
-        acc = None
-        for delta in detunings:
-            tr = experiment(float(delta + branch_detuning))
-            if ref is None:
-                ref = tr
-                total = np.zeros_like(ref.y)
-            elif not np.array_equal(tr.x, ref.x):
-                raise ValueError("experiment must sample a fixed grid across the ensemble")
-            acc = tr.y.copy() if acc is None else acc + tr.y
-        total += weight * (acc / len(detunings))
+    for delta, weight in zip(detunings, weights):
+        tr = experiment(float(delta))
+        if ref is None:
+            ref = tr
+            total = np.zeros_like(ref.y)
+        elif not np.array_equal(tr.x, ref.x):
+            raise ValueError("experiment must sample a fixed grid across the ensemble")
+        total += weight * tr.y
     assert ref is not None
     return Trace(ref.x, total, ref.x_unit, ref.y_unit,
                  dict(ref.meta, n_samples=noise.n_samples))

@@ -18,7 +18,6 @@ import numpy as np
 from .dynamics import (
     NoiseModel,
     ensemble_average,
-    evolve_lindblad,
     lindblad_trajectory,
     pair_collapse_ops,
     steady_state,
@@ -149,10 +148,21 @@ _SX = np.array([[0, 1], [1, 0]], dtype=complex)
 _SZ_PAIR = np.diag([0.0, -1.0]).astype(complex)    # physical m_S values 0, -1
 _SZ_HALF = np.diag([0.5, -0.5]).astype(complex)
 _EYE2 = np.eye(2, dtype=complex)
+_LOWER = np.array([[0, 1], [0, 0]], dtype=complex)
+_FLIP = np.diag([1.0, -1.0]).astype(complex)
+
+# joint-space operators, N-V factor first
+_DETUNING_OP = np.kron(_P1, _EYE2)
+_DRIVE_OP = np.kron(_SX, _EYE2)
+_BATH_OP = np.kron(_EYE2, _SZ_HALF)
+_ZZ_OP = np.kron(_SZ_PAIR, _SZ_HALF)
+_NV_DEPHASING = np.kron(_FLIP, _EYE2)
+_NV_LOWER = np.kron(_LOWER, _EYE2)
+_BATH_DEPHASING = np.kron(_EYE2, _FLIP)
 
 
-def joint_frame_hamiltonian(delta_nv_mhz: float, nu_bath_mhz: float,
-                            f1_mhz: float, coupling_mhz: float) -> np.ndarray:
+def joint_frame_hamiltonian(delta_nv_mhz, nu_bath_mhz, f1_mhz: float,
+                            coupling_mhz: float) -> np.ndarray:
     """Rotating-frame Hamiltonian of the N-V pair coupled to one P1 spin.
 
     Basis order: |0,up>, |0,down>, |-1,up>, |-1,down>.  ``delta_nv_mhz`` is
@@ -160,80 +170,64 @@ def joint_frame_hamiltonian(delta_nv_mhz: float, nu_bath_mhz: float,
     splitting minus the drive frequency (zero at the cross-relaxation
     resonance).  The coupling J enters twice: a -2 J Sz Sz shift of the N-V
     line by the P1 state, and the energy-conserving exchange
-    |0,up> <-> |-1,down> with matrix element J/sqrt(2).
+    |0,up> <-> |-1,down> with matrix element J/sqrt(2).  Array-valued
+    detunings broadcast into a stack of Hamiltonians ``(..., 4, 4)``.
     """
+    delta = np.asarray(delta_nv_mhz, dtype=float)[..., None, None]
+    nu = np.asarray(nu_bath_mhz, dtype=float)[..., None, None]
     j = coupling_mhz
     h = (
-        delta_nv_mhz * np.kron(_P1, _EYE2)
-        + 0.5 * f1_mhz * np.kron(_SX, _EYE2)
-        + nu_bath_mhz * np.kron(_EYE2, _SZ_HALF)
-        - 2.0 * j * np.kron(_SZ_PAIR, _SZ_HALF)
+        delta * _DETUNING_OP
+        + 0.5 * f1_mhz * _DRIVE_OP
+        + nu * _BATH_OP
+        - 2.0 * j * _ZZ_OP
     )
     v = j / np.sqrt(2.0)
-    h[0, 3] += v
-    h[3, 0] += v
+    h[..., 0, 3] += v
+    h[..., 3, 0] += v
     return h
 
 
 def _joint_collapse(noise: NoiseModel, bath: BathParams) -> list:
     ops = []
     if noise.gamma_phi > 0:
-        ops.append((np.kron(np.diag([1.0, -1.0]).astype(complex), _EYE2),
-                    noise.gamma_phi / 2.0))
+        ops.append((_NV_DEPHASING, noise.gamma_phi / 2.0))
     if noise.gamma_1 > 0:
-        lower = np.zeros((2, 2), dtype=complex)
-        lower[0, 1] = 1.0
-        ops.append((np.kron(lower, _EYE2), noise.gamma_1))
+        ops.append((_NV_LOWER, noise.gamma_1))
     if bath.gamma_bath > 0:
-        ops.append((np.kron(_EYE2, np.diag([1.0, -1.0]).astype(complex)),
-                    bath.gamma_bath / 2.0))
+        ops.append((_BATH_DEPHASING, bath.gamma_bath / 2.0))
     return ops
 
 
-def _bath_branches(bath: BathParams) -> list[tuple[float, float]]:
-    """(bath-frequency shift, weight) from the P1 14N hyperfine states."""
+def _bath_branches(bath: BathParams) -> tuple[np.ndarray, np.ndarray]:
+    """Bath-frequency shifts and weights from the P1 14N hyperfine states."""
     if not bath.include_n_nucleus:
-        return [(0.0, 1.0)]
+        return np.zeros(1), np.ones(1)
     a = bath.a_n_par_mhz
-    return [(-a, 1 / 3), (0.0, 1 / 3), (a, 1 / 3)]
+    return np.array([-a, 0.0, a]), np.full(3, 1 / 3)
 
 
-_P0_JOINT = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
+def _joint_p0(cfg: ExperimentConfig, b_gauss: float, f1_mhz: float,
+              times) -> np.ndarray:
+    """Ensemble-averaged m_S = 0 population of the joint model at ``times``
+    after laser initialization, bath spin mixed.
 
-
-def _joint_p0_after_wait(cfg: ExperimentConfig, b_gauss: float,
-                         detunings: np.ndarray) -> float:
-    """Population of m_S = 0 after the init-wait cycle, bath spin mixed."""
+    One Lindblad stack over P1 hyperfine branch x N-V ensemble member.
+    With ``f1_mhz = 0`` this is the dark wait of the init-wait-readout
+    cycle; otherwise a Rabi nutation against the explicit bath spin.
+    """
     f_t = nv_transition_mhz(cfg, b_gauss)
     nu0 = cfg.nv.gamma * b_gauss - f_t
+    shifts, bath_weights = _bath_branches(cfg.bath)
+    deltas, weights = cfg.noise.ensemble()
+    h = joint_frame_hamiltonian(deltas, (nu0 + shifts)[:, None], f1_mhz,
+                                cfg.bath.coupling_mhz)
     rho0 = np.kron(cfg.init.density(), _EYE2 / 2)
     collapse = _joint_collapse(_markovian(cfg.noise), cfg.bath)
-    total = 0.0
-    for shift, weight in _bath_branches(cfg.bath):
-        for delta in detunings:
-            h = joint_frame_hamiltonian(delta, nu0 + shift, 0.0, cfg.bath.coupling_mhz)
-            rho = evolve_lindblad(h, collapse, rho0, cfg.t_wait_us)
-            total += weight * float(np.trace(_P0_JOINT @ rho).real)
-    return total / len(detunings)
-
-
-def _joint_rabi_trace(cfg: ExperimentConfig, b_gauss: float, f1_mhz: float,
-                      t_grid: np.ndarray, detunings: np.ndarray) -> Trace:
-    """Ensemble-averaged Rabi nutation against the explicit bath spin."""
-    f_t = nv_transition_mhz(cfg, b_gauss)
-    nu0 = cfg.nv.gamma * b_gauss - f_t
-    rho0 = np.kron(cfg.init.density(), _EYE2 / 2)
-    collapse = _joint_collapse(_markovian(cfg.noise), cfg.bath)
-    acc = np.zeros(len(t_grid))
-    for shift, weight in _bath_branches(cfg.bath):
-        for delta in detunings:
-            h = joint_frame_hamiltonian(delta, nu0 + shift, f1_mhz,
-                                        cfg.bath.coupling_mhz)
-            rhos = lindblad_trajectory(h, collapse, rho0, t_grid)
-            p0 = np.einsum("tij,ji->t", rhos, _P0_JOINT).real
-            acc += weight * p0
-    y = cfg.readout.counts(acc / len(detunings))
-    return Trace(t_grid, y, "us", "counts", {"b_gauss": b_gauss, "f1_mhz": f1_mhz})
+    rhos = lindblad_trajectory(h, collapse, rho0, times)
+    p0 = rhos[..., 0, 0].real + rhos[..., 1, 1].real
+    member_weights = bath_weights[:, None] * weights
+    return np.sum(member_weights[..., None] * p0, axis=(0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -249,13 +243,9 @@ def exp_cw_esr(cfg: ExperimentConfig, f_grid_mhz) -> Trace:
     """
     f_grid = np.asarray(f_grid_mhz, dtype=float)
     f_t = nv_transition_mhz(cfg)
-    pump = np.zeros((2, 2), dtype=complex)
-    pump[0, 1] = 1.0
-    sz = np.diag([1.0, -1.0]).astype(complex)
-    gamma_2 = cfg.laser_dephasing + cfg.noise.gamma_phi
-    collapse = [(pump, cfg.pump_rate)]
-    if gamma_2 > 0:
-        collapse.append((sz, gamma_2 / 2.0))
+    # laser-induced dephasing adds to the Markovian noise of the pair
+    markov = replace(cfg.noise, gamma_phi=cfg.laser_dephasing + cfg.noise.gamma_phi)
+    collapse = [(_LOWER, cfg.pump_rate), *pair_collapse_ops(markov)]
 
     def experiment(delta: float) -> Trace:
         p0 = np.empty_like(f_grid)
@@ -355,15 +345,14 @@ def exp_field_sweep(cfg: ExperimentConfig, b_grid_gauss) -> SweepResult:
     """
     b_grid = np.asarray(b_grid_gauss, dtype=float)
     t_grid = np.linspace(0.0, 4.0, 161)
-    detunings = cfg.noise.static_detunings()
     ipl = np.empty_like(b_grid)
     t2p = np.empty_like(b_grid)
     f1 = cfg.drive.f1_mhz
     rabi_fits = []
     for i, b in enumerate(b_grid):
-        p0 = _joint_p0_after_wait(cfg, b, detunings)
-        ipl[i] = cfg.readout.counts(p0)
-        fit = fit_damped_cosine(_joint_rabi_trace(cfg, b, f1, t_grid, detunings))
+        ipl[i] = cfg.readout.counts(_joint_p0(cfg, b, 0.0, [cfg.t_wait_us])[0])
+        rabi = cfg.readout.counts(_joint_p0(cfg, b, f1, t_grid))
+        fit = fit_damped_cosine(Trace(t_grid, rabi, "us", "counts"))
         rabi_fits.append(fit)
         t2p[i] = fit["t2p_us"]
     ipl_trace = Trace(b_grid, ipl, "G", "counts", {"observable": "i_pl"})
@@ -394,16 +383,14 @@ def exp_t2p_vs_dip(cfgs: list[ExperimentConfig], b_probe_gauss: float = 850.0,
     amplitudes = []
     t2ps = []
     for cfg in cfgs:
-        detunings = cfg.noise.static_detunings()
         b_res = resonance_field(cfg.nv)
-        p0_res = _joint_p0_after_wait(cfg, b_res, detunings)
-        p0_off = _joint_p0_after_wait(cfg, b_res + off_resonance_offset_gauss, detunings)
-        i_res = cfg.readout.counts(p0_res)
-        i_off = cfg.readout.counts(p0_off)
+        wait = [cfg.t_wait_us]
+        i_res = cfg.readout.counts(_joint_p0(cfg, b_res, 0.0, wait)[0])
+        i_off = cfg.readout.counts(
+            _joint_p0(cfg, b_res + off_resonance_offset_gauss, 0.0, wait)[0])
         amplitudes.append((i_off - i_res) / i_off)
-        fit = fit_damped_cosine(
-            _joint_rabi_trace(cfg, b_probe_gauss, cfg.drive.f1_mhz, t_grid, detunings)
-        )
+        rabi = cfg.readout.counts(_joint_p0(cfg, b_probe_gauss, cfg.drive.f1_mhz, t_grid))
+        fit = fit_damped_cosine(Trace(t_grid, rabi, "us", "counts"))
         t2ps.append(fit["t2p_us"])
     order = np.argsort(amplitudes, kind="stable")
     return Trace(

@@ -111,13 +111,6 @@ def pi2_duration(f1_mhz: float) -> float:
     return 1.0 / (4.0 * f1_mhz)
 
 
-def rabi_sequence(t_pulse_us: float, drive: DriveParams, *,
-                  init: LaserInit = LaserInit(),
-                  readout: Readout = Readout()) -> PulseSequence:
-    """Init - drive for a variable duration - read out."""
-    return PulseSequence((init, RfPulse(t_pulse_us, drive), readout))
-
-
 def hahn_sequence(tau1_us: float, tau2_us: float, drive: DriveParams, *,
                   init: LaserInit = LaserInit(),
                   readout: Readout = Readout()) -> PulseSequence:

@@ -131,20 +131,34 @@ class TestRunCommand:
         assert self.run_cli("run", "esr", "--config", str(cfg), "--out", str(out2)) == 0
         assert (out1 / "esr.csv").read_bytes() == (out2 / "esr.csv").read_bytes()
 
-    def test_byte_identical_across_thread_counts(self, tmp_path):
+    @staticmethod
+    def csv_at_thread_counts(tmp_path, experiment, config_text, csv_name):
+        """The CSV from fresh CLI runs with 1 and with 4 BLAS threads."""
         cfg = tmp_path / "c.cfg"
-        cfg.write_text("sweep.grid = 0:2:41\nnoise.n_samples = 8\n")
+        cfg.write_text(config_text)
         outputs = []
         for threads, name in (("1", "t1"), ("4", "t4")):
             out = tmp_path / name
             proc = subprocess.run(
-                [sys.executable, "-m", "nvspin.cli", "run", "rabi",
+                [sys.executable, "-m", "nvspin.cli", "run", experiment,
                  "--config", str(cfg), "--out", str(out)],
                 env=cli_env(threads),
                 capture_output=True,
             )
             assert proc.returncode == 0, proc.stderr.decode()
-            outputs.append((out / "rabi_0.csv").read_bytes())
+            outputs.append((out / csv_name).read_bytes())
+        return outputs
+
+    def test_byte_identical_across_thread_counts(self, tmp_path):
+        outputs = self.csv_at_thread_counts(
+            tmp_path, "rabi", "sweep.grid = 0:2:41\nnoise.n_samples = 8\n", "rabi_0.csv")
+        assert outputs[0] == outputs[1]
+
+    def test_fieldsweep_byte_identical_across_thread_counts(self, tmp_path):
+        # the joint model solves one batched Lindblad stack per field point
+        outputs = self.csv_at_thread_counts(
+            tmp_path, "fieldsweep", "sweep.grid = 505:524:8\nnoise.n_samples = 4\n",
+            "fieldsweep.csv")
         assert outputs[0] == outputs[1]
 
     def test_seed_override_changes_outputs(self, tmp_path):

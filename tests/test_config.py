@@ -97,6 +97,20 @@ def test_key_reaches_an_output(key, outputs):
     assert outputs(experiment, {**base, key: value}) != outputs(experiment, base)
 
 
+# keys that more experiments read than the one REACH names
+ALSO_REACH = [
+    ("noise.nuclear_populations", "fieldsweep", "1,0,0"),
+    ("noise.nuclear_populations", "trend", "1,0,0"),
+    ("noise.gamma_1", "esr", "0.5"),
+]
+
+
+@pytest.mark.parametrize("key, experiment, value", ALSO_REACH)
+def test_key_reaches_every_experiment_reading_it(key, experiment, value, outputs):
+    base = {**COMMON, **BASE[experiment]}
+    assert outputs(experiment, {**base, key: value}) != outputs(experiment, base)
+
+
 @pytest.mark.parametrize("key", [
     "nv.include_nucleus", "nv.a_perp_mhz", "bath.n_spins", "bath.couplings_mhz",
     "bath.a_n_perp_mhz", "readout.repetitions", "sweep.variable", "drive.phase_rad",

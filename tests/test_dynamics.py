@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +12,6 @@ from nvspin.dynamics import (
     ensemble_average,
     evolve_lindblad,
     lindblad_trajectory,
-    mixed_density,
     pair_collapse_ops,
     propagate,
     rabi_probability,
@@ -162,11 +162,7 @@ class TestEvolveLindblad:
         # equal-rate decay cascade |2> -> |1> -> |0>: the Liouvillian has a
         # Jordan block, so the eigenbasis path must yield to stepwise
         # exponentials; the middle population is analytic, t exp(-t)
-        lower_21 = np.zeros((3, 3), dtype=complex)
-        lower_21[1, 2] = 1.0
-        lower_10 = np.zeros((3, 3), dtype=complex)
-        lower_10[0, 1] = 1.0
-        collapse = [(lower_21, 1.0), (lower_10, 1.0)]
+        collapse = cascade_collapse()
         h = np.zeros((3, 3), dtype=complex)
         times = np.linspace(0.0, 3.0, 7)
         traj = lindblad_trajectory(h, collapse, basis_density(3, 2), times)
@@ -177,6 +173,79 @@ class TestEvolveLindblad:
     def test_liouvillian_shape(self):
         liou = build_liouvillian(rwa_hamiltonian(1, 0), [(SZ, 0.1)])
         assert liou.shape == (4, 4)
+
+
+def kron_liouvillian(h, collapse_ops):
+    """The Kronecker-product form of the Lindblad generator, as the oracle."""
+    ident = np.eye(h.shape[0])
+    liou = -2j * np.pi * (np.kron(h, ident) - np.kron(ident, h.T))
+    for op, rate in collapse_ops:
+        opd_op = op.conj().T @ op
+        liou = liou + rate * (np.kron(op, op.conj())
+                              - 0.5 * (np.kron(opd_op, ident) + np.kron(ident, opd_op.T)))
+    return liou
+
+
+def cascade_collapse():
+    # equal-rate decay cascade |2> -> |1> -> |0>
+    lower_21 = np.zeros((3, 3), dtype=complex)
+    lower_21[1, 2] = 1.0
+    lower_10 = np.zeros((3, 3), dtype=complex)
+    lower_10[0, 1] = 1.0
+    return [(lower_21, 1.0), (lower_10, 1.0)]
+
+
+class TestHamiltonianStacks:
+    """Stacked Hamiltonians against one-at-a-time reference paths."""
+
+    def test_stacked_liouvillian_matches_kron_form(self):
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(2, 3, 3, 3)) + 1j * rng.normal(size=(2, 3, 3, 3))
+        hs = (a + np.conj(np.swapaxes(a, -1, -2))) / 2
+        ops = rng.normal(size=(2, 3, 3)) + 1j * rng.normal(size=(2, 3, 3))
+        collapse = [(ops[0], 0.3), (ops[1], 1.7)]
+        stacked = build_liouvillian(hs, collapse)
+        assert stacked.shape == (2, 3, 9, 9)
+        for idx in np.ndindex(2, 3):
+            assert np.max(np.abs(stacked[idx] - kron_liouvillian(hs[idx], collapse))) <= 1e-12
+
+    def test_stacked_trajectory_matches_expm_per_member(self):
+        hs = np.array([[rwa_hamiltonian(f1, df) for df in (-1.5, 0.0, 0.8)]
+                       for f1 in (1.0, 4.0)])
+        collapse = pair_collapse_ops(NoiseModel(gamma_phi=0.4, gamma_1=0.1))
+        rho0 = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]], dtype=complex)
+        times = np.array([0.0, 0.3, 1.1, 2.5])
+        traj = lindblad_trajectory(hs, collapse, rho0, times)
+        assert traj.shape == (2, 3, 4, 2, 2)
+        for idx in np.ndindex(2, 3):
+            for t, rho in zip(times, traj[idx]):
+                direct = evolve_lindblad(hs[idx], collapse, rho0, t, method="expm")
+                assert np.max(np.abs(rho - direct)) <= 1e-9
+                assert np.array_equal(rho, rho.conj().T)
+
+    def test_defective_member_falls_back_alone(self, monkeypatch):
+        expm_calls = []
+        expm = scipy.linalg.expm
+
+        def counted(a):
+            expm_calls.append(a)
+            return expm(a)
+
+        rng = np.random.default_rng(8)
+        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        hs = np.array([np.zeros((3, 3)), (a + a.conj().T) / 2], dtype=complex)
+        collapse = cascade_collapse()
+        rho0 = basis_density(3, 2)
+        times = np.linspace(0.0, 3.0, 7)
+        single = lindblad_trajectory(hs[1], collapse, rho0, times)
+        monkeypatch.setattr(scipy.linalg, "expm", counted)
+        traj = lindblad_trajectory(hs, collapse, rho0, times)
+        # one exponential per nonzero time step, for the defective member only
+        assert len(expm_calls) == len(times) - 1
+        for t, rho in zip(times, traj[0]):
+            assert abs(rho[1, 1].real - t * np.exp(-t)) < 1e-9
+            assert abs(np.trace(rho).real - 1.0) < 1e-9
+        assert np.max(np.abs(traj[1] - single)) <= 1e-9
 
 
 class TestSteadyState:
@@ -207,11 +276,11 @@ class TestSteadyState:
 
 class TestValidateDensity:
     def test_accepts_valid(self):
-        validate_density(mixed_density(3))
+        validate_density(np.eye(3) / 3)
 
     def test_rejects_bad_trace(self):
         with pytest.raises(ValueError):
-            validate_density(2 * mixed_density(2))
+            validate_density(2 * np.eye(2) / 2)
 
     def test_rejects_negative(self):
         rho = np.diag([1.5, -0.5]).astype(complex)

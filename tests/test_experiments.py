@@ -3,14 +3,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nvspin.dynamics import NoiseModel
+from nvspin.dynamics import NoiseModel, lindblad_trajectory
 from nvspin.experiments import (
+    _bath_branches,
+    _joint_collapse,
+    _joint_p0,
+    _markovian,
     exp_cw_esr,
     exp_field_sweep,
     exp_hahn,
     exp_levels,
     exp_rabi,
     exp_t2p_vs_dip,
+    joint_frame_hamiltonian,
     nv_transition_mhz,
     spectral_peak_count,
     standard_config,
@@ -150,6 +155,38 @@ class TestHahn:
         a = exp_hahn(cfg, tau_grid).traces[0].y
         b = exp_hahn(cfg, tau_grid).traces[0].y
         assert np.array_equal(a, b)
+
+
+def looped_joint_p0(cfg, b_gauss, f1_mhz, times):
+    """Reference for the stacked joint model: one trajectory per P1 branch
+    and ensemble member, averaged in a loop."""
+    nu0 = cfg.nv.gamma * b_gauss - nv_transition_mhz(cfg, b_gauss)
+    rho0 = np.kron(cfg.init.density(), np.eye(2) / 2)
+    collapse = _joint_collapse(_markovian(cfg.noise), cfg.bath)
+    total = np.zeros(len(times))
+    for shift, bath_weight in zip(*_bath_branches(cfg.bath)):
+        for delta, weight in zip(*cfg.noise.ensemble()):
+            h = joint_frame_hamiltonian(delta, nu0 + shift, f1_mhz, cfg.bath.coupling_mhz)
+            rhos = lindblad_trajectory(h, collapse, rho0, times)
+            total += bath_weight * weight * (rhos[:, 0, 0].real + rhos[:, 1, 1].real)
+    return total
+
+
+class TestJointModel:
+    @pytest.mark.parametrize("hyperfine", [False, True])
+    @pytest.mark.parametrize("b_gauss", [514.0, 530.0])
+    def test_stack_matches_single_member_loop(self, b_gauss, hyperfine):
+        cfg = standard_config()
+        noise = replace(cfg.noise, n_samples=5)
+        if hyperfine:
+            noise = replace(noise, nuclear_splitting_mhz=cfg.nv.a_par_mhz,
+                            nuclear_populations=(0.5, 0.0, 0.3))
+        cfg = replace(cfg, noise=noise,
+                      bath=replace(cfg.bath, include_n_nucleus=hyperfine))
+        for f1, times in ((0.0, [cfg.t_wait_us]), (5.0, np.linspace(0.0, 4.0, 161))):
+            stacked = _joint_p0(cfg, b_gauss, f1, times)
+            assert stacked.shape == (len(times),)
+            assert np.max(np.abs(stacked - looped_joint_p0(cfg, b_gauss, f1, times))) <= 1e-9
 
 
 class TestFieldSweep:

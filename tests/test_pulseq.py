@@ -12,7 +12,6 @@ from nvspin.pulseq import (
     hahn_sequence,
     pi2_duration,
     pi_duration,
-    rabi_sequence,
     run_sequence,
 )
 
@@ -97,7 +96,7 @@ class TestRunSequence:
 
     def test_rabi_sweep_matches_formula(self):
         for t in np.linspace(0.0, 1.0, 23):
-            seq = rabi_sequence(t, DRIVE, init=PERFECT_INIT, readout=PERFECT_READ)
+            seq = PulseSequence((PERFECT_INIT, RfPulse(t, DRIVE), PERFECT_READ))
             p0, _ = run_sequence(seq, detuning_mhz=1.3)
             assert abs(p0 - rabi_probability(DRIVE.f1_mhz, 1.3, t)) < 1e-9
 
@@ -122,7 +121,7 @@ class TestRunSequence:
             readout = Readout(contrast=eps, photons=1000.0)
             values = []
             for t in np.linspace(0.0, 0.4, 41):
-                seq = rabi_sequence(t, DRIVE, init=PERFECT_INIT, readout=readout)
+                seq = PulseSequence((PERFECT_INIT, RfPulse(t, DRIVE), readout))
                 values.append(run_sequence(seq)[1])
             return max(values) - min(values)
 
