@@ -5,9 +5,13 @@ The Lindblad generator used throughout is
 
     drho/dt = -i 2 pi [H, rho] + sum_k gamma_k (L rho L+ - {L+L, rho}/2)
 
-with H in MHz and rates gamma_k in 1/us.  Two integration paths exist: an
-exact Liouvillian exponential (default, Hamiltonians are piecewise constant
-here) and fixed-step RK4; tests hold them to mutual agreement.
+with H in MHz and rates gamma_k in 1/us.  Hamiltonians may be stacks
+``(..., d, d)`` whose leading axes index the members of
+:meth:`NoiseModel.ensemble`.  ``evolve_lindblad`` exponentiates the
+Liouvillian over one step (the pulse sequences' only path, closed systems
+included; a fixed-step RK4 is held to agreement with it),
+``lindblad_trajectory`` diagonalizes it once for a time grid and
+``steady_state`` takes its null space.
 """
 
 from collections.abc import Callable, Sequence
@@ -206,28 +210,30 @@ def evolve_lindblad(h: np.ndarray, collapse_ops: CollapseOps, rho0: np.ndarray,
     """Evolve a density matrix for time ``t`` under a constant Hamiltonian
     and Lindblad dissipators.
 
-    ``method="expm"`` (default) exponentiates the Liouvillian exactly;
-    ``method="rk4"`` integrates with a fixed step well below the fastest
-    frequency in the problem.
+    ``h`` and ``rho0`` may be stacks ``(..., d, d)`` whose leading axes
+    broadcast against each other; the result has the broadcast shape.
+    ``method="expm"`` (default) exponentiates each member's Liouvillian
+    exactly; ``method="rk4"`` integrates with a fixed step well below the
+    fastest frequency in the problem.
     """
     if t < 0:
         raise ValueError("evolution time must be >= 0")
     if not is_hermitian(h):
         raise NonHermitianError("Lindblad Hamiltonian must be Hermitian")
     rho = np.asarray(rho0, dtype=complex)
-    if h.shape != rho.shape:
+    if h.shape[-2:] != rho.shape[-2:]:
         raise ValueError("Hamiltonian and state dimensions differ")
     if t == 0:
-        return rho.copy()
+        return np.broadcast_to(rho, np.broadcast_shapes(h.shape, rho.shape)).copy()
     if method == "expm":
         liou = build_liouvillian(h, collapse_ops)
-        vec = scipy.linalg.expm(liou * t) @ rho.reshape(-1)
-        out = vec.reshape(rho.shape)
+        vec = scipy.linalg.expm(liou * t) @ rho.reshape(rho.shape[:-2] + (-1, 1))
+        out = vec.reshape(vec.shape[:-2] + rho.shape[-2:])
     elif method == "rk4":
         out = _rk4_steps(h, collapse_ops, rho, t)
     else:
         raise ValueError(f"unknown method {method!r}")
-    return 0.5 * (out + out.conj().T)
+    return 0.5 * (out + np.conj(np.swapaxes(out, -1, -2)))
 
 
 def lindblad_trajectory(h: np.ndarray, collapse_ops: CollapseOps, rho0: np.ndarray,
@@ -302,32 +308,28 @@ def steady_state(h: np.ndarray, collapse_ops: CollapseOps) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # quasi-static noise
 
-def pair_collapse_ops(noise: NoiseModel | None, dim: int = 2,
-                      excited: int = 1, ground: int = 0) -> list[tuple[np.ndarray, float]]:
-    """Collapse operators realizing a NoiseModel on one addressed level pair.
+def pair_collapse_ops(noise: NoiseModel | None) -> list[tuple[np.ndarray, float]]:
+    """Collapse operators realizing a NoiseModel's Markovian rates on the
+    addressed level pair (|0> = ground, |1> = excited).
 
-    Dephasing uses L = diag(+1 on ground, -1 on excited) at rate
-    gamma_phi / 2, so a free coherence decays as exp(-gamma_phi t);
-    relaxation uses L = |ground><excited| at rate gamma_1.
+    Dephasing uses L = diag(+1, -1) at rate gamma_phi / 2, so a free
+    coherence decays as exp(-gamma_phi t); relaxation uses L = |0><1| at
+    rate gamma_1.
     """
     if noise is None:
         return []
     ops = []
     if noise.gamma_phi > 0:
-        sz = np.zeros((dim, dim), dtype=complex)
-        sz[ground, ground] = 1.0
-        sz[excited, excited] = -1.0
-        ops.append((sz, noise.gamma_phi / 2.0))
+        ops.append((np.diag([1.0, -1.0]).astype(complex), noise.gamma_phi / 2.0))
     if noise.gamma_1 > 0:
-        lower = np.zeros((dim, dim), dtype=complex)
-        lower[ground, excited] = 1.0
-        ops.append((lower, noise.gamma_1))
+        ops.append((np.array([[0, 1], [0, 0]], dtype=complex), noise.gamma_1))
     return ops
 
 
 def ensemble_average(experiment: Callable[[float], Trace],
                      noise: NoiseModel | None) -> Trace:
-    """Average an experiment over the quasi-static noise ensemble.
+    """Average an experiment over the quasi-static noise ensemble, one
+    member at a time.
 
     ``experiment`` maps a detuning offset in MHz to a Trace on a fixed grid.
     The members come from :meth:`NoiseModel.ensemble`, drawn once up front

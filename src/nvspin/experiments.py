@@ -15,13 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dynamics import (
-    NoiseModel,
-    ensemble_average,
-    lindblad_trajectory,
-    pair_collapse_ops,
-    steady_state,
-)
+from .dynamics import NoiseModel, lindblad_trajectory, pair_collapse_ops, steady_state
 from .fitting import FitResult, Trace, fit_damped_cosine, fit_exp_decay, fit_lorentzian
 from .hamiltonian import (
     BathParams,
@@ -29,6 +23,7 @@ from .hamiltonian import (
     NvParams,
     h_n,
     h_nv,
+    pair_hamiltonian,
     resonance_field,
     rotating_frame,
 )
@@ -105,18 +100,11 @@ def nv_transition_mhz(cfg: ExperimentConfig, b_gauss: float | None = None) -> fl
     return float(w[1] - w[0])
 
 
-def _frame_hamiltonian(cfg: ExperimentConfig, f1_mhz: float,
-                       b_gauss: float | None = None) -> np.ndarray:
-    """Addressed-pair rotating-frame Hamiltonian, warning on poor
-    selectivity."""
-    b = cfg.b_field_gauss if b_gauss is None else b_gauss
+def _frame_detuning(cfg: ExperimentConfig, f1_mhz: float) -> float:
+    """Detuning of the drive from the addressed pair in the rotating frame,
+    warning on poor selectivity at Rabi frequency ``f1_mhz``."""
     drive = replace(cfg.drive, f1_mhz=f1_mhz)
-    return rotating_frame(h_nv(b, cfg.nv), drive, (0, 1))
-
-
-def _markovian(noise: NoiseModel) -> NoiseModel:
-    """Strip the quasi-static part (handled by the ensemble wrapper)."""
-    return replace(noise, sigma_static_mhz=0.0, n_samples=1)
+    return rotating_frame(h_nv(cfg.b_field_gauss, cfg.nv), drive, (0, 1))[1, 1].real
 
 
 def spectral_peak_count(trace: Trace) -> int:
@@ -156,8 +144,6 @@ _DETUNING_OP = np.kron(_P1, _EYE2)
 _DRIVE_OP = np.kron(_SX, _EYE2)
 _BATH_OP = np.kron(_EYE2, _SZ_HALF)
 _ZZ_OP = np.kron(_SZ_PAIR, _SZ_HALF)
-_NV_DEPHASING = np.kron(_FLIP, _EYE2)
-_NV_LOWER = np.kron(_LOWER, _EYE2)
 _BATH_DEPHASING = np.kron(_EYE2, _FLIP)
 
 
@@ -189,11 +175,9 @@ def joint_frame_hamiltonian(delta_nv_mhz, nu_bath_mhz, f1_mhz: float,
 
 
 def _joint_collapse(noise: NoiseModel, bath: BathParams) -> list:
-    ops = []
-    if noise.gamma_phi > 0:
-        ops.append((_NV_DEPHASING, noise.gamma_phi / 2.0))
-    if noise.gamma_1 > 0:
-        ops.append((_NV_LOWER, noise.gamma_1))
+    """The pair's Markovian operators on the N-V factor, plus the bath
+    spin's dephasing."""
+    ops = [(np.kron(op, _EYE2), rate) for op, rate in pair_collapse_ops(noise)]
     if bath.gamma_bath > 0:
         ops.append((_BATH_DEPHASING, bath.gamma_bath / 2.0))
     return ops
@@ -223,7 +207,7 @@ def _joint_p0(cfg: ExperimentConfig, b_gauss: float, f1_mhz: float,
     h = joint_frame_hamiltonian(deltas, (nu0 + shifts)[:, None], f1_mhz,
                                 cfg.bath.coupling_mhz)
     rho0 = np.kron(cfg.init.density(), _EYE2 / 2)
-    collapse = _joint_collapse(_markovian(cfg.noise), cfg.bath)
+    collapse = _joint_collapse(cfg.noise, cfg.bath)
     rhos = lindblad_trajectory(h, collapse, rho0, times)
     p0 = rhos[..., 0, 0].real + rhos[..., 1, 1].real
     member_weights = bath_weights[:, None] * weights
@@ -246,22 +230,14 @@ def exp_cw_esr(cfg: ExperimentConfig, f_grid_mhz) -> Trace:
     # laser-induced dephasing adds to the Markovian noise of the pair
     markov = replace(cfg.noise, gamma_phi=cfg.laser_dephasing + cfg.noise.gamma_phi)
     collapse = [(_LOWER, cfg.pump_rate), *pair_collapse_ops(markov)]
-
-    def experiment(delta: float) -> Trace:
-        p0 = np.empty_like(f_grid)
-        for i, f_rf in enumerate(f_grid):
-            h = np.array(
-                [[0.0, 0.5 * cfg.drive.f1_mhz],
-                 [0.5 * cfg.drive.f1_mhz, f_t + delta - f_rf]],
-                dtype=complex,
-            )
-            rho = steady_state(h, collapse)
-            p0[i] = rho[0, 0].real
-        return Trace(f_grid, cfg.readout.counts(p0), "MHz", "counts")
-
-    trace = ensemble_average(experiment, cfg.noise)
-    trace.meta.update(b_gauss=cfg.b_field_gauss, transition_mhz=f_t)
-    return trace
+    deltas, weights = cfg.noise.ensemble()
+    h = pair_hamiltonian(f_t + deltas[:, None] - f_grid, cfg.drive.f1_mhz)
+    p0 = np.empty(h.shape[:-2])
+    for idx in np.ndindex(p0.shape):
+        p0[idx] = steady_state(h[idx], collapse)[0, 0].real
+    return Trace(f_grid, cfg.readout.counts(weights @ p0), "MHz", "counts",
+                 {"n_samples": cfg.noise.n_samples, "b_gauss": cfg.b_field_gauss,
+                  "transition_mhz": f_t})
 
 
 def exp_rabi(cfg: ExperimentConfig, t_grid_us, powers=None) -> SweepResult:
@@ -270,22 +246,17 @@ def exp_rabi(cfg: ExperimentConfig, t_grid_us, powers=None) -> SweepResult:
     t_grid = np.asarray(t_grid_us, dtype=float)
     powers = tuple(cfg.rabi_powers if powers is None else powers)
     rho0 = cfg.init.density()
+    collapse = pair_collapse_ops(cfg.noise)
+    deltas, weights = cfg.noise.ensemble()
     traces: list[Trace] = []
     fits: list[FitResult] = []
     for power in powers:
         f1 = cfg.drive.f1_mhz * np.sqrt(power)
-        h_base = _frame_hamiltonian(cfg, f1)
-        collapse = pair_collapse_ops(_markovian(cfg.noise))
-
-        def experiment(delta: float) -> Trace:
-            h = h_base.copy()
-            h[1, 1] += delta
-            rhos = lindblad_trajectory(h, collapse, rho0, t_grid)
-            p0 = rhos[:, 0, 0].real
-            return Trace(t_grid, cfg.readout.counts(p0), "us", "counts")
-
-        trace = ensemble_average(experiment, cfg.noise)
-        trace.meta.update(power=power, f1_mhz=f1, b_gauss=cfg.b_field_gauss)
+        h = pair_hamiltonian(_frame_detuning(cfg, f1) + deltas, f1)
+        rhos = lindblad_trajectory(h, collapse, rho0, t_grid)
+        trace = Trace(t_grid, cfg.readout.counts(weights @ rhos[..., 0, 0].real), "us",
+                      "counts", {"n_samples": cfg.noise.n_samples, "power": power,
+                                 "f1_mhz": f1, "b_gauss": cfg.b_field_gauss})
         traces.append(trace)
         fits.append(fit_damped_cosine(trace))
     return SweepResult(
@@ -308,22 +279,17 @@ def exp_hahn(cfg: ExperimentConfig, tau_grid_us, tau1_us: float | None = None) -
     attempted (the trace shows the echo-position symmetry).
     """
     tau_grid = np.asarray(tau_grid_us, dtype=float)
-    base_detuning = _frame_hamiltonian(cfg, cfg.drive.f1_mhz)[1, 1].real
-    markov = _markovian(cfg.noise)
-
-    def experiment(delta: float) -> Trace:
-        y = np.empty_like(tau_grid)
-        for i, tau in enumerate(tau_grid):
-            tau1, tau2 = (tau, tau) if tau1_us is None else (tau1_us, tau)
-            seq = hahn_sequence(tau1, tau2, cfg.drive, init=cfg.init,
-                                readout=cfg.readout)
-            _, y[i] = run_sequence(seq, markov, base_detuning + delta)
-        x = 2 * tau_grid if tau1_us is None else tau_grid
-        return Trace(x, y, "us", "counts")
-
-    trace = ensemble_average(experiment, cfg.noise)
-    trace.meta.update(b_gauss=cfg.b_field_gauss, f1_mhz=cfg.drive.f1_mhz,
-                      tau1_us=tau1_us)
+    deltas, weights = cfg.noise.ensemble()
+    detunings = _frame_detuning(cfg, cfg.drive.f1_mhz) + deltas
+    p0 = np.empty((len(deltas), len(tau_grid)))
+    for i, tau in enumerate(tau_grid):
+        tau1, tau2 = (tau, tau) if tau1_us is None else (tau1_us, tau)
+        seq = hahn_sequence(tau1, tau2, cfg.drive, init=cfg.init, readout=cfg.readout)
+        p0[:, i], _ = run_sequence(seq, cfg.noise, detunings)
+    x = 2 * tau_grid if tau1_us is None else tau_grid
+    trace = Trace(x, cfg.readout.counts(weights @ p0), "us", "counts",
+                  {"n_samples": cfg.noise.n_samples, "b_gauss": cfg.b_field_gauss,
+                   "f1_mhz": cfg.drive.f1_mhz, "tau1_us": tau1_us})
     fits = []
     derived = {}
     if tau1_us is None:

@@ -106,19 +106,33 @@ def resonance_field(p: NvParams) -> float:
     return p.d_mhz / (2 * p.gamma)
 
 
+# a spectator transition closer than this many f1 to the drive makes the
+# two-level rotating frame unreliable
+SELECTIVITY_FACTOR = 20.0
+
+
+def pair_hamiltonian(detuning_mhz, f1_mhz: float) -> np.ndarray:
+    """Rotating-frame Hamiltonian [[0, f1/2], [f1/2, detuning]] of a driven
+    level pair.  Array-valued detunings broadcast into a stack
+    ``(..., 2, 2)``."""
+    detuning = np.asarray(detuning_mhz, dtype=float)
+    h = np.zeros(detuning.shape + (2, 2), dtype=complex)
+    h[..., 0, 1] = h[..., 1, 0] = 0.5 * f1_mhz
+    h[..., 1, 1] = detuning
+    return h
+
+
 def rotating_frame(h_static: np.ndarray, drive: DriveParams,
-                   transition: tuple[int, int],
-                   selectivity_factor: float = 20.0) -> np.ndarray:
+                   transition: tuple[int, int]) -> np.ndarray:
     """Two-level rotating-frame Hamiltonian for a selectively driven pair.
 
     Levels are indices into the ascending eigenvalues of ``h_static``.  The
-    result is the 2x2 matrix [[0, f1/2], [f1/2, detuning]] with
-    detuning = transition frequency - drive frequency; counter-rotating
-    terms are dropped.
+    result is :func:`pair_hamiltonian` with detuning = transition frequency
+    - drive frequency; counter-rotating terms are dropped.
 
     Raises if either selected level is degenerate (the addressed pair would
     be ambiguous) and warns when some spectator transition lies within
-    ``selectivity_factor * f1`` of the drive.
+    ``SELECTIVITY_FACTOR * f1`` of the drive.
     """
     w, _ = eigensystem(h_static)
     i, j = transition
@@ -139,11 +153,10 @@ def rotating_frame(h_static: np.ndarray, drive: DriveParams,
             for b in range(a + 1, len(w)):
                 if {a, b} == {i, j} or not ({a, b} & {i, j}):
                     continue
-                if abs(abs(w[b] - w[a]) - f_rf) < selectivity_factor * drive.f1_mhz:
+                if abs(abs(w[b] - w[a]) - f_rf) < SELECTIVITY_FACTOR * drive.f1_mhz:
                     warnings.warn(
                         "drive is not selective: spectator transition "
-                        f"({a},{b}) lies within {selectivity_factor} f1 of the drive",
+                        f"({a},{b}) lies within {SELECTIVITY_FACTOR} f1 of the drive",
                         stacklevel=2,
                     )
-    off = 0.5 * drive.f1_mhz
-    return np.array([[0.0, off], [off, detuning]], dtype=complex)
+    return pair_hamiltonian(detuning, drive.f1_mhz)

@@ -6,15 +6,17 @@ initializes the spin, manipulation happens in the dark, and a second laser
 pulse reads the state out through the spin-dependent photoluminescence.
 The interpreter works in the rotating frame of the addressed pair
 (|0> = bright level, |1> = driven level); quasi-static detunings enter via
-the frame detuning, Markovian rates via the NoiseModel.
+the frame detuning, Markovian rates via the NoiseModel.  An array of frame
+detunings runs the whole ensemble at once: every segment after the
+initialization is one stacked ``evolve_lindblad`` step over the members.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import NoiseModel, evolve_lindblad, pair_collapse_ops, propagate
-from .hamiltonian import DriveParams
+from .dynamics import NoiseModel, evolve_lindblad, pair_collapse_ops
+from .hamiltonian import DriveParams, pair_hamiltonian
 
 
 @dataclass(frozen=True)
@@ -146,20 +148,18 @@ def ramsey_sequence(tau_us: float, drive: DriveParams, *,
     )
 
 
-def _segment_hamiltonian(segment: Segment, detuning_mhz: float) -> np.ndarray:
-    off = 0.5 * segment.drive.f1_mhz if isinstance(segment, RfPulse) else 0.0
-    return np.array([[0.0, off], [off, detuning_mhz]], dtype=complex)
-
-
 def run_sequence(seq: PulseSequence, noise: NoiseModel | None = None,
-                 detuning_mhz: float = 0.0) -> tuple[float, float]:
+                 detuning_mhz=0.0) -> tuple:
     """Interpret a sequence and return (P0, I_PL).
 
     ``detuning_mhz`` is the frame detuning of the drive from the addressed
     transition (quasi-static noise enters here; Markovian rates from
     ``noise`` act during pulses and delays).  ``I_PL`` is the expected
-    count of the final Readout.
+    count of the final Readout.  A scalar detuning gives two floats; an
+    array of detunings gives two arrays of that shape, one entry per
+    detuning.
     """
+    detuning = np.asarray(detuning_mhz, dtype=float)
     rho = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     collapse = pair_collapse_ops(noise)
     *body, readout = seq.segments
@@ -167,10 +167,8 @@ def run_sequence(seq: PulseSequence, noise: NoiseModel | None = None,
         if isinstance(segment, LaserInit):
             rho = segment.density()
             continue
-        h = _segment_hamiltonian(segment, detuning_mhz)
-        if collapse:
-            rho = evolve_lindblad(h, collapse, rho, segment.duration_us)
-        else:
-            rho = propagate([(h, segment.duration_us)], rho)
-    p0 = float(rho[0, 0].real)
-    return p0, float(readout.counts(p0))
+        f1 = segment.drive.f1_mhz if isinstance(segment, RfPulse) else 0.0
+        rho = evolve_lindblad(pair_hamiltonian(detuning, f1), collapse, rho,
+                              segment.duration_us)
+    p0 = np.broadcast_to(rho[..., 0, 0].real, detuning.shape).copy()[()]
+    return p0, readout.counts(p0)

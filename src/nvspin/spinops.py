@@ -48,7 +48,9 @@ def spin_matrices(s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def is_hermitian(a: np.ndarray, atol: float = 1e-9) -> bool:
-    return bool(np.max(np.abs(a - a.conj().T)) < atol)
+    """True if every matrix of ``a`` (one matrix or a stack ``(..., n, n)``)
+    is Hermitian to within ``atol``."""
+    return bool(np.max(np.abs(a - np.conj(np.swapaxes(a, -1, -2)))) < atol)
 
 
 def eigensystem(h: np.ndarray, atol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:

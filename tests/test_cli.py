@@ -161,6 +161,14 @@ class TestRunCommand:
             "fieldsweep.csv")
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("tau1", ["", "echo.tau1_us = 3\n"])
+    def test_echo_byte_identical_across_thread_counts(self, tmp_path, tau1):
+        # each delay evolves the whole ensemble as one stacked sequence
+        outputs = self.csv_at_thread_counts(
+            tmp_path, "echo", "sweep.grid = 0.5:3:6\nnoise.n_samples = 4\n" + tau1,
+            "echo.csv")
+        assert outputs[0] == outputs[1]
+
     def test_seed_override_changes_outputs(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("sweep.grid = 0:2:81\n")

@@ -22,6 +22,7 @@ from nvspin.fitting import Trace, fit_exp_decay
 from nvspin.hamiltonian import DriveParams
 from nvspin.pulseq import hahn_sequence, ramsey_sequence, run_sequence
 from nvspin.pulseq import LaserInit, Readout
+from nvspin.spinops import NonHermitianError
 
 
 def rwa_hamiltonian(f1, df):
@@ -246,6 +247,35 @@ class TestHamiltonianStacks:
             assert abs(rho[1, 1].real - t * np.exp(-t)) < 1e-9
             assert abs(np.trace(rho).real - 1.0) < 1e-9
         assert np.max(np.abs(traj[1] - single)) <= 1e-9
+
+    def test_stacked_evolve_matches_per_member(self):
+        hs = np.array([rwa_hamiltonian(f1, df)
+                       for f1, df in ((5.0, 0.0), (5.0, -1.3), (0.0, 0.7))])
+        collapse = pair_collapse_ops(NoiseModel(gamma_phi=0.4, gamma_1=0.1))
+        rho0 = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]], dtype=complex)
+        rhos = np.array([rho0, basis_density(2, 1), np.eye(2) / 2])
+        for t in (0.0, 0.37, 2.1):
+            shared = evolve_lindblad(hs, collapse, rho0, t)
+            paired = evolve_lindblad(hs, collapse, rhos, t)
+            assert shared.shape == paired.shape == (3, 2, 2)
+            for k in range(3):
+                direct = evolve_lindblad(hs[k], collapse, rho0, t)
+                assert np.max(np.abs(shared[k] - direct)) <= 1e-12
+                direct = evolve_lindblad(hs[k], collapse, rhos[k], t)
+                assert np.max(np.abs(paired[k] - direct)) <= 1e-12
+
+    def test_stack_with_one_non_hermitian_member_rejected(self):
+        hs = np.array([rwa_hamiltonian(1.0, df) for df in (0.0, 0.5, -0.5)])
+        hs[1, 0, 1] += 0.1j
+        with pytest.raises(NonHermitianError):
+            evolve_lindblad(hs, [], basis_density(2, 0), 1.0)
+
+    def test_state_dimension_mismatch_rejected(self):
+        hs = np.array([rwa_hamiltonian(1.0, df) for df in (0.0, 0.5)])
+        with pytest.raises(ValueError, match="dimensions"):
+            evolve_lindblad(hs, [], basis_density(3, 0), 1.0)
+        with pytest.raises(ValueError, match="dimensions"):
+            evolve_lindblad(hs[0], [], basis_density(3, 0), 1.0)
 
 
 class TestSteadyState:

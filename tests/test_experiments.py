@@ -3,12 +3,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nvspin.dynamics import NoiseModel, lindblad_trajectory
+from nvspin.dynamics import (
+    NoiseModel,
+    ensemble_average,
+    lindblad_trajectory,
+    pair_collapse_ops,
+    steady_state,
+)
 from nvspin.experiments import (
     _bath_branches,
     _joint_collapse,
     _joint_p0,
-    _markovian,
     exp_cw_esr,
     exp_field_sweep,
     exp_hahn,
@@ -21,8 +26,9 @@ from nvspin.experiments import (
     standard_config,
     trend_configs,
 )
-from nvspin.fitting import fit_lorentzian
-from nvspin.hamiltonian import resonance_field
+from nvspin.fitting import Trace, fit_lorentzian
+from nvspin.hamiltonian import h_nv, pair_hamiltonian, resonance_field, rotating_frame
+from nvspin.pulseq import hahn_sequence, run_sequence
 
 
 def quiet_config(**kwargs):
@@ -162,7 +168,7 @@ def looped_joint_p0(cfg, b_gauss, f1_mhz, times):
     and ensemble member, averaged in a loop."""
     nu0 = cfg.nv.gamma * b_gauss - nv_transition_mhz(cfg, b_gauss)
     rho0 = np.kron(cfg.init.density(), np.eye(2) / 2)
-    collapse = _joint_collapse(_markovian(cfg.noise), cfg.bath)
+    collapse = _joint_collapse(cfg.noise, cfg.bath)
     total = np.zeros(len(times))
     for shift, bath_weight in zip(*_bath_branches(cfg.bath)):
         for delta, weight in zip(*cfg.noise.ensemble()):
@@ -187,6 +193,92 @@ class TestJointModel:
             stacked = _joint_p0(cfg, b_gauss, f1, times)
             assert stacked.shape == (len(times),)
             assert np.max(np.abs(stacked - looped_joint_p0(cfg, b_gauss, f1, times))) <= 1e-9
+
+
+def callback_esr(cfg, f_grid):
+    """The per-member callback formulation of ``exp_cw_esr``."""
+    f_t = nv_transition_mhz(cfg)
+    markov = replace(cfg.noise, gamma_phi=cfg.laser_dephasing + cfg.noise.gamma_phi)
+    collapse = [(np.array([[0, 1], [0, 0]], dtype=complex), cfg.pump_rate),
+                *pair_collapse_ops(markov)]
+
+    def experiment(delta):
+        p0 = [steady_state(pair_hamiltonian(f_t + delta - f, cfg.drive.f1_mhz),
+                           collapse)[0, 0].real for f in f_grid]
+        return Trace(f_grid, cfg.readout.counts(np.array(p0)))
+
+    return ensemble_average(experiment, cfg.noise).y
+
+
+def frame(cfg, f1):
+    return rotating_frame(h_nv(cfg.b_field_gauss, cfg.nv),
+                          replace(cfg.drive, f1_mhz=f1), (0, 1))
+
+
+def callback_rabi(cfg, t_grid, power):
+    """The per-member callback formulation of one ``exp_rabi`` power."""
+    h_base = frame(cfg, cfg.drive.f1_mhz * np.sqrt(power))
+
+    def experiment(delta):
+        h = h_base.copy()
+        h[1, 1] += delta
+        rhos = lindblad_trajectory(h, pair_collapse_ops(cfg.noise), cfg.init.density(), t_grid)
+        return Trace(t_grid, cfg.readout.counts(rhos[:, 0, 0].real))
+
+    return ensemble_average(experiment, cfg.noise).y
+
+
+def callback_hahn(cfg, tau_grid, tau1_us):
+    """The per-member callback formulation of ``exp_hahn``."""
+    base = frame(cfg, cfg.drive.f1_mhz)[1, 1].real
+
+    def experiment(delta):
+        y = []
+        for tau in tau_grid:
+            tau1 = tau if tau1_us is None else tau1_us
+            seq = hahn_sequence(tau1, tau, cfg.drive, init=cfg.init, readout=cfg.readout)
+            y.append(run_sequence(seq, cfg.noise, base + delta)[1])
+        return Trace(tau_grid, np.array(y))
+
+    return ensemble_average(experiment, cfg.noise).y
+
+
+def max_rel(a, b):
+    return np.max(np.abs(a - b) / np.abs(b))
+
+
+class TestEnsembleStack:
+    """Each driver's one stack over the ensemble against the per-member
+    callback averaged by ``ensemble_average``."""
+
+    @staticmethod
+    def config():
+        cfg = standard_config()
+        noise = replace(cfg.noise, n_samples=4, nuclear_splitting_mhz=cfg.nv.a_par_mhz,
+                        nuclear_populations=(0.2, 0.5, 0.3))
+        cfg = replace(cfg, noise=noise)
+        # a drive off resonance gives the frame a nonzero base detuning
+        return replace(cfg, drive=replace(cfg.drive, f_rf_mhz=nv_transition_mhz(cfg) - 0.4))
+
+    def test_esr(self):
+        cfg = self.config()  # ESR sweeps the drive frequency, so f_rf_mhz is unused
+        f_t = nv_transition_mhz(cfg)
+        f_grid = np.linspace(f_t - 10.0, f_t + 10.0, 7)
+        assert max_rel(exp_cw_esr(cfg, f_grid).y, callback_esr(cfg, f_grid)) <= 1e-12
+
+    def test_rabi(self):
+        cfg = self.config()
+        t_grid = np.linspace(0.0, 2.0, 101)
+        result = exp_rabi(cfg, t_grid, powers=(1.0, 4.0))
+        for trace, power in zip(result.traces, (1.0, 4.0)):
+            assert max_rel(trace.y, callback_rabi(cfg, t_grid, power)) <= 1e-12
+
+    @pytest.mark.parametrize("tau1_us", [None, 2.0])
+    def test_hahn(self, tau1_us):
+        cfg = self.config()
+        tau_grid = np.linspace(0.5, 3.0, 5)
+        trace = exp_hahn(cfg, tau_grid, tau1_us=tau1_us).traces[0]
+        assert max_rel(trace.y, callback_hahn(cfg, tau_grid, tau1_us)) <= 1e-12
 
 
 class TestFieldSweep:

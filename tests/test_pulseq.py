@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from nvspin.dynamics import basis_density, propagate, rabi_probability
-from nvspin.hamiltonian import DriveParams
+from nvspin.dynamics import NoiseModel, basis_density, propagate, rabi_probability
+from nvspin.hamiltonian import DriveParams, pair_hamiltonian
 from nvspin.pulseq import (
     Delay,
     LaserInit,
@@ -107,10 +107,8 @@ class TestRunSequence:
                 RfPulse(0.05, DRIVE)]
         seq = PulseSequence((*segs, PERFECT_READ))
         p0, _ = run_sequence(seq, detuning_mhz=detuning)
-        from nvspin.pulseq import _segment_hamiltonian
-
         rho = propagate(
-            [(_segment_hamiltonian(s, detuning), s.duration_us) for s in segs],
+            [(pair_hamiltonian(detuning, s.drive.f1_mhz), s.duration_us) for s in segs],
             basis_density(2, 0),
         )
         assert abs(p0 - rho[0, 0].real) < 1e-9
@@ -181,3 +179,42 @@ class TestHahnSequence:
                                 readout=PERFECT_READ)
             signal.append(run_sequence(seq, detuning_mhz=delta)[0])
         assert abs(taus2[np.argmax(signal)] - tau1) <= (taus2[1] - taus2[0])
+
+
+class TestEnsembleStack:
+    """An array of detunings runs every member at once."""
+
+    DETUNINGS = np.array([-1.3, 0.0, 0.4, 2.5])
+
+    @pytest.mark.parametrize("noise", [None, NoiseModel(gamma_phi=0.4, gamma_1=0.1)])
+    def test_stack_matches_scalar_loop(self, noise):
+        seq = hahn_sequence(0.6, 0.9, DRIVE)
+        p0, i_pl = run_sequence(seq, noise, self.DETUNINGS)
+        assert p0.shape == i_pl.shape == self.DETUNINGS.shape
+        for k, delta in enumerate(self.DETUNINGS):
+            p_ref, i_ref = run_sequence(seq, noise, delta)
+            assert abs(p0[k] - p_ref) <= 1e-12
+            assert abs(i_pl[k] - i_ref) <= 1e-12 * i_ref
+
+    def test_closed_system_matches_propagate_per_member(self):
+        segs = [RfPulse(0.07, DRIVE), Delay(0.3), RfPulse(0.11, DriveParams(f1_mhz=2.0)),
+                Delay(0.0), RfPulse(pi_duration(DRIVE.f1_mhz), DRIVE)]
+        p0, _ = run_sequence(PulseSequence((PERFECT_INIT, *segs, PERFECT_READ)),
+                             detuning_mhz=self.DETUNINGS)
+        for k, delta in enumerate(self.DETUNINGS):
+            rho = propagate(
+                [(pair_hamiltonian(delta, s.drive.f1_mhz if isinstance(s, RfPulse) else 0.0),
+                  s.duration_us) for s in segs],
+                basis_density(2, 0),
+            )
+            assert abs(p0[k] - rho[0, 0].real) <= 1e-12
+
+    def test_init_only_sequence_broadcasts(self):
+        p0, i_pl = run_sequence(PulseSequence((PERFECT_INIT, PERFECT_READ)),
+                                detuning_mhz=self.DETUNINGS.reshape(2, 2))
+        assert np.array_equal(p0, np.ones((2, 2)))
+        assert np.array_equal(i_pl, np.ones((2, 2)))
+
+    def test_scalar_detuning_returns_floats(self):
+        p0, i_pl = run_sequence(hahn_sequence(0.6, 0.9, DRIVE), None, 0.3)
+        assert type(p0) is np.float64 and type(i_pl) is np.float64

@@ -8,6 +8,7 @@ from nvspin.spinops import (
     UnsupportedSpinError,
     eigensystem,
     expm_unitary,
+    is_hermitian,
     spin_matrices,
 )
 
@@ -75,6 +76,15 @@ class TestEigensystem:
     def test_non_hermitian_rejected(self):
         with pytest.raises(NonHermitianError):
             eigensystem(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+
+
+class TestIsHermitian:
+    def test_checks_every_member_of_a_stack(self):
+        stack = np.array([[random_hermitian(3, 10 * i + j) for j in range(3)]
+                          for i in range(2)])
+        assert is_hermitian(stack)
+        stack[1, 2, 0, 1] += 1e-6
+        assert not is_hermitian(stack)
 
 
 class TestExpmUnitary:
