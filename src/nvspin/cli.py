@@ -22,6 +22,7 @@ from .config import (
     with_seed,
 )
 from .experiments import (
+    RABI_WINDOW_US,
     exp_cw_esr,
     exp_field_sweep,
     exp_hahn,
@@ -129,7 +130,7 @@ def _default_grid(experiment: str, cfg) -> np.ndarray:
         center = nv_transition_mhz(cfg)
         return np.linspace(center - 40.0, center + 40.0, 161)
     if experiment == "rabi":
-        return np.linspace(0.0, 4.0, 161)
+        return RABI_WINDOW_US
     if experiment == "echo":
         return np.linspace(0.25, 6.0, 24)
     if experiment == "fieldsweep":

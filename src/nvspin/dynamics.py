@@ -10,7 +10,7 @@ with H in MHz and rates gamma_k in 1/us.  Hamiltonians may be stacks
 :meth:`NoiseModel.ensemble`.  ``evolve_lindblad`` exponentiates the
 Liouvillian over one step (the pulse sequences' only path, closed systems
 included; a fixed-step RK4 is held to agreement with it),
-``lindblad_trajectory`` diagonalizes it once for a time grid and
+``lindblad_trajectory`` steps a time grid with the same exponential and
 ``steady_state`` takes its null space.
 """
 
@@ -241,10 +241,10 @@ def lindblad_trajectory(h: np.ndarray, collapse_ops: CollapseOps, rho0: np.ndarr
     """Density matrices at each time in ``times`` (sorted, >= 0).
 
     ``h`` is one Hamiltonian ``(d, d)`` or a stack ``(..., d, d)``; the
-    result has shape ``(..., len(times), d, d)``.  One batched
-    eigendecomposition of the Liouvillians serves every member and time; a
-    member whose eigenbasis is ill-conditioned falls back to stepwise
-    exponentials on its own.
+    result has shape ``(..., len(times), d, d)``.  The whole stack steps
+    from one time to the next by the exact propagator expm(L dt), which is
+    rebuilt only when dt moves by more than 1e-12 relative, so a uniform
+    grid costs one stacked exponential.
     """
     times = np.asarray(times, dtype=float)
     if np.any(times < 0) or np.any(np.diff(times) < 0):
@@ -253,28 +253,17 @@ def lindblad_trajectory(h: np.ndarray, collapse_ops: CollapseOps, rho0: np.ndarr
     dim = rho0.shape[0]
     liou = build_liouvillian(h, collapse_ops)
     stack = liou.shape[:-2]
-    vec0 = rho0.reshape(-1)
-    evals, vecs = np.linalg.eig(liou)
-    good = np.linalg.cond(vecs) < 1e10
-    # ill-conditioned members solve against the identity; their rows are
-    # replaced by the fallback below
-    vecs = np.where(good[..., None, None], vecs, np.eye(dim * dim))
-    coef = np.linalg.solve(vecs, np.broadcast_to(vec0, stack + vec0.shape)[..., None])
-    # in-place steps keep one (members x times x d^2) buffer alive at a time
-    phases = evals[..., None, :] * times[:, None]
-    np.exp(phases, out=phases)
-    phases *= coef[..., None, :, 0]
-    vec = phases @ np.swapaxes(vecs, -1, -2)
-    del phases
-    for idx in np.ndindex(stack):
-        if good[idx]:
-            continue
-        step, prev = vec0, 0.0
-        for i, t in enumerate(times):
-            if t > prev:
-                step = scipy.linalg.expm(liou[idx] * (t - prev)) @ step
-                prev = t
-            vec[idx + (i,)] = step
+    vec = np.empty(stack + (len(times), dim * dim), dtype=complex)
+    state = np.broadcast_to(rho0.reshape(-1, 1), stack + (dim * dim, 1))
+    prev = dt_prop = 0.0
+    for i, t in enumerate(times):
+        dt = t - prev
+        if dt > 0:
+            if abs(dt - dt_prop) > 1e-12 * dt_prop:
+                prop, dt_prop = scipy.linalg.expm(liou * dt), dt
+            state = prop @ state
+            prev = t
+        vec[..., i, :] = state[..., 0]
     rho = vec.reshape(stack + (len(times), dim, dim))
     out = np.conj(np.swapaxes(rho, -1, -2))
     out += rho

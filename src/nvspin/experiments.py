@@ -67,6 +67,11 @@ class ExperimentConfig:
 # to 2 us at f1 = 5 MHz, three times shorter than the 6 us echo decay
 STANDARD_SIGMA_STATIC_MHZ = 1.1
 STANDARD_GAMMA_PHI = 1.0 / 6.0
+# Rabi window (us) of the default rabi grid, the field sweep and the trend
+RABI_WINDOW_US = np.linspace(0.0, 4.0, 161)
+RABI_WINDOW_US.flags.writeable = False
+# the trend takes its off-resonance PL this far above the resonance field
+OFF_RESONANCE_OFFSET_GAUSS = 25.0
 
 
 def standard_config(seed: int = 12345) -> ExperimentConfig:
@@ -310,7 +315,7 @@ def exp_field_sweep(cfg: ExperimentConfig, b_grid_gauss) -> SweepResult:
     Both field profiles are then fit with Lorentzians.
     """
     b_grid = np.asarray(b_grid_gauss, dtype=float)
-    t_grid = np.linspace(0.0, 4.0, 161)
+    t_grid = RABI_WINDOW_US
     ipl = np.empty_like(b_grid)
     t2p = np.empty_like(b_grid)
     f1 = cfg.drive.f1_mhz
@@ -337,15 +342,14 @@ def exp_field_sweep(cfg: ExperimentConfig, b_grid_gauss) -> SweepResult:
     )
 
 
-def exp_t2p_vs_dip(cfgs: list[ExperimentConfig], b_probe_gauss: float = 850.0,
-                   off_resonance_offset_gauss: float = 25.0) -> Trace:
+def exp_t2p_vs_dip(cfgs: list[ExperimentConfig], b_probe_gauss: float = 850.0) -> Trace:
     """T2' at the probe field versus the normalized photoluminescence dip
     amplitude on resonance, one point per synthetic center.
 
-    Output is sorted by dip amplitude; the Rabi window matches the field
-    sweep.
+    Output is sorted by dip amplitude; the Rabi window is the field
+    sweep's.
     """
-    t_grid = np.linspace(0.0, 4.0, 161)
+    t_grid = RABI_WINDOW_US
     amplitudes = []
     t2ps = []
     for cfg in cfgs:
@@ -353,7 +357,7 @@ def exp_t2p_vs_dip(cfgs: list[ExperimentConfig], b_probe_gauss: float = 850.0,
         wait = [cfg.t_wait_us]
         i_res = cfg.readout.counts(_joint_p0(cfg, b_res, 0.0, wait)[0])
         i_off = cfg.readout.counts(
-            _joint_p0(cfg, b_res + off_resonance_offset_gauss, 0.0, wait)[0])
+            _joint_p0(cfg, b_res + OFF_RESONANCE_OFFSET_GAUSS, 0.0, wait)[0])
         amplitudes.append((i_off - i_res) / i_off)
         rabi = cfg.readout.counts(_joint_p0(cfg, b_probe_gauss, cfg.drive.f1_mhz, t_grid))
         fit = fit_damped_cosine(Trace(t_grid, rabi, "us", "counts"))

@@ -19,6 +19,11 @@ import numpy as np
 # Decay times are reported within [sample spacing, 100 * span]; results
 # clipped to either end carry an "at_bound" flag.
 DECAY_BOUND_FACTOR = 100.0
+# Levenberg-Marquardt: scaled-gradient tolerance, iteration cap and the
+# relative central-difference step of the Jacobian
+LM_GTOL = 1e-10
+LM_MAX_ITER = 500
+LM_REL_STEP = 1e-6
 
 
 @dataclass
@@ -67,13 +72,13 @@ class LMResult:
     iterations: int
 
 
-def _jacobian(fun, p: np.ndarray, rel_step: float) -> np.ndarray:
+def _jacobian(fun, p: np.ndarray) -> np.ndarray:
     """Central-difference Jacobian of a residual function."""
     n = len(p)
     r0 = fun(p)
     jac = np.empty((len(r0), n))
     for i in range(n):
-        h = rel_step * max(abs(p[i]), 1.0)
+        h = LM_REL_STEP * max(abs(p[i]), 1.0)
         pp = p.copy()
         pm = p.copy()
         pp[i] += h
@@ -82,14 +87,13 @@ def _jacobian(fun, p: np.ndarray, rel_step: float) -> np.ndarray:
     return jac
 
 
-def levenberg_marquardt(fun, p0, *, gtol: float = 1e-10, max_iter: int = 500,
-                        rel_step: float = 1e-6) -> LMResult:
+def levenberg_marquardt(fun, p0) -> LMResult:
     """Minimize ||fun(p)||^2 by damped least squares.
 
     ``fun`` maps a parameter vector to a residual vector.  The damping
     parameter is scaled up on rejected steps and down on accepted ones;
     the recorded cost history is monotonically decreasing by construction.
-    Convergence means the scaled gradient fell below ``gtol``.
+    Convergence means the scaled gradient fell below ``LM_GTOL``.
     """
     p = np.asarray(p0, dtype=float).copy()
     r = fun(p)
@@ -98,12 +102,12 @@ def levenberg_marquardt(fun, p0, *, gtol: float = 1e-10, max_iter: int = 500,
     lam = 1e-3
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
-        jac = _jacobian(fun, p, rel_step)
+    for it in range(1, LM_MAX_ITER + 1):
+        jac = _jacobian(fun, p)
         g = jac.T @ r
         a = jac.T @ jac
         # scale-free gradient test: relative to the current cost level
-        if np.max(np.abs(g)) <= gtol * (1.0 + cost):
+        if np.max(np.abs(g)) <= LM_GTOL * (1.0 + cost):
             converged = True
             break
         accepted = False
@@ -130,7 +134,7 @@ def levenberg_marquardt(fun, p0, *, gtol: float = 1e-10, max_iter: int = 500,
             lam *= 4.0
         if not accepted:
             # stalled at a numerical floor: accept if the gradient is small
-            converged = np.max(np.abs(g)) <= np.sqrt(gtol) * (1.0 + cost)
+            converged = np.max(np.abs(g)) <= np.sqrt(LM_GTOL) * (1.0 + cost)
             break
         if tiny_step:
             converged = True

@@ -161,6 +161,12 @@ class TestRunCommand:
             "fieldsweep.csv")
         assert outputs[0] == outputs[1]
 
+    def test_trend_byte_identical_across_thread_counts(self, tmp_path):
+        # each center runs the joint-model trajectories of the field sweep
+        outputs = self.csv_at_thread_counts(
+            tmp_path, "trend", "noise.n_samples = 4\n", "trend.csv")
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("tau1", ["", "echo.tau1_us = 3\n"])
     def test_echo_byte_identical_across_thread_counts(self, tmp_path, tau1):
         # each delay evolves the whole ensemble as one stacked sequence

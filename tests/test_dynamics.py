@@ -161,8 +161,8 @@ class TestEvolveLindblad:
 
     def test_trajectory_defective_liouvillian_fallback(self):
         # equal-rate decay cascade |2> -> |1> -> |0>: the Liouvillian has a
-        # Jordan block, so the eigenbasis path must yield to stepwise
-        # exponentials; the middle population is analytic, t exp(-t)
+        # Jordan block, which no eigenbasis can represent; the middle
+        # population is analytic, t exp(-t)
         collapse = cascade_collapse()
         h = np.zeros((3, 3), dtype=complex)
         times = np.linspace(0.0, 3.0, 7)
@@ -224,7 +224,9 @@ class TestHamiltonianStacks:
                 assert np.max(np.abs(rho - direct)) <= 1e-9
                 assert np.array_equal(rho, rho.conj().T)
 
-    def test_defective_member_falls_back_alone(self, monkeypatch):
+    def test_defective_member_and_propagator_count(self, monkeypatch):
+        # a Jordan-block member beside a generic one: both follow their own
+        # trajectory, and the stack costs one exponential per distinct step
         expm_calls = []
         expm = scipy.linalg.expm
 
@@ -241,12 +243,23 @@ class TestHamiltonianStacks:
         single = lindblad_trajectory(hs[1], collapse, rho0, times)
         monkeypatch.setattr(scipy.linalg, "expm", counted)
         traj = lindblad_trajectory(hs, collapse, rho0, times)
-        # one exponential per nonzero time step, for the defective member only
-        assert len(expm_calls) == len(times) - 1
+        # a uniform grid reuses one propagator
+        assert len(expm_calls) == 1
         for t, rho in zip(times, traj[0]):
             assert abs(rho[1, 1].real - t * np.exp(-t)) < 1e-9
             assert abs(np.trace(rho).real - 1.0) < 1e-9
         assert np.max(np.abs(traj[1] - single)) <= 1e-9
+        expm_calls.clear()
+        lindblad_trajectory(hs, collapse, rho0, np.array([0.0, 0.3, 1.1, 2.5]))
+        assert len(expm_calls) == 3
+
+    @pytest.mark.parametrize("df", [0.0, 0.7, -2.2])
+    def test_closed_nutation_matches_rabi_formula(self, df):
+        # a closed-system Liouvillian is degenerate; stepping it on a long
+        # grid must still give the two-level formula to rounding
+        times = np.linspace(0.0, 12.0, 481)
+        traj = lindblad_trajectory(rwa_hamiltonian(6.0, df), [], basis_density(2, 0), times)
+        assert np.max(np.abs(traj[:, 0, 0].real - rabi_probability(6.0, df, times))) <= 1e-12
 
     def test_stacked_evolve_matches_per_member(self):
         hs = np.array([rwa_hamiltonian(f1, df)
