@@ -49,7 +49,7 @@ SCHEMA: dict[str, SchemaEntry] = {
     "bath.gamma_bath": SchemaEntry("float", 50.0, "P1 dephasing rate, 1/us (resonance width)"),
     "noise.sigma_static_mhz": SchemaEntry(
         "float", STANDARD_SIGMA_STATIC_MHZ,
-        "std dev of the quasi-static detuning (calibrated for T2' ~ 2 us)"),
+        "std dev of the quasi-static detuning (T2' ~ 2 us at seed 12345 only)"),
     "noise.gamma_phi": SchemaEntry(
         "float", STANDARD_GAMMA_PHI, "Markovian dephasing rate, 1/us (echo T2 = 6 us)", True),
     "noise.gamma_1": SchemaEntry("float", 0.0, "longitudinal relaxation rate, 1/us"),
@@ -170,7 +170,6 @@ def build_experiment_config(values: dict) -> ExperimentConfig:
         include_n_nucleus=values["bath.include_n_nucleus"],
         gamma_bath=values["bath.gamma_bath"],
     ))
-    seed = values["seed"]
     noise_seed = values["noise.seed"]
     pops = values["noise.nuclear_populations"]
     noise = section("noise", NoiseModel, dict(
@@ -178,7 +177,7 @@ def build_experiment_config(values: dict) -> ExperimentConfig:
         gamma_phi=values["noise.gamma_phi"],
         gamma_1=values["noise.gamma_1"],
         n_samples=values["noise.n_samples"],
-        seed=seed if noise_seed < 0 else noise_seed,
+        seed=values["seed"] if noise_seed < 0 else noise_seed,
         nuclear_splitting_mhz=nv.a_par_mhz,
         nuclear_populations=tuple(pops) if pops else None,
     ))
@@ -203,7 +202,6 @@ def build_experiment_config(values: dict) -> ExperimentConfig:
     return ExperimentConfig(
         nv=nv, bath=bath, noise=noise, init=init, readout=readout, drive=drive,
         sweep=sweep,
-        seed=seed,
         b_field_gauss=values["field.b_gauss"],
         pump_rate=values["cw.pump_rate"],
         laser_dephasing=values["cw.laser_dephasing"],

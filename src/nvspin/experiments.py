@@ -51,7 +51,6 @@ class ExperimentConfig:
     readout: Readout = Readout()
     drive: DriveParams = DriveParams()
     sweep: SweepSpec = SweepSpec()
-    seed: int = 12345
     b_field_gauss: float = 850.0
     # continuous-wave ESR only: optical pumping rate and laser-induced
     # dephasing, both in 1/us
@@ -63,8 +62,9 @@ class ExperimentConfig:
     trend_couplings: tuple = (0.1, 0.3, 1.0)
 
 
-# calibrated by scanning sigma so the standard Rabi scenario fits T2' close
-# to 2 us at f1 = 5 MHz, three times shorter than the 6 us echo decay
+# fits T2' = 2.00 us at f1 = 5 MHz, a third of the 6 us echo T2, at seed 12345
+# only: over seeds 1000-1029 T2' averages 3.08 us (sd 28%) and T2/T2' spans
+# 1.29-3.37; see the quasi-static ensemble item of ROADMAP.md
 STANDARD_SIGMA_STATIC_MHZ = 1.1
 STANDARD_GAMMA_PHI = 1.0 / 6.0
 # Rabi window (us) of the default rabi grid, the field sweep and the trend
@@ -84,7 +84,6 @@ def standard_config(seed: int = 12345) -> ExperimentConfig:
             n_samples=24,
             seed=seed,
         ),
-        seed=seed,
     )
 
 

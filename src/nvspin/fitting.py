@@ -6,10 +6,12 @@ Three fit models cover everything the simulator produces:
 * exponential decay  ->  echo coherence time T2
 * Lorentzian  ->  center/width of resonance dips and peaks
 
+Each model is one residual function that returns its exact Jacobian too.
 The optimizer is a self-contained damped least-squares (Levenberg-Marquardt)
-loop with central-difference Jacobians; initial guesses are derived from the
-data (spectral peak, log-linear regression, extremum location) so fits are
-reproducible without hand-tuned starting points.
+loop that stops on MINPACK's named tests (``ftol``, ``xtol``, ``gtol``) or at
+``max_iter``; the name goes into ``FitResult.flags``.  Initial guesses are
+derived from the data (spectral peak, log-linear regression, extremum
+location) so fits are reproducible without hand-tuned starting points.
 """
 
 from dataclasses import dataclass, field
@@ -19,11 +21,10 @@ import numpy as np
 # Decay times are reported within [sample spacing, 100 * span]; results
 # clipped to either end carry an "at_bound" flag.
 DECAY_BOUND_FACTOR = 100.0
-# Levenberg-Marquardt: scaled-gradient tolerance, iteration cap and the
-# relative central-difference step of the Jacobian
-LM_GTOL = 1e-10
+# Levenberg-Marquardt: tolerances of MINPACK lmder's ftol, xtol and gtol
+# stopping tests, and the cap on trial steps
+LM_FTOL = LM_XTOL = LM_GTOL = 1e-12
 LM_MAX_ITER = 500
-LM_REL_STEP = 1e-6
 
 
 @dataclass
@@ -70,76 +71,60 @@ class LMResult:
     residual_norm: float
     converged: bool
     iterations: int
-
-
-def _jacobian(fun, p: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobian of a residual function."""
-    n = len(p)
-    r0 = fun(p)
-    jac = np.empty((len(r0), n))
-    for i in range(n):
-        h = LM_REL_STEP * max(abs(p[i]), 1.0)
-        pp = p.copy()
-        pm = p.copy()
-        pp[i] += h
-        pm[i] -= h
-        jac[:, i] = (fun(pp) - fun(pm)) / (2 * h)
-    return jac
+    stop: str
 
 
 def levenberg_marquardt(fun, p0) -> LMResult:
-    """Minimize ||fun(p)||^2 by damped least squares.
+    """Minimize ||r(p)||^2 by damped least squares.
 
-    ``fun`` maps a parameter vector to a residual vector.  The damping
-    parameter is scaled up on rejected steps and down on accepted ones;
-    the recorded cost history is monotonically decreasing by construction.
-    Convergence means the scaled gradient fell below ``LM_GTOL``.
+    ``fun`` maps a parameter vector to ``(r, J)``, the residual and its exact
+    Jacobian.  Each iteration tries one step damped by ``lam * diag(J^T J)``;
+    ``lam`` shrinks on accepted steps and grows on rejected ones, so the cost
+    history decreases monotonically.  ``stop`` names the test that ended it:
+    ``"ftol"`` (a step's actual, in magnitude, and predicted relative cost
+    reductions both <= LM_FTOL), ``"xtol"`` (a trial step <= LM_XTOL of the
+    parameters, both scaled by J's column norms), ``"gtol"`` (every cosine
+    between r and a column of J <= LM_GTOL), or ``"max_iter"``, the only
+    outcome that is not ``converged``.
     """
     p = np.asarray(p0, dtype=float).copy()
-    r = fun(p)
+    r, jac = fun(p)
     cost = float(r @ r)
     history = [cost]
     lam = 1e-3
-    converged = False
-    it = 0
+    stop, it = "max_iter", 0
     for it in range(1, LM_MAX_ITER + 1):
-        jac = _jacobian(fun, p)
-        g = jac.T @ r
-        a = jac.T @ jac
-        # scale-free gradient test: relative to the current cost level
-        if np.max(np.abs(g)) <= LM_GTOL * (1.0 + cost):
-            converged = True
+        g, a = jac.T @ r, jac.T @ jac
+        d = np.sqrt(np.diag(a))
+        if np.all(np.abs(g) <= LM_GTOL * np.sqrt(cost) * d):
+            stop = "gtol"
             break
-        accepted = False
-        tiny_step = False
-        for _ in range(50):
-            damped = a + lam * np.diag(np.clip(np.diag(a), 1e-14, None))
-            try:
-                step = np.linalg.solve(damped, -g)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            p_new = p + step
-            r_new = fun(p_new)
-            cost_new = float(r_new @ r_new)
-            if np.isfinite(cost_new) and cost_new < cost:
-                rel_drop = (cost - cost_new) / max(cost, 1e-300)
-                p, r, cost = p_new, r_new, cost_new
-                history.append(cost)
-                lam = max(lam / 3.0, 1e-12)
-                accepted = True
-                tiny_step = (rel_drop < 1e-14
-                             and np.max(np.abs(step)) < 1e-12 * (1 + np.max(np.abs(p))))
-                break
+        damping = lam * np.clip(np.diag(a), 1e-14, None)
+        try:
+            step = np.linalg.solve(a + np.diag(damping), -g)
+        except np.linalg.LinAlgError:
+            lam *= 10.0
+            continue
+        if np.linalg.norm(d * step) <= LM_XTOL * np.linalg.norm(d * p):
+            stop = "xtol"
+            break
+        r_new, jac_new = fun(p + step)
+        cost_new = float(r_new @ r_new)
+        js = jac @ step
+        predicted = float(js @ js + 2.0 * step @ (damping * step))
+        # tested on rejected steps too, as lmder does: at the roundoff floor
+        # whether a step lowers the cost turns on the last bits of the data
+        small = abs(cost - cost_new) <= LM_FTOL * cost and predicted <= LM_FTOL * cost
+        if cost_new < cost:
+            p, r, jac, cost = p + step, r_new, jac_new, cost_new
+            history.append(cost)
+            lam = max(lam / 3.0, 1e-12)
+        else:
             lam *= 4.0
-        if not accepted:
-            # stalled at a numerical floor: accept if the gradient is small
-            converged = np.max(np.abs(g)) <= np.sqrt(LM_GTOL) * (1.0 + cost)
+        if small:
+            stop = "ftol"
             break
-        if tiny_step:
-            converged = True
-            break
-    return LMResult(p, history, float(np.sqrt(cost)), converged, it)
+    return LMResult(p, history, float(np.sqrt(cost)), stop != "max_iter", it, stop)
 
 
 def _wrap_phase(phi: float) -> float:
@@ -192,6 +177,17 @@ def _bounded_decay_time(rate: float, x: np.ndarray) -> tuple[float, tuple[str, .
     return float(t), ()
 
 
+def _damped_cosine(p, x, y):
+    """Residual and Jacobian of offset + A exp(-|rate| t) cos(2 pi f1 t + phase)."""
+    offset, amp, f1, rate, phase = p
+    envelope = np.exp(-abs(rate) * x)
+    arg = 2 * np.pi * f1 * x + phase
+    c, s = envelope * np.cos(arg), envelope * np.sin(arg)
+    jac = np.column_stack([np.ones_like(x), c, -2 * np.pi * amp * x * s,
+                           -np.sign(rate) * amp * x * c, -amp * s])
+    return offset + amp * c - y, jac
+
+
 def fit_damped_cosine(trace: Trace) -> FitResult:
     """Fit y = offset + A exp(-t/T2p) cos(2 pi f1 t + phase).
 
@@ -220,17 +216,11 @@ def fit_damped_cosine(trace: Trace) -> FitResult:
     rate0 = max(0.0, 2.0 * np.log(p1 / p2) / span) if p2 > 0 else 2.0 / span
     offset0 = float(np.mean(y))
 
-    def residual(p):
-        offset, amp, f1, rate, phase = p
-        model = offset + amp * np.exp(-np.abs(rate) * x) * np.cos(2 * np.pi * f1 * x + phase)
-        return model - y
-
-    p0 = np.array([offset0, a0, f0, rate0, phi0])
-    lm = levenberg_marquardt(residual, p0)
+    lm = levenberg_marquardt(lambda p: _damped_cosine(p, x, y), [offset0, a0, f0, rate0, phi0])
     offset, amp, f1, rate, phase = lm.params
     if amp < 0:
         amp, phase = -amp, phase + np.pi
-    t2p, flags = _bounded_decay_time(abs(rate), x)
+    t2p, bound = _bounded_decay_time(abs(rate), x)
     params = {
         "offset": float(offset),
         "amplitude": float(amp),
@@ -239,7 +229,15 @@ def fit_damped_cosine(trace: Trace) -> FitResult:
         "phase_rad": _wrap_phase(phase),
     }
     return FitResult("damped_cosine", params, lm.residual_norm, lm.converged,
-                     lm.iterations, flags)
+                     lm.iterations, (lm.stop, *bound))
+
+
+def _exp_decay(p, x, y):
+    """Residual and Jacobian of offset + A exp(-|rate| t)."""
+    offset, amp, rate = p
+    decay = np.exp(-abs(rate) * x)
+    jac = np.column_stack([np.ones_like(x), decay, -np.sign(rate) * amp * x * decay])
+    return offset + amp * decay - y, jac
 
 
 def fit_exp_decay(trace: Trace) -> FitResult:
@@ -258,16 +256,23 @@ def fit_exp_decay(trace: Trace) -> FitResult:
     else:
         rate0 = 1.0 / (x[-1] - x[0])
 
-    def residual(p):
-        offset, amp, rate = p
-        return offset + amp * np.exp(-np.abs(rate) * x) - y
-
-    lm = levenberg_marquardt(residual, np.array([offset0, a0, rate0]))
+    lm = levenberg_marquardt(lambda p: _exp_decay(p, x, y), [offset0, a0, rate0])
     offset, amp, rate = lm.params
-    t, flags = _bounded_decay_time(abs(rate), x)
+    t, bound = _bounded_decay_time(abs(rate), x)
     params = {"offset": float(offset), "amplitude": float(amp), "t_us": t}
     return FitResult("exp_decay", params, lm.residual_norm, lm.converged,
-                     lm.iterations, flags)
+                     lm.iterations, (lm.stop, *bound))
+
+
+def _lorentzian(p, x, y):
+    """Residual and Jacobian of offset + A h^2 / ((x - c)^2 + h^2), h = w/2."""
+    offset, amp, c, w = p
+    h, u = w / 2, x - c
+    q = u ** 2 + h ** 2
+    shape = h ** 2 / q
+    jac = np.column_stack([np.ones_like(x), shape, 2 * amp * shape * u / q,
+                           amp * h * u ** 2 / q ** 2])
+    return offset + amp * shape - y, jac
 
 
 def fit_lorentzian(trace: Trace) -> FitResult:
@@ -290,12 +295,7 @@ def fit_lorentzian(trace: Trace) -> FitResult:
     w0 = float(x[above][-1] - x[above][0]) if np.count_nonzero(above) >= 2 else (x[-1] - x[0]) / 5
     w0 = max(w0, 2 * float(np.min(np.diff(x))))
 
-    def residual(p):
-        offset, amp, c, w = p
-        model = offset + amp * (w / 2) ** 2 / ((x - c) ** 2 + (w / 2) ** 2)
-        return model - y
-
-    lm = levenberg_marquardt(residual, np.array([edge, a0, c0, w0]))
+    lm = levenberg_marquardt(lambda p: _lorentzian(p, x, y), [edge, a0, c0, w0])
     offset, amp, c, w = lm.params
     params = {
         "offset": float(offset),
@@ -304,7 +304,7 @@ def fit_lorentzian(trace: Trace) -> FitResult:
         "fwhm": float(abs(w)),
     }
     return FitResult("lorentzian", params, lm.residual_norm, lm.converged,
-                     lm.iterations)
+                     lm.iterations, (lm.stop,))
 
 
 FIT_MODELS = {

@@ -19,7 +19,7 @@ class TestParseConfig:
         cfg = parse_config("")
         assert cfg.nv.d_mhz == 2880.0
         assert cfg.nv.g == 2.00
-        assert cfg.seed == 12345
+        assert cfg.noise.seed == 12345
 
     def test_values_and_comments(self):
         cfg = parse_config("""
@@ -279,3 +279,18 @@ class TestFitCommand:
         assert main(["run", "fit", "--config", str(cfg), "--out", str(out)]) == 2
         report = (out / "fit_report.txt").read_text()
         assert "converged: False" in report and "t_us = 2.9" in report
+
+    def test_fit_command_exits_2_at_iteration_cap(self, tmp_path, monkeypatch, capsys):
+        from nvspin import fitting
+
+        t = np.linspace(0, 20, 101)
+        path = tmp_path / "d.csv"
+        write_csv(path, {"t_us": t, "y": 0.1 + np.exp(-t / 3.0)})
+        monkeypatch.setattr(fitting, "LM_MAX_ITER", 1)
+        fit = fit_file(path, "exp_decay")
+        assert not fit.converged
+        assert "max_iter" in fit.flags
+        assert main(["fit", "exp_decay", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "flags: max_iter" in captured.out
+        assert "did not converge" in captured.err

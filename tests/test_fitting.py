@@ -3,8 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nvspin import fitting
 from nvspin.fitting import (
     Trace,
+    _damped_cosine,
+    _exp_decay,
+    _lorentzian,
     _wrap_phase,
     fit_damped_cosine,
     fit_exp_decay,
@@ -52,7 +56,10 @@ class TestLevenbergMarquardt:
         y = exp_decay(t, 0.2, 1.0, 3.0)
 
         def residual(p):
-            return exp_decay(t, *p) - y
+            offset, amp, tau = p
+            decay = np.exp(-t / tau)
+            jac = np.column_stack([np.ones_like(t), decay, amp * t / tau ** 2 * decay])
+            return exp_decay(t, *p) - y, jac
 
         res = levenberg_marquardt(residual, np.array([0.0, 0.5, 1.0]))
         assert res.converged
@@ -61,11 +68,101 @@ class TestLevenbergMarquardt:
 
     def test_reports_iterations(self):
         def residual(p):
-            return np.array([p[0] - 1.0, p[0] ** 2 - 1.0])
+            return np.array([p[0] - 1.0, p[0] ** 2 - 1.0]), np.array([[1.0], [2 * p[0]]])
 
         res = levenberg_marquardt(residual, np.array([5.0]))
         assert res.iterations >= 1
         assert res.converged
+
+    def test_stop_reason_stable_under_ulp_scaling(self):
+        # count-scale Rabi traces: a few ulps of rescaling must not move the
+        # iteration count or the test that ended the fit
+        t = np.linspace(0.0, 4.0, 161)
+        rng = np.random.default_rng(5)
+        for t2p, phase in [(1.5, 0.2), (2.0, 0.0), (3.0, -0.4), (5.0, 0.1), (0.8, 0.3)]:
+            y = damped_cosine(t, 850.0, 140.0, 5.0, t2p, phase) + rng.normal(0.0, 4.0, len(t))
+            base = fit_damped_cosine(Trace(t, y))
+            assert base.converged
+            for k in (1, 2, 3):
+                fit = fit_damped_cosine(Trace(t, y * (1 + k * 2.0 ** -52)))
+                assert (fit.iterations, fit.flags) == (base.iterations, base.flags)
+
+
+def _central_difference(fun, p):
+    jac = np.empty((len(fun(p)[0]), len(p)))
+    for i in range(len(p)):
+        h = 1e-6 * max(abs(p[i]), 1.0)
+        step = np.zeros(len(p))
+        step[i] = h
+        jac[:, i] = (fun(p + step)[0] - fun(p - step)[0]) / (2 * h)
+    return jac
+
+
+@pytest.mark.parametrize("model, x, p", [
+    (_damped_cosine, np.linspace(0.0, 4.0, 161), [0.8, 0.3, 1.4, 0.5, 0.3]),
+    (_damped_cosine, np.linspace(0.0, 4.0, 161), [0.8, -0.3, 1.4, -0.5, -2.0]),
+    (_exp_decay, np.linspace(0.0, 12.0, 24), [0.6, 0.4, 0.17]),
+    (_exp_decay, np.linspace(0.0, 12.0, 24), [0.6, -0.4, -0.17]),
+    (_lorentzian, np.linspace(-3.0, 3.0, 61), [1.0, -0.3, 0.2, 1.5]),
+    (_lorentzian, np.linspace(-3.0, 3.0, 61), [1.0, 0.3, -0.2, -1.5]),
+], ids=["damped_cosine", "damped_cosine_negative_rate", "exp_decay",
+        "exp_decay_negative_rate", "lorentzian", "lorentzian_negative_width"])
+def test_jacobian_matches_central_differences(model, x, p):
+    y = np.zeros_like(x)
+    fun = lambda q: model(q, x, y)  # noqa: E731
+    p = np.array(p)
+    jac = fun(p)[1]
+    numeric = _central_difference(fun, p)
+    assert np.max(np.abs(jac - numeric)) <= 1e-7 * np.max(np.abs(jac))
+
+
+class TestAgreesWithMinpack:
+    """Each fit against scipy's MINPACK LM, started from the same point."""
+
+    @staticmethod
+    def _fit_and_oracle(monkeypatch, fit, trace):
+        from scipy.optimize import least_squares
+
+        calls = []
+
+        def spy(fun, p0):
+            calls.append((fun, np.array(p0, dtype=float)))
+            return levenberg_marquardt(fun, p0)
+
+        monkeypatch.setattr(fitting, "levenberg_marquardt", spy)
+        result = fit(trace)
+        fun, p0 = calls[0]
+        oracle = least_squares(lambda p: fun(p)[0], p0, jac=lambda p: fun(p)[1],
+                               method="lm", ftol=1e-15, xtol=1e-15, gtol=1e-15)
+        assert result.converged
+        assert abs(result.residual_norm ** 2 - 2 * oracle.cost) <= 1e-9 * 2 * oracle.cost
+        return result, oracle.x
+
+    def test_damped_cosine(self, monkeypatch):
+        t = np.linspace(0.0, 4.0, 161)
+        rng = np.random.default_rng(8)
+        for f1, t2p in [(5.0, 2.0), (10.0, 3.7), (15.0, 4.8), (5.0, 0.6)]:
+            y = damped_cosine(t, 850.0, 140.0, f1, t2p, 0.2) + rng.normal(0.0, 4.0, len(t))
+            fit, p = self._fit_and_oracle(monkeypatch, fit_damped_cosine, Trace(t, y))
+            assert fit["f1_mhz"] == pytest.approx(abs(p[2]), rel=1e-7)
+            assert fit["t2p_us"] == pytest.approx(1 / abs(p[3]), rel=1e-7)
+
+    def test_exp_decay(self, monkeypatch):
+        t = np.linspace(0.25, 12.0, 24)
+        rng = np.random.default_rng(9)
+        for tau in (3.0, 6.0, 9.0):
+            y = exp_decay(t, 850.0, 125.0, tau) + rng.normal(0.0, 1.0, len(t))
+            fit, p = self._fit_and_oracle(monkeypatch, fit_exp_decay, Trace(t, y))
+            assert fit["t_us"] == pytest.approx(1 / abs(p[2]), rel=1e-7)
+
+    def test_lorentzian(self, monkeypatch):
+        x = np.linspace(499.4, 529.4, 60)
+        rng = np.random.default_rng(10)
+        for amp, w, noise in [(-58.0, 4.5, 1.0), (0.15, 3.2, 0.005), (-20.0, 8.0, 2.0)]:
+            y = lorentzian(x, 985.0, amp, 514.4, w) + rng.normal(0.0, noise, len(x))
+            fit, p = self._fit_and_oracle(monkeypatch, fit_lorentzian, Trace(x, y))
+            assert fit["center"] == pytest.approx(p[2], rel=1e-7)
+            assert fit["fwhm"] == pytest.approx(abs(p[3]), rel=1e-7)
 
 
 class TestDampedCosineFit:
