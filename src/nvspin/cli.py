@@ -19,7 +19,6 @@ from .config import (
     config_checksum,
     resolve_values,
     schema_help,
-    with_seed,
 )
 from .experiments import (
     RABI_WINDOW_US,
@@ -35,7 +34,7 @@ from .experiments import (
 from .fitting import FIT_MODELS, FitResult, Trace
 from .hamiltonian import resonance_field
 
-EXPERIMENTS = ("esr", "rabi", "echo", "fieldsweep", "trend", "levels", "fit")
+EXPERIMENTS = ("esr", "rabi", "echo", "fieldsweep", "trend", "levels")
 # these drive on resonance (fieldsweep, trend) or sweep the drive frequency
 # (esr), so a fixed drive.f_rf_mhz would be ignored
 RESONANT_DRIVE = ("esr", "fieldsweep", "trend")
@@ -147,14 +146,8 @@ def _grid(experiment: str, cfg) -> np.ndarray:
     return _default_grid(experiment, cfg)
 
 
-class FitNotConvergedError(RuntimeError):
-    """Raised after best-so-far results were written."""
-
-
-def _run_experiment(experiment: str, cfg, values,
-                    out: OutputTracker) -> tuple[list[str], str | None]:
+def _run_experiment(experiment: str, cfg, values, out: OutputTracker) -> list[str]:
     reports: list[str] = []
-    failure: str | None = None
     if experiment == "esr":
         trace = exp_cw_esr(cfg, _grid("esr", cfg))
         write_csv(out.path("esr.csv"), {"f_mhz": trace.x, "i_pl": trace.y})
@@ -200,18 +193,10 @@ def _run_experiment(experiment: str, cfg, values,
         write_csv(out.path("levels.csv"), cols)
         reports.append("levels: resonance_field_gauss = "
                        + format_float(resonance_field(cfg.nv)))
-    elif experiment == "fit":
-        model, csv_path = values["fit.model"], values["fit.csv"]
-        if not model or not csv_path:
-            raise ConfigError("run fit needs fit.model and fit.csv")
-        fit = fit_file(Path(csv_path), model)
-        reports.append(format_fit(fit))
-        if not fit.converged:
-            failure = "fit did not converge (best-so-far written to report)"
     else:
         raise ConfigError(f"unknown experiment {experiment!r}; "
                           f"choose from {', '.join(EXPERIMENTS)}")
-    return reports, failure
+    return reports
 
 
 def run(experiment: str, values: dict, out_dir: Path) -> RunManifest:
@@ -223,7 +208,7 @@ def run(experiment: str, values: dict, out_dir: Path) -> RunManifest:
     tracker = OutputTracker(out_dir)
     start = time.monotonic()
     try:
-        reports, failure = _run_experiment(experiment, cfg, values, tracker)
+        reports = _run_experiment(experiment, cfg, values, tracker)
         report_path = tracker.path("fit_report.txt")
         report_path.write_text("\n\n".join(reports) + "\n")
         manifest_path = tracker.path("manifest.txt")
@@ -239,9 +224,6 @@ def run(experiment: str, values: dict, out_dir: Path) -> RunManifest:
     except BaseException:
         tracker.cleanup()
         raise
-    if failure is not None:
-        # best-so-far results stay on disk; only the exit status reflects it
-        raise FitNotConvergedError(failure)
     return manifest
 
 
@@ -294,7 +276,7 @@ def main(argv=None) -> int:
                 text = ""
             values = resolve_values(text)
             if args.seed is not None:
-                values = with_seed(values, args.seed)
+                values["seed"] = args.seed
             run(args.experiment, values, args.out)
             print(f"wrote {args.out}/manifest.txt")
             return 0

@@ -11,7 +11,8 @@ with H in MHz and rates gamma_k in 1/us.  Hamiltonians may be stacks
 Liouvillian over one step (the pulse sequences' only path, closed systems
 included; a fixed-step RK4 is held to agreement with it),
 ``lindblad_trajectory`` steps a time grid with the same exponential and
-``steady_state`` takes its null space.
+``steady_state`` takes its null space.  Both integrators reject a
+non-Hermitian Hamiltonian and a state whose size differs from it.
 """
 
 from collections.abc import Callable, Sequence
@@ -205,6 +206,15 @@ def _rk4_steps(h: np.ndarray, collapse_ops: CollapseOps, rho: np.ndarray,
     return rho
 
 
+def _check_evolution(h: np.ndarray, rho: np.ndarray) -> None:
+    """Guards shared by the Lindblad integrators: a Hermitian Hamiltonian
+    stack and a state of the same size."""
+    if not is_hermitian(h):
+        raise NonHermitianError("Lindblad Hamiltonian must be Hermitian")
+    if h.shape[-2:] != rho.shape[-2:]:
+        raise ValueError("Hamiltonian and state dimensions differ")
+
+
 def evolve_lindblad(h: np.ndarray, collapse_ops: CollapseOps, rho0: np.ndarray,
                     t: float, method: str = "expm") -> np.ndarray:
     """Evolve a density matrix for time ``t`` under a constant Hamiltonian
@@ -218,11 +228,8 @@ def evolve_lindblad(h: np.ndarray, collapse_ops: CollapseOps, rho0: np.ndarray,
     """
     if t < 0:
         raise ValueError("evolution time must be >= 0")
-    if not is_hermitian(h):
-        raise NonHermitianError("Lindblad Hamiltonian must be Hermitian")
     rho = np.asarray(rho0, dtype=complex)
-    if h.shape[-2:] != rho.shape[-2:]:
-        raise ValueError("Hamiltonian and state dimensions differ")
+    _check_evolution(h, rho)
     if t == 0:
         return np.broadcast_to(rho, np.broadcast_shapes(h.shape, rho.shape)).copy()
     if method == "expm":
@@ -238,18 +245,20 @@ def evolve_lindblad(h: np.ndarray, collapse_ops: CollapseOps, rho0: np.ndarray,
 
 def lindblad_trajectory(h: np.ndarray, collapse_ops: CollapseOps, rho0: np.ndarray,
                         times: np.ndarray) -> np.ndarray:
-    """Density matrices at each time in ``times`` (sorted, >= 0).
+    """Density matrices at each time in ``times`` (finite, sorted, >= 0).
 
     ``h`` is one Hamiltonian ``(d, d)`` or a stack ``(..., d, d)``; the
-    result has shape ``(..., len(times), d, d)``.  The whole stack steps
-    from one time to the next by the exact propagator expm(L dt), which is
-    rebuilt only when dt moves by more than 1e-12 relative, so a uniform
-    grid costs one stacked exponential.
+    result has shape ``(..., len(times), d, d)``, and ``h`` and ``rho0`` pass
+    ``evolve_lindblad``'s guards.  The whole stack steps from one time to the
+    next by the exact propagator expm(L dt), which is rebuilt only when dt
+    moves by more than 1e-12 relative, so a uniform grid costs one stacked
+    exponential.
     """
     times = np.asarray(times, dtype=float)
-    if np.any(times < 0) or np.any(np.diff(times) < 0):
-        raise ValueError("times must be sorted and >= 0")
+    if not np.all(np.isfinite(times)) or np.any(times < 0) or np.any(np.diff(times) < 0):
+        raise ValueError("times must be finite, sorted and >= 0")
     rho0 = np.asarray(rho0, dtype=complex)
+    _check_evolution(h, rho0)
     dim = rho0.shape[0]
     liou = build_liouvillian(h, collapse_ops)
     stack = liou.shape[:-2]

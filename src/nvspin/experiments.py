@@ -42,31 +42,30 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one simulated run depends on."""
+    """Everything one simulated run depends on.
 
-    nv: NvParams = NvParams()
-    bath: BathParams = BathParams()
-    noise: NoiseModel = NoiseModel()
-    init: LaserInit = LaserInit()
-    readout: Readout = Readout()
-    drive: DriveParams = DriveParams()
-    sweep: SweepSpec = SweepSpec()
-    b_field_gauss: float = 850.0
+    Built only by :func:`nvspin.config.build_experiment_config`, which
+    validates every field; ``config.SCHEMA`` holds the defaults.
+    """
+
+    nv: NvParams
+    bath: BathParams
+    noise: NoiseModel
+    init: LaserInit
+    readout: Readout
+    drive: DriveParams
+    sweep: SweepSpec
+    b_field_gauss: float
     # continuous-wave ESR only: optical pumping rate and laser-induced
     # dephasing, both in 1/us
-    pump_rate: float = 1.0
-    laser_dephasing: float = 0.5
+    pump_rate: float
+    laser_dephasing: float
     # dark interval of the init-wait-readout cycle in the field sweep
-    t_wait_us: float = 5.0
-    rabi_powers: tuple = (1.0, 4.0, 9.0)
-    trend_couplings: tuple = (0.1, 0.3, 1.0)
+    t_wait_us: float
+    rabi_powers: tuple
+    trend_couplings: tuple
 
 
-# fits T2' = 2.00 us at f1 = 5 MHz, a third of the 6 us echo T2, at seed 12345
-# only: over seeds 1000-1029 T2' averages 3.08 us (sd 28%) and T2/T2' spans
-# 1.29-3.37; see the quasi-static ensemble item of ROADMAP.md
-STANDARD_SIGMA_STATIC_MHZ = 1.1
-STANDARD_GAMMA_PHI = 1.0 / 6.0
 # Rabi window (us) of the default rabi grid, the field sweep and the trend
 RABI_WINDOW_US = np.linspace(0.0, 4.0, 161)
 RABI_WINDOW_US.flags.writeable = False
@@ -74,17 +73,13 @@ RABI_WINDOW_US.flags.writeable = False
 OFF_RESONANCE_OFFSET_GAUSS = 25.0
 
 
-def standard_config(seed: int = 12345) -> ExperimentConfig:
-    """The default scenario: published N-V parameters where available,
-    calibrated noise elsewhere."""
-    return ExperimentConfig(
-        noise=NoiseModel(
-            sigma_static_mhz=STANDARD_SIGMA_STATIC_MHZ,
-            gamma_phi=STANDARD_GAMMA_PHI,
-            n_samples=24,
-            seed=seed,
-        ),
-    )
+def standard_config(seed: int | None = None) -> ExperimentConfig:
+    """The default scenario, the one ``nvspin run`` runs without a config:
+    published N-V parameters where available, calibrated noise elsewhere
+    (see ``config.SCHEMA``).  ``seed`` overrides the default ensemble seed."""
+    from .config import parse_config
+
+    return parse_config("" if seed is None else f"seed = {seed}")
 
 
 @dataclass

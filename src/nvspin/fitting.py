@@ -279,7 +279,8 @@ def fit_lorentzian(trace: Trace) -> FitResult:
     """Fit y = offset + A (w/2)^2 / ((x - c)^2 + (w/2)^2).
 
     A is signed, so dips and peaks use the same model.  The extremum must
-    be bracketed by the data (not sit at either end of the trace).
+    be bracketed by the data (not sit at either end of the trace); a fitted
+    center outside the data's span is flagged ``outside_span``.
     """
     x, y = _check_trace(trace, 7)
     if np.ptp(y) == 0.0:
@@ -303,8 +304,9 @@ def fit_lorentzian(trace: Trace) -> FitResult:
         "center": float(c),
         "fwhm": float(abs(w)),
     }
+    outside = () if x[0] <= c <= x[-1] else ("outside_span",)
     return FitResult("lorentzian", params, lm.residual_norm, lm.converged,
-                     lm.iterations, (lm.stop,))
+                     lm.iterations, (lm.stop, *outside))
 
 
 FIT_MODELS = {

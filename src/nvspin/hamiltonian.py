@@ -76,16 +76,6 @@ class DriveParams:
         if self.f1_mhz < 0:
             raise ValueError("Rabi frequency must be >= 0")
 
-    @classmethod
-    def from_b1(cls, b1_gauss: float, g: float = ELECTRON_G,
-                f_rf_mhz: float | None = None) -> "DriveParams":
-        """Drive from the AC field amplitude: f1 = gamma * B1 / 2.
-
-        The factor 1/2 comes from the rotating wave approximation.
-        """
-        f1 = gyromagnetic_ratio(g) * b1_gauss / 2.0
-        return cls(f1_mhz=f1, f_rf_mhz=f_rf_mhz)
-
 
 def h_nv(b_gauss: float, p: NvParams) -> np.ndarray:
     """N-V ground-state Hamiltonian D*Sz^2 + gamma*B*Sz, 3x3 in the basis

@@ -1,17 +1,20 @@
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cli_env import cli_env
-from nvspin.cli import fit_file, main, read_csv, write_csv
+from nvspin.cli import EXPERIMENTS, fit_file, main, read_csv, write_csv
 from nvspin.config import (
     ConfigError,
     config_checksum,
     parse_config,
     resolve_values,
 )
+from nvspin.fitting import FIT_MODELS
 
 
 class TestParseConfig:
@@ -63,12 +66,6 @@ class TestParseConfig:
     def test_noise_seed_follows_master_seed(self):
         cfg = parse_config("seed = 7")
         assert cfg.noise.seed == 7
-        cfg = parse_config("seed = 7\nnoise.seed = 3")
-        assert cfg.noise.seed == 3
-
-    def test_b1_overrides_f1(self):
-        cfg = parse_config("drive.b1_gauss = 1.0")
-        assert np.isclose(cfg.drive.f1_mhz, 1.3996245)
 
 
 class TestChecksum:
@@ -209,14 +206,49 @@ class TestRunCommand:
         assert self.run_cli("run", "esr", "--config", str(tmp_path / "nope.cfg"),
                             "--out", str(tmp_path / "o")) == 1
 
-    def test_failure_removes_partial_outputs(self, tmp_path):
-        # levels with a 3-point sweep runs; force failure via a fit experiment
-        # pointing at a missing csv
+    def test_failure_removes_partial_outputs(self, tmp_path, monkeypatch):
+        # the rabi CSVs are written before the report is formatted, so a
+        # failure there must remove them
+        import nvspin.cli as cli
+
+        written = []
+
+        def fail(_fit):
+            written.extend(p.name for p in out.iterdir())
+            raise RuntimeError("report failed")
+
+        monkeypatch.setattr(cli, "format_fit", fail)
         cfg = tmp_path / "c.cfg"
-        cfg.write_text("fit.model = exp_decay\nfit.csv = /nonexistent/x.csv\n")
+        cfg.write_text("sweep.grid = 0:2:41\nnoise.n_samples = 2\n")
         out = tmp_path / "o"
-        assert self.run_cli("run", "fit", "--config", str(cfg), "--out", str(out)) == 2
-        assert not any(out.iterdir()) if out.exists() else True
+        assert self.run_cli("run", "rabi", "--config", str(cfg), "--out", str(out)) == 2
+        assert written == ["rabi_0.csv"]
+        assert out.is_dir() and not any(out.iterdir())
+
+    @pytest.mark.parametrize("experiment, text, key", [
+        ("rabi", "rabi.powers = -1", "rabi.powers"),
+        ("rabi", "rabi.powers =", "rabi.powers"),
+        ("trend", "trend.couplings_mhz =", "trend.couplings_mhz"),
+        ("trend", "trend.couplings_mhz = -0.5", "trend.couplings_mhz"),
+        ("rabi", "noise.sigma_static_mhz = nan", "noise.sigma_static_mhz"),
+        ("fieldsweep", "fieldsweep.t_wait_us = inf", "fieldsweep.t_wait_us"),
+        ("rabi", "rabi.powers = 1,-inf", "rabi.powers"),
+        ("rabi", "sweep.grid = 0:nan:5", "sweep.grid"),
+        ("rabi", "sweep.grid = 0,inf", "sweep.grid"),
+    ])
+    def test_config_the_model_cannot_honour(self, tmp_path, capsys, experiment, text, key):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text + "\n")
+        out = tmp_path / "o"
+        assert self.run_cli("run", experiment, "--config", str(cfg), "--out", str(out)) == 1
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_run_fit_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            self.run_cli("run", "fit")
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_levels_run(self, tmp_path):
         out = tmp_path / "levels"
@@ -263,23 +295,6 @@ class TestFitCommand:
         out = capsys.readouterr().out
         assert "t_us" in out and "converged: True" in out
 
-    def test_run_fit_nonconvergence_keeps_best_so_far(self, tmp_path, monkeypatch):
-        import nvspin.cli as cli
-        from nvspin.fitting import FitResult
-
-        path = tmp_path / "d.csv"
-        t = np.linspace(0, 20, 101)
-        write_csv(path, {"t_us": t, "y": np.exp(-t / 3.0)})
-        monkeypatch.setattr(
-            cli, "fit_file",
-            lambda *_: FitResult("exp_decay", {"t_us": 2.9}, 1.0, False, 500))
-        cfg = tmp_path / "c.cfg"
-        cfg.write_text(f"fit.model = exp_decay\nfit.csv = {path}\n")
-        out = tmp_path / "o"
-        assert main(["run", "fit", "--config", str(cfg), "--out", str(out)]) == 2
-        report = (out / "fit_report.txt").read_text()
-        assert "converged: False" in report and "t_us = 2.9" in report
-
     def test_fit_command_exits_2_at_iteration_cap(self, tmp_path, monkeypatch, capsys):
         from nvspin import fitting
 
@@ -294,3 +309,14 @@ class TestFitCommand:
         captured = capsys.readouterr()
         assert "flags: max_iter" in captured.out
         assert "did not converge" in captured.err
+
+
+def test_readme_lists_the_cli_surface():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+    def listed(label):
+        line = next(ln for ln in readme.splitlines() if ln.startswith(label))
+        return re.findall(r"`([^`]+)`", line)
+
+    assert listed("Experiments:") == list(EXPERIMENTS)
+    assert listed("Fit models:") == sorted(FIT_MODELS)

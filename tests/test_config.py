@@ -7,10 +7,12 @@ experiment, and the run's CSVs or fit report must differ from the same run
 without it.
 """
 
-import numpy as np
+from dataclasses import replace
+
 import pytest
 
-from nvspin.cli import run, write_csv
+from nvspin import standard_config
+from nvspin.cli import run
 from nvspin.config import SCHEMA, ConfigError, parse_config, resolve_values
 
 # small grids and a two-member ensemble keep each run well under a second
@@ -21,7 +23,6 @@ BASE = {
     "echo": {"sweep.grid": "0.5:3:6"},
     "fieldsweep": {"sweep.grid": "500:530:11"},
     "trend": {},
-    "fit": {"fit.model": "damped_cosine", "fit.csv": "{fast}"},
 }
 
 # key -> (experiment, non-default value[, settings the key acts through])
@@ -39,13 +40,11 @@ REACH = {
     "noise.gamma_phi": ("rabi", "0.5"),
     "noise.gamma_1": ("rabi", "0.1"),
     "noise.n_samples": ("rabi", "3"),
-    "noise.seed": ("rabi", "3"),
     "noise.nuclear_populations": ("rabi", "1,1,1"),
     "readout.polarization": ("rabi", "0.8"),
     "readout.contrast": ("rabi", "0.2"),
     "readout.photons": ("rabi", "900"),
     "drive.f1_mhz": ("rabi", "4"),
-    "drive.b1_gauss": ("rabi", "5"),
     "drive.f_rf_mhz": ("rabi", "500"),
     "cw.pump_rate": ("esr", "2"),
     "cw.laser_dephasing": ("esr", "1"),
@@ -55,8 +54,6 @@ REACH = {
     "fieldsweep.t_wait_us": ("fieldsweep", "2"),
     "trend.couplings_mhz": ("trend", "0.2,0.5,1"),
     "trend.b_probe_gauss": ("trend", "800"),
-    "fit.model": ("fit", "exp_decay"),
-    "fit.csv": ("fit", "{slow}"),
 }
 
 
@@ -64,18 +61,10 @@ REACH = {
 def outputs(tmp_path_factory):
     """Maps (experiment, settings) to the run's {file name: bytes}, without
     the manifest; runs are cached across keys."""
-    data = tmp_path_factory.mktemp("fit_inputs")
-    t = np.linspace(0.0, 6.0, 121)
-    csvs = {}
-    for name, f1 in (("fast", 1.5), ("slow", 1.0)):
-        csvs[name] = data / f"{name}.csv"
-        y = 0.5 + 0.4 * np.exp(-t / 2.0) * np.cos(2 * np.pi * f1 * t)
-        write_csv(csvs[name], {"t_us": t, "y": y})
     cache = {}
 
     def produce(experiment: str, settings: dict) -> dict[str, bytes]:
         text = "".join(f"{key} = {value}\n" for key, value in settings.items())
-        text = text.format(**csvs)
         if (experiment, text) not in cache:
             out = tmp_path_factory.mktemp(experiment)
             run(experiment, resolve_values(text), out)
@@ -114,7 +103,7 @@ def test_key_reaches_every_experiment_reading_it(key, experiment, value, outputs
 @pytest.mark.parametrize("key", [
     "nv.include_nucleus", "nv.a_perp_mhz", "bath.n_spins", "bath.couplings_mhz",
     "bath.a_n_perp_mhz", "readout.repetitions", "sweep.variable", "drive.phase_rad",
-    "noise.nuclear_splitting_mhz",
+    "noise.nuclear_splitting_mhz", "noise.seed", "drive.b1_gauss", "fit.model", "fit.csv",
 ])
 def test_removed_key_is_unknown(key):
     with pytest.raises(ConfigError, match="unknown key"):
@@ -124,3 +113,14 @@ def test_removed_key_is_unknown(key):
 def test_nuclear_populations_need_the_hyperfine_splitting():
     with pytest.raises(ConfigError, match="noise"):
         parse_config("nv.a_par_mhz = 0\nnoise.nuclear_populations = 1,1,1")
+
+
+@pytest.mark.parametrize("seed", [0, 7, 12345, 2**31])
+def test_standard_config_is_the_cli_default(seed):
+    assert standard_config(seed) == parse_config(f"seed = {seed}")
+    assert standard_config() == parse_config("")
+
+
+def test_nuclear_populations_set_on_standard_config():
+    noise = replace(standard_config().noise, nuclear_populations=(1, 1, 1))
+    assert len(noise.ensemble()[0]) == 3 * noise.n_samples

@@ -149,6 +149,22 @@ class TestEvolveLindblad:
             evolve_lindblad(np.array([[0, 1], [0, 0]], dtype=complex), [],
                             basis_density(2, 0), 1.0)
 
+    def test_trajectory_rejects_non_hermitian_stack(self):
+        hs = np.array([rwa_hamiltonian(1.0, df) for df in (0.0, 0.5)])
+        hs[1, 0, 1] += 0.1j
+        with pytest.raises(NonHermitianError):
+            lindblad_trajectory(hs, [], basis_density(2, 0), [0.0, 1.0])
+
+    def test_trajectory_rejects_state_dimension_mismatch(self):
+        h = np.zeros((4, 4), dtype=complex)
+        with pytest.raises(ValueError, match="dimensions"):
+            lindblad_trajectory(h, [], basis_density(2, 0), [0.0, 1.0])
+
+    def test_trajectory_rejects_non_finite_times(self):
+        with pytest.raises(ValueError, match="finite"):
+            lindblad_trajectory(rwa_hamiltonian(1.0, 0.0), [], basis_density(2, 0),
+                                [0.0, np.nan, 1.0])
+
     def test_trajectory_matches_single_shot(self):
         h = rwa_hamiltonian(2.0, -0.7)
         collapse = [(SZ, 0.25)]

@@ -178,10 +178,8 @@ class TestDampedCosineFit:
         assert abs(_wrap_phase(fit["phase_rad"] - 0.3)) < 1e-3
 
     def test_rabi_frequency_from_one_gauss_drive(self):
-        # f1 = gamma B1 / 2 with B1 = 1 G
-        from nvspin.hamiltonian import DriveParams
-
-        f1 = DriveParams.from_b1(1.0).f1_mhz
+        # f1 = gamma B1 / 2 with B1 = 1 G and g = 2
+        f1 = 1.3996245
         t = np.linspace(0.0, 6.0, 301)
         fit = fit_damped_cosine(Trace(t, damped_cosine(t, 0.8, 0.2, f1, 4.0, 0.0)))
         assert abs(fit["f1_mhz"] - 1.3996245) < 0.01
@@ -302,6 +300,24 @@ class TestLorentzianFit:
         x = np.linspace(-10.0, 10.0, 81)
         fit = fit_lorentzian(Trace(x, lorentzian(x, 0.0, 1.0, 0.0, 4.0)))
         assert abs(fit["center"]) < 1e-6
+
+    def test_center_outside_the_data_flagged(self):
+        # a low-SNR dip (amplitude 8 against noise sd 4) whose fit wanders
+        # off to a center far beyond the 499-529 G sweep
+        x = np.linspace(499.0, 529.0, 31)
+        noise = np.random.default_rng(4).normal(0.0, 4.0, len(x))
+        fit = fit_lorentzian(Trace(x, lorentzian(x, 100.0, -8.0, 514.4, 3.0) + noise))
+        assert not x[0] <= fit["center"] <= x[-1]
+        assert "outside_span" in fit.flags
+
+    def test_resonance_dip_not_flagged(self):
+        # the field sweep's photoluminescence dip: 60 points across 514.4 G
+        x = np.linspace(499.4, 529.4, 60)
+        noise = np.random.default_rng(9).normal(0.0, 0.5, len(x))
+        fit = fit_lorentzian(Trace(x, lorentzian(x, 900.0, -60.0, 514.4, 6.0) + noise))
+        assert fit.converged
+        assert abs(fit["center"] - 514.4) < 0.2
+        assert "outside_span" not in fit.flags
 
     def test_flat_trace_flagged(self):
         x = np.linspace(0.0, 10.0, 21)

@@ -134,10 +134,6 @@ class TestRotatingFrame:
 
 
 class TestDriveParams:
-    def test_f1_from_b1(self):
-        drive = DriveParams.from_b1(1.0, g=2.00)
-        assert np.isclose(drive.f1_mhz, 1.3996245)
-
     def test_negative_f1_rejected(self):
         with pytest.raises(ValueError):
             DriveParams(f1_mhz=-1.0)
