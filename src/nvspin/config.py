@@ -83,6 +83,14 @@ SCHEMA: dict[str, SchemaEntry] = {
     "trend.b_probe_gauss": SchemaEntry("float", 850.0, "field where T2' is probed", True),
 }
 
+# keys deleted from the schema, with what replaced each, for the unknown-key hint
+_REMOVED_KEYS: dict[str, str] = {
+    "noise.seed": "seed",
+    "drive.b1_gauss": "drive.f1_mhz",
+    "fit.model": "nvspin fit <model> <csv>",
+    "fit.csv": "nvspin fit <model> <csv>",
+}
+
 
 def _finite(raw: str) -> float:
     value = float(raw)
@@ -123,6 +131,25 @@ def _parse_scalar(kind: str, raw: str):
     raise AssertionError(f"unknown schema kind {kind}")
 
 
+def _unknown_key_hint(key: str) -> str:
+    """What to use instead of ``key``: its replacement if it was removed,
+    else the closest schema key, or nothing."""
+    if key in _REMOVED_KEYS:
+        return f" (removed; use {_REMOVED_KEYS[key]!r} instead)"
+    close = difflib.get_close_matches(key, SCHEMA.keys(), n=1, cutoff=0.5)
+    if not close and "." in key:
+        section = key.split(".", 1)[0] + "."
+        section_keys = [k for k in SCHEMA if k.startswith(section)]
+        tail = difflib.get_close_matches(
+            key.split(".", 1)[1],
+            [k.split(".", 1)[1] for k in section_keys],
+            n=1, cutoff=0.3,
+        )
+        if tail:
+            close = [section + tail[0]]
+    return f" (did you mean {close[0]!r}?)" if close else ""
+
+
 def resolve_values(text: str) -> dict:
     """Parse config text into a fully defaulted {key: value} mapping."""
     values = {key: entry.default for key, entry in SCHEMA.items()}
@@ -134,21 +161,7 @@ def resolve_values(text: str) -> dict:
             raise ConfigError(f"line {lineno}, column 1: expected 'key = value'")
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in SCHEMA:
-            hint = ""
-            close = difflib.get_close_matches(key, SCHEMA.keys(), n=1, cutoff=0.5)
-            if not close and "." in key:
-                section = key.split(".", 1)[0] + "."
-                section_keys = [k for k in SCHEMA if k.startswith(section)]
-                tail = difflib.get_close_matches(
-                    key.split(".", 1)[1],
-                    [k.split(".", 1)[1] for k in section_keys],
-                    n=1, cutoff=0.3,
-                )
-                if tail:
-                    close = [section + tail[0]]
-            if close:
-                hint = f" (did you mean {close[0]!r}?)"
-            raise ConfigError(f"line {lineno}: unknown key {key!r}{hint}")
+            raise ConfigError(f"line {lineno}: unknown key {key!r}{_unknown_key_hint(key)}")
         try:
             values[key] = _parse_scalar(SCHEMA[key].kind, raw)
         except ValueError as exc:

@@ -11,8 +11,9 @@ with H in MHz and rates gamma_k in 1/us.  Hamiltonians may be stacks
 Liouvillian over one step (the pulse sequences' only path, closed systems
 included; a fixed-step RK4 is held to agreement with it),
 ``lindblad_trajectory`` steps a time grid with the same exponential and
-``steady_state`` takes its null space.  Both integrators reject a
-non-Hermitian Hamiltonian and a state whose size differs from it.
+``steady_state`` takes every member's null space in one batched solve.
+Both integrators reject a non-Hermitian Hamiltonian and a state whose
+size differs from it.
 """
 
 from collections.abc import Callable, Sequence
@@ -97,12 +98,15 @@ def basis_density(dim: int, index: int) -> np.ndarray:
 
 def validate_density(rho: np.ndarray, *, herm_atol: float = 1e-8,
                      trace_atol: float = 1e-8, eig_floor: float = -1e-7) -> None:
-    """Raise if ``rho`` is not Hermitian, unit-trace and (near) positive."""
-    if np.max(np.abs(rho - rho.conj().T)) > herm_atol:
+    """Raise if ``rho``, or any member of a stack ``(..., d, d)``, is not
+    Hermitian, unit-trace and (near) positive."""
+    rho_dag = np.conj(np.swapaxes(rho, -1, -2))
+    if np.max(np.abs(rho - rho_dag)) > herm_atol:
         raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > trace_atol or abs(np.trace(rho).imag) > trace_atol:
+    tr = np.trace(rho, axis1=-2, axis2=-1)
+    if np.max(np.abs(tr.real - 1.0)) > trace_atol or np.max(np.abs(tr.imag)) > trace_atol:
         raise ValueError("density matrix trace differs from 1")
-    if np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))) < eig_floor:
+    if np.min(np.linalg.eigvalsh(0.5 * (rho + rho_dag))) < eig_floor:
         raise ValueError("density matrix has a significantly negative eigenvalue")
 
 
@@ -281,24 +285,31 @@ def lindblad_trajectory(h: np.ndarray, collapse_ops: CollapseOps, rho0: np.ndarr
 
 
 def steady_state(h: np.ndarray, collapse_ops: CollapseOps) -> np.ndarray:
-    """Unique stationary state of the Lindblad generator.
+    """Unique stationary state of the Lindblad generator, for one
+    Hamiltonian or a stack ``(..., d, d)`` solved in one batched call.
 
-    Raises :class:`DegenerateSteadyStateError` when the null space of the
-    Liouvillian is not one-dimensional (e.g. no dissipation at all).
+    Raises :class:`DegenerateSteadyStateError` when any member's Liouvillian
+    null space is not one-dimensional (e.g. no dissipation at all) or its
+    vector has zero trace; every member passes :func:`validate_density`.
     """
     liou = build_liouvillian(h, collapse_ops)
-    ns = scipy.linalg.null_space(liou, rcond=1e-10)
-    if ns.shape[1] != 1:
+    try:
+        ns = scipy.linalg.null_space(liou, rcond=1e-10)
+    except ValueError as exc:
+        if liou.ndim == 2:
+            raise
         raise DegenerateSteadyStateError(
-            f"Liouvillian null space has dimension {ns.shape[1]}, expected 1"
+            f"Liouvillian null spaces differ across the stack: {exc}") from exc
+    if ns.shape[-1] != 1:
+        raise DegenerateSteadyStateError(
+            f"Liouvillian null space has dimension {ns.shape[-1]}, expected 1"
         )
-    dim = h.shape[0]
-    rho = ns[:, 0].reshape(dim, dim)
-    rho = 0.5 * (rho + rho.conj().T)
-    tr = np.trace(rho).real
-    if abs(tr) < 1e-12:
+    rho = ns[..., 0].reshape(h.shape)
+    rho = 0.5 * (rho + np.conj(np.swapaxes(rho, -1, -2)))
+    tr = np.trace(rho, axis1=-2, axis2=-1).real
+    if np.any(np.abs(tr) < 1e-12):
         raise DegenerateSteadyStateError("null-space vector has zero trace")
-    rho = rho / tr
+    rho = rho / tr[..., None, None]
     validate_density(rho, herm_atol=1e-8, trace_atol=1e-8, eig_floor=-1e-6)
     return rho
 

@@ -222,7 +222,8 @@ def exp_cw_esr(cfg: ExperimentConfig, f_grid_mhz) -> Trace:
 
     Optical pumping repolarizes the spin at ``cfg.pump_rate`` while the
     drive depolarizes it near resonance, producing the photoluminescence
-    dip at the 0 -> -1 transition frequency.
+    dip at the 0 -> -1 transition frequency.  One ``steady_state`` call per
+    ensemble member: one call on the whole grid raised peak RSS by ~7%.
     """
     f_grid = np.asarray(f_grid_mhz, dtype=float)
     f_t = nv_transition_mhz(cfg)
@@ -231,9 +232,7 @@ def exp_cw_esr(cfg: ExperimentConfig, f_grid_mhz) -> Trace:
     collapse = [(_LOWER, cfg.pump_rate), *pair_collapse_ops(markov)]
     deltas, weights = cfg.noise.ensemble()
     h = pair_hamiltonian(f_t + deltas[:, None] - f_grid, cfg.drive.f1_mhz)
-    p0 = np.empty(h.shape[:-2])
-    for idx in np.ndindex(p0.shape):
-        p0[idx] = steady_state(h[idx], collapse)[0, 0].real
+    p0 = np.array([steady_state(h_m, collapse)[..., 0, 0].real for h_m in h])
     return Trace(f_grid, cfg.readout.counts(weights @ p0), "MHz", "counts",
                  {"n_samples": cfg.noise.n_samples, "b_gauss": cfg.b_field_gauss,
                   "transition_mhz": f_t})
@@ -336,13 +335,18 @@ def exp_field_sweep(cfg: ExperimentConfig, b_grid_gauss) -> SweepResult:
     )
 
 
-def exp_t2p_vs_dip(cfgs: list[ExperimentConfig], b_probe_gauss: float = 850.0) -> Trace:
+def exp_t2p_vs_dip(cfgs: list[ExperimentConfig], b_probe_gauss: float | None = None) -> Trace:
     """T2' at the probe field versus the normalized photoluminescence dip
     amplitude on resonance, one point per synthetic center.
 
+    ``b_probe_gauss`` defaults to the schema's ``trend.b_probe_gauss``.
     Output is sorted by dip amplitude; the Rabi window is the field
     sweep's.
     """
+    if b_probe_gauss is None:
+        from .config import SCHEMA
+
+        b_probe_gauss = SCHEMA["trend.b_probe_gauss"].default
     t_grid = RABI_WINDOW_US
     amplitudes = []
     t2ps = []

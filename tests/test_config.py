@@ -110,6 +110,18 @@ def test_removed_key_is_unknown(key):
         parse_config(f"{key} = 1")
 
 
+@pytest.mark.parametrize("key, replacement", [
+    ("noise.seed", "seed"),
+    ("drive.b1_gauss", "drive.f1_mhz"),
+    ("fit.model", "nvspin fit <model> <csv>"),
+    ("fit.csv", "nvspin fit <model> <csv>"),
+])
+def test_removed_key_hint_names_its_replacement(key, replacement):
+    with pytest.raises(ConfigError, match="unknown key") as err:
+        parse_config(f"{key} = 1")
+    assert f"use {replacement!r} instead" in str(err.value)
+
+
 def test_nuclear_populations_need_the_hyperfine_splitting():
     with pytest.raises(ConfigError, match="noise"):
         parse_config("nv.a_par_mhz = 0\nnoise.nuclear_populations = 1,1,1")

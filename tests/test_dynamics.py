@@ -332,6 +332,32 @@ class TestSteadyState:
         with pytest.raises(DegenerateSteadyStateError):
             steady_state(np.zeros((2, 2), dtype=complex), [])
 
+    def test_stack_matches_member_loop(self):
+        collapse = [(self.pump(), 1.0), (np.diag([1.0, -1.0]).astype(complex), 0.3)]
+        h = np.array([[rwa_hamiltonian(f1, df) for df in np.linspace(-4.0, 4.0, 5)]
+                      for f1 in (0.5, 1.5, 3.0)])
+        rho = steady_state(h, collapse)
+        assert rho.shape == (3, 5, 2, 2)
+        for idx in np.ndindex(3, 5):
+            assert np.max(np.abs(rho[idx] - steady_state(h[idx], collapse))) <= 1e-12
+
+    def test_degenerate_stack_rejected(self):
+        with pytest.raises(DegenerateSteadyStateError, match="dimension 4"):
+            steady_state(np.zeros((4, 2, 2), dtype=complex), [])
+
+    def test_stack_with_one_undissipated_member_rejected(self):
+        # the pump empties level 1 only; level 2 reaches it through the
+        # drive in every member but the last, where its population is kept
+        pump = np.zeros((3, 3), dtype=complex)
+        pump[0, 1] = 1.0
+        h = np.zeros((3, 3, 3), dtype=complex)
+        h[:, 2, 2] = 0.5
+        h[:-1, 1, 2] = h[:-1, 2, 1] = 1.0
+        steady_state(h[:-1], [(pump, 1.0)])
+        with pytest.raises(DegenerateSteadyStateError) as err:
+            steady_state(h, [(pump, 1.0)])
+        assert isinstance(err.value.__cause__, ValueError)
+
 
 class TestValidateDensity:
     def test_accepts_valid(self):
@@ -344,6 +370,24 @@ class TestValidateDensity:
     def test_rejects_negative(self):
         rho = np.diag([1.5, -0.5]).astype(complex)
         with pytest.raises(ValueError):
+            validate_density(rho)
+
+    @staticmethod
+    def stack():
+        return np.broadcast_to(np.diag([0.75, 0.25]).astype(complex), (3, 4, 2, 2)).copy()
+
+    def test_accepts_valid_stack(self):
+        validate_density(self.stack())
+
+    @pytest.mark.parametrize("defect, message", [
+        (np.array([[0.0, 0.1], [0.0, 0.0]]), "not Hermitian"),
+        (np.diag([0.1, 0.0]), "trace"),
+        (np.diag([0.5, -0.5]), "negative eigenvalue"),
+    ])
+    def test_rejects_stack_with_one_bad_member(self, defect, message):
+        rho = self.stack()
+        rho[2, 1] += defect
+        with pytest.raises(ValueError, match=message):
             validate_density(rho)
 
 
