@@ -130,6 +130,7 @@ def spectral_peak_count(trace: Trace) -> int:
 # ---------------------------------------------------------------------------
 # joint N-V + bath-spin model (rotating frame)
 
+_P0 = np.diag([1.0, 0.0]).astype(complex)          # projector on m_S = 0
 _P1 = np.diag([0.0, 1.0]).astype(complex)          # projector on the driven level
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
 _SZ_PAIR = np.diag([0.0, -1.0]).astype(complex)    # physical m_S values 0, -1
@@ -144,6 +145,7 @@ _DRIVE_OP = np.kron(_SX, _EYE2)
 _BATH_OP = np.kron(_EYE2, _SZ_HALF)
 _ZZ_OP = np.kron(_SZ_PAIR, _SZ_HALF)
 _BATH_DEPHASING = np.kron(_EYE2, _FLIP)
+_MS0_OP = np.kron(_P0, _EYE2)
 
 
 def joint_frame_hamiltonian(delta_nv_mhz, nu_bath_mhz, f1_mhz: float,
@@ -190,27 +192,28 @@ def _bath_branches(bath: BathParams) -> tuple[np.ndarray, np.ndarray]:
     return np.array([-a, 0.0, a]), np.full(3, 1 / 3)
 
 
-def _joint_p0(cfg: ExperimentConfig, b_gauss: float, f1_mhz: float,
-              times) -> np.ndarray:
+def _joint_p0(cfg: ExperimentConfig, b_gauss, f1_mhz: float, times) -> np.ndarray:
     """Ensemble-averaged m_S = 0 population of the joint model at ``times``
     after laser initialization, bath spin mixed.
 
-    One Lindblad stack over P1 hyperfine branch x N-V ensemble member.
-    With ``f1_mhz = 0`` this is the dark wait of the init-wait-readout
-    cycle; otherwise a Rabi nutation against the explicit bath spin.
+    One Lindblad stack over field x P1 hyperfine branch x N-V ensemble
+    member; a scalar ``b_gauss`` gives shape ``(len(times),)`` and a field
+    array its shape plus ``(len(times),)``.  With ``f1_mhz = 0`` this is the
+    dark wait of the init-wait-readout cycle; otherwise a Rabi nutation
+    against the explicit bath spin.
     """
-    f_t = nv_transition_mhz(cfg, b_gauss)
-    nu0 = cfg.nv.gamma * b_gauss - f_t
+    b = np.asarray(b_gauss, dtype=float)
+    f_t = np.reshape([nv_transition_mhz(cfg, b_i) for b_i in b.flat], b.shape)
+    nu0 = cfg.nv.gamma * b - f_t
     shifts, bath_weights = _bath_branches(cfg.bath)
     deltas, weights = cfg.noise.ensemble()
-    h = joint_frame_hamiltonian(deltas, (nu0 + shifts)[:, None], f1_mhz,
+    h = joint_frame_hamiltonian(deltas, (nu0[..., None] + shifts)[..., None], f1_mhz,
                                 cfg.bath.coupling_mhz)
     rho0 = np.kron(cfg.init.density(), _EYE2 / 2)
     collapse = _joint_collapse(cfg.noise, cfg.bath)
-    rhos = lindblad_trajectory(h, collapse, rho0, times)
-    p0 = rhos[..., 0, 0].real + rhos[..., 1, 1].real
+    p0 = lindblad_trajectory(h, collapse, rho0, times, observable=_MS0_OP)
     member_weights = bath_weights[:, None] * weights
-    return np.sum(member_weights[..., None] * p0, axis=(0, 1))
+    return np.sum(member_weights[..., None] * p0, axis=(-3, -2))
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +254,8 @@ def exp_rabi(cfg: ExperimentConfig, t_grid_us, powers=None) -> SweepResult:
     for power in powers:
         f1 = cfg.drive.f1_mhz * np.sqrt(power)
         h = pair_hamiltonian(_frame_detuning(cfg, f1) + deltas, f1)
-        rhos = lindblad_trajectory(h, collapse, rho0, t_grid)
-        trace = Trace(t_grid, cfg.readout.counts(weights @ rhos[..., 0, 0].real), "us",
+        p0 = lindblad_trajectory(h, collapse, rho0, t_grid, observable=_P0)
+        trace = Trace(t_grid, cfg.readout.counts(weights @ p0), "us",
                       "counts", {"n_samples": cfg.noise.n_samples, "power": power,
                                  "f1_mhz": f1, "b_gauss": cfg.b_field_gauss})
         traces.append(trace)
@@ -305,20 +308,15 @@ def exp_field_sweep(cfg: ExperimentConfig, b_grid_gauss) -> SweepResult:
     Per field point the joint N-V + P1 model yields (i) the
     photoluminescence after an init-wait-readout cycle and (ii) an
     ensemble-averaged Rabi trace whose damped-cosine fit gives 1/T2'.
+    Each of the two is one ``_joint_p0`` stack over the whole field grid.
     Both field profiles are then fit with Lorentzians.
     """
     b_grid = np.asarray(b_grid_gauss, dtype=float)
     t_grid = RABI_WINDOW_US
-    ipl = np.empty_like(b_grid)
-    t2p = np.empty_like(b_grid)
-    f1 = cfg.drive.f1_mhz
-    rabi_fits = []
-    for i, b in enumerate(b_grid):
-        ipl[i] = cfg.readout.counts(_joint_p0(cfg, b, 0.0, [cfg.t_wait_us])[0])
-        rabi = cfg.readout.counts(_joint_p0(cfg, b, f1, t_grid))
-        fit = fit_damped_cosine(Trace(t_grid, rabi, "us", "counts"))
-        rabi_fits.append(fit)
-        t2p[i] = fit["t2p_us"]
+    ipl = cfg.readout.counts(_joint_p0(cfg, b_grid, 0.0, [cfg.t_wait_us])[:, 0])
+    rabi = cfg.readout.counts(_joint_p0(cfg, b_grid, cfg.drive.f1_mhz, t_grid))
+    rabi_fits = [fit_damped_cosine(Trace(t_grid, y, "us", "counts")) for y in rabi]
+    t2p = np.array([fit["t2p_us"] for fit in rabi_fits])
     ipl_trace = Trace(b_grid, ipl, "G", "counts", {"observable": "i_pl"})
     inv_trace = Trace(b_grid, 1.0 / t2p, "G", "1/us", {"observable": "inv_t2p"})
     fits = [fit_lorentzian(ipl_trace), fit_lorentzian(inv_trace)]
@@ -352,10 +350,8 @@ def exp_t2p_vs_dip(cfgs: list[ExperimentConfig], b_probe_gauss: float | None = N
     t2ps = []
     for cfg in cfgs:
         b_res = resonance_field(cfg.nv)
-        wait = [cfg.t_wait_us]
-        i_res = cfg.readout.counts(_joint_p0(cfg, b_res, 0.0, wait)[0])
-        i_off = cfg.readout.counts(
-            _joint_p0(cfg, b_res + OFF_RESONANCE_OFFSET_GAUSS, 0.0, wait)[0])
+        fields = [b_res, b_res + OFF_RESONANCE_OFFSET_GAUSS]
+        i_res, i_off = cfg.readout.counts(_joint_p0(cfg, fields, 0.0, [cfg.t_wait_us])[:, 0])
         amplitudes.append((i_off - i_res) / i_off)
         rabi = cfg.readout.counts(_joint_p0(cfg, b_probe_gauss, cfg.drive.f1_mhz, t_grid))
         fit = fit_damped_cosine(Trace(t_grid, rabi, "us", "counts"))

@@ -1,3 +1,4 @@
+import json
 import re
 import subprocess
 import sys
@@ -152,7 +153,7 @@ class TestRunCommand:
         assert outputs[0] == outputs[1]
 
     def test_fieldsweep_byte_identical_across_thread_counts(self, tmp_path):
-        # the joint model solves one batched Lindblad stack per field point
+        # the joint model solves one batched Lindblad stack over the field grid
         outputs = self.csv_at_thread_counts(
             tmp_path, "fieldsweep", "sweep.grid = 505:524:8\nnoise.n_samples = 4\n",
             "fieldsweep.csv")
@@ -171,6 +172,31 @@ class TestRunCommand:
             tmp_path, "echo", "sweep.grid = 0.5:3:6\nnoise.n_samples = 4\n" + tau1,
             "echo.csv")
         assert outputs[0] == outputs[1]
+
+    def test_scipy_linalg_stays_unloaded(self, tmp_path):
+        # only the steady state of esr needs scipy (its null_space); every
+        # other command must run without importing it
+        out = tmp_path / "out"
+        commands = [["run", exp, "--out", str(out / exp)]
+                    for exp in ("echo", "rabi", "fieldsweep", "trend", "levels")]
+        commands.append(["fit", "damped_cosine", str(out / "rabi" / "rabi_0.csv")])
+        script = (
+            "import json, sys\n"
+            "import nvspin.cli\n"
+            "loaded = {'import nvspin.cli': 'scipy.linalg' in sys.modules}\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    code = nvspin.cli.main(argv)\n"
+            "    loaded['nvspin ' + ' '.join(argv[:2]) + f' (exit {code})'] = "
+            "'scipy.linalg' in sys.modules\n"
+            "print(json.dumps(loaded))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                              env=cli_env("1"), capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert len(loaded) == 1 + len(commands)
+        assert all("(exit 0)" in step for step in list(loaded)[1:]), loaded
+        assert not any(loaded.values()), loaded
 
     def test_seed_override_changes_outputs(self, tmp_path):
         cfg = tmp_path / "c.cfg"

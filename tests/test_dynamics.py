@@ -4,6 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nvspin import dynamics
 from nvspin.dynamics import (
     DegenerateSteadyStateError,
     NoiseModel,
@@ -18,8 +19,14 @@ from nvspin.dynamics import (
     steady_state,
     validate_density,
 )
+from nvspin.experiments import (
+    _joint_collapse,
+    joint_frame_hamiltonian,
+    nv_transition_mhz,
+    standard_config,
+)
 from nvspin.fitting import Trace, fit_exp_decay
-from nvspin.hamiltonian import DriveParams
+from nvspin.hamiltonian import DriveParams, pair_hamiltonian, resonance_field
 from nvspin.pulseq import hahn_sequence, ramsey_sequence, run_sequence
 from nvspin.pulseq import LaserInit, Readout
 from nvspin.spinops import NonHermitianError
@@ -244,7 +251,7 @@ class TestHamiltonianStacks:
         # a Jordan-block member beside a generic one: both follow their own
         # trajectory, and the stack costs one exponential per distinct step
         expm_calls = []
-        expm = scipy.linalg.expm
+        expm = dynamics.expm
 
         def counted(a):
             expm_calls.append(a)
@@ -257,7 +264,7 @@ class TestHamiltonianStacks:
         rho0 = basis_density(3, 2)
         times = np.linspace(0.0, 3.0, 7)
         single = lindblad_trajectory(hs[1], collapse, rho0, times)
-        monkeypatch.setattr(scipy.linalg, "expm", counted)
+        monkeypatch.setattr(dynamics, "expm", counted)
         traj = lindblad_trajectory(hs, collapse, rho0, times)
         # a uniform grid reuses one propagator
         assert len(expm_calls) == 1
@@ -305,6 +312,81 @@ class TestHamiltonianStacks:
             evolve_lindblad(hs, [], basis_density(3, 0), 1.0)
         with pytest.raises(ValueError, match="dimensions"):
             evolve_lindblad(hs[0], [], basis_density(3, 0), 1.0)
+
+    def test_observable_matches_trace_of_full_states(self):
+        # a stack longer than two blocks, so members on both sides of each
+        # block boundary are checked
+        n = 2 * dynamics.TRAJECTORY_BLOCK + 5
+        rng = np.random.default_rng(11)
+        hs = pair_hamiltonian(rng.normal(0.0, 2.0, size=n), 5.0).reshape(n, 1, 2, 2)
+        collapse = pair_collapse_ops(NoiseModel(gamma_phi=0.4, gamma_1=0.1))
+        rho0 = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]], dtype=complex)
+        obs = np.array([[0.9, 0.3 + 0.4j], [0.3 - 0.4j, -0.2]])
+        times = np.array([0.0, 0.3, 1.1, 1.9, 2.5])
+        full = lindblad_trajectory(hs, collapse, rho0, times)
+        traced = lindblad_trajectory(hs, collapse, rho0, times, observable=obs)
+        assert full.shape == (n, 1, len(times), 2, 2)
+        assert traced.shape == (n, 1, len(times))
+        expected = np.einsum("ij,...ji->...", obs, full).real
+        assert np.max(np.abs(traced - expected)) <= 1e-12
+        single = lindblad_trajectory(hs[-1, 0], collapse, rho0, times)
+        assert np.max(np.abs(full[-1, 0] - single)) <= 1e-12
+
+
+def relative_error(a, ref):
+    return np.max(np.abs(a - ref)) / np.max(np.abs(ref))
+
+
+class TestExpm:
+    """``dynamics.expm`` against ``scipy.linalg.expm`` on the stacks the
+    experiments exponentiate."""
+
+    def test_pair_liouvillians_at_delays_and_pulses(self):
+        cfg = standard_config()
+        deltas, _ = cfg.noise.ensemble()
+        collapse = pair_collapse_ops(cfg.noise)
+        for f1, t in ((cfg.drive.f1_mhz, 0.1), (cfg.drive.f1_mhz, 0.05),
+                      (0.0, 0.5), (0.0, 6.0)):
+            liou = build_liouvillian(pair_hamiltonian(deltas, f1), collapse) * t
+            assert liou.shape == (len(deltas), 4, 4)
+            assert relative_error(dynamics.expm(liou), scipy.linalg.expm(liou)) <= 1e-12
+
+    @staticmethod
+    def joint_liouvillians(fields, f1, t):
+        cfg = standard_config()
+        deltas, _ = cfg.noise.ensemble()
+        nu0 = [cfg.nv.gamma * b - nv_transition_mhz(cfg, b) for b in fields]
+        h = joint_frame_hamiltonian(deltas, np.array(nu0)[:, None], f1,
+                                    cfg.bath.coupling_mhz)
+        return build_liouvillian(h, _joint_collapse(cfg.noise, cfg.bath)) * t
+
+    def test_joint_rabi_step(self):
+        b_res = resonance_field(standard_config().nv)
+        liou = self.joint_liouvillians([b_res - 15.0, b_res, b_res + 15.0], 5.0, 0.025)
+        assert liou.shape == (3, 24, 16, 16)
+        assert relative_error(dynamics.expm(liou), scipy.linalg.expm(liou)) <= 1e-12
+
+    def test_dark_wait_mixing_on_and_off_resonance(self):
+        # one squaring count serves 1-norms an order of magnitude apart
+        cfg = standard_config()
+        b_res = resonance_field(cfg.nv)
+        liou = self.joint_liouvillians([b_res - 15.0, b_res, b_res + 15.0], 0.0,
+                                       cfg.t_wait_us)
+        norms = np.max(np.sum(np.abs(liou), axis=-2), axis=-1)
+        assert np.min(norms) < 300 and np.max(norms) > 2500
+        assert relative_error(dynamics.expm(liou), scipy.linalg.expm(liou)) <= 1e-12
+
+    def test_defective_cascade(self):
+        liou = build_liouvillian(np.zeros((3, 3), dtype=complex), cascade_collapse())
+        for t in (0.1, 1.0, 7.5):
+            assert relative_error(dynamics.expm(liou * t),
+                                  scipy.linalg.expm(liou * t)) <= 1e-12
+
+    def test_zero_matrix_and_empty_stack(self):
+        zero = np.zeros((2, 4, 4), dtype=complex)
+        assert relative_error(dynamics.expm(zero), scipy.linalg.expm(zero)) <= 1e-12
+        empty = np.zeros((0, 4, 4), dtype=complex)
+        assert dynamics.expm(empty).shape == scipy.linalg.expm(empty).shape == (0, 4, 4)
 
 
 class TestSteadyState:
@@ -388,6 +470,16 @@ class TestValidateDensity:
         rho = self.stack()
         rho[2, 1] += defect
         with pytest.raises(ValueError, match=message):
+            validate_density(rho)
+
+    def test_rejects_nan_matrix(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            validate_density(np.full((2, 2), np.nan, dtype=complex))
+
+    def test_rejects_stack_with_one_nan_member(self):
+        rho = self.stack()
+        rho[1, 3, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
             validate_density(rho)
 
 

@@ -194,6 +194,17 @@ class TestJointModel:
             assert stacked.shape == (len(times),)
             assert np.max(np.abs(stacked - looped_joint_p0(cfg, b_gauss, f1, times))) <= 1e-9
 
+    def test_field_stack_matches_per_field_calls(self):
+        # six fields of 24 members span two trajectory blocks, and the dark
+        # wait mixes on- and off-resonance 1-norms in one block
+        cfg = standard_config()
+        fields = resonance_field(cfg.nv) + np.array([-15.0, -4.0, -0.3, 0.0, 2.5, 15.0])
+        for f1, times in ((0.0, [cfg.t_wait_us]), (5.0, np.linspace(0.0, 4.0, 161))):
+            stacked = _joint_p0(cfg, fields, f1, times)
+            assert stacked.shape == (len(fields), len(times))
+            per_field = np.array([_joint_p0(cfg, b, f1, times) for b in fields])
+            assert np.max(np.abs(stacked - per_field)) <= 1e-12
+
 
 def callback_esr(cfg, f_grid):
     """The per-member callback formulation of ``exp_cw_esr``."""
