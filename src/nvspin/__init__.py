@@ -9,10 +9,10 @@ extract f1, T2', T2 and resonance line parameters.
 
 __version__ = "0.1.0"
 
+from .config import ExperimentConfig, standard_config
 from .constants import MU_B_MHZ_PER_G, gyromagnetic_ratio
 from .dynamics import (
     NoiseModel,
-    ensemble_average,
     evolve_lindblad,
     lindblad_trajectory,
     propagate,
@@ -20,7 +20,6 @@ from .dynamics import (
     steady_state,
 )
 from .experiments import (
-    ExperimentConfig,
     SweepResult,
     exp_cw_esr,
     exp_field_sweep,
@@ -29,7 +28,6 @@ from .experiments import (
     exp_rabi,
     exp_t2p_vs_dip,
     spectral_peak_count,
-    standard_config,
     trend_configs,
 )
 from .fitting import (

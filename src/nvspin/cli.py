@@ -146,7 +146,7 @@ def _grid(experiment: str, cfg) -> np.ndarray:
     return _default_grid(experiment, cfg)
 
 
-def _run_experiment(experiment: str, cfg, values, out: OutputTracker) -> list[str]:
+def _run_experiment(experiment: str, cfg, out: OutputTracker) -> list[str]:
     reports: list[str] = []
     if experiment == "esr":
         trace = exp_cw_esr(cfg, _grid("esr", cfg))
@@ -160,10 +160,9 @@ def _run_experiment(experiment: str, cfg, values, out: OutputTracker) -> list[st
             write_csv(out.path(f"rabi_{i}.csv"), {"t_us": trace.x, "i_pl": trace.y})
             reports.append(f"rabi power {trace.meta['power']}:\n{format_fit(fit)}")
     elif experiment == "echo":
-        tau1 = values["echo.tau1_us"]
-        result = exp_hahn(cfg, _grid("echo", cfg), None if tau1 < 0 else tau1)
+        result = exp_hahn(cfg, _grid("echo", cfg))
         trace = result.traces[0]
-        xname = "total_delay_us" if tau1 < 0 else "tau2_us"
+        xname = "total_delay_us" if cfg.echo_tau1_us is None else "tau2_us"
         write_csv(out.path("echo.csv"), {xname: trace.x, "i_pl": trace.y})
         for fit in result.fits:
             reports.append(format_fit(fit))
@@ -183,11 +182,11 @@ def _run_experiment(experiment: str, cfg, values, out: OutputTracker) -> list[st
         reports.append("resonance_field_gauss = "
                        + format_float(result.derived["resonance_field_gauss"]))
     elif experiment == "trend":
-        trace = exp_t2p_vs_dip(trend_configs(cfg), values["trend.b_probe_gauss"])
+        trace = exp_t2p_vs_dip(trend_configs(cfg))
         write_csv(out.path("trend.csv"),
                   {"dip_amplitude": trace.x, "t2p_us": trace.y})
         reports.append(f"trend over {trace.meta['n_centers']} centers "
-                       f"at {format_float(trace.meta['b_probe_gauss'])} G")
+                       f"at {format_float(cfg.b_probe_gauss)} G")
     elif experiment == "levels":
         cols = exp_levels(cfg, _grid("levels", cfg))
         write_csv(out.path("levels.csv"), cols)
@@ -208,7 +207,7 @@ def run(experiment: str, values: dict, out_dir: Path) -> RunManifest:
     tracker = OutputTracker(out_dir)
     start = time.monotonic()
     try:
-        reports = _run_experiment(experiment, cfg, values, tracker)
+        reports = _run_experiment(experiment, cfg, tracker)
         report_path = tracker.path("fit_report.txt")
         report_path.write_text("\n\n".join(reports) + "\n")
         manifest_path = tracker.path("manifest.txt")

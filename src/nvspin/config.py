@@ -14,13 +14,51 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .dynamics import NoiseModel
-from .experiments import ExperimentConfig, SweepSpec
 from .hamiltonian import BathParams, DriveParams, NvParams
 from .pulseq import LaserInit, Readout
 
 
 class ConfigError(ValueError):
     """Configuration text failed to parse or validate."""
+
+
+@dataclass(frozen=True)
+class SweepSpec:
+    grid: tuple = ()
+
+    def __post_init__(self):
+        if len(self.grid) and np.any(np.diff(np.asarray(self.grid)) <= 0):
+            raise ValueError("sweep grid must be strictly increasing")
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Everything one simulated run depends on.
+
+    Built only by :func:`build_experiment_config`, which validates every
+    field; ``SCHEMA`` holds the defaults.
+    """
+
+    nv: NvParams
+    bath: BathParams
+    noise: NoiseModel
+    init: LaserInit
+    readout: Readout
+    drive: DriveParams
+    sweep: SweepSpec
+    b_field_gauss: float
+    # continuous-wave ESR only: optical pumping rate and laser-induced
+    # dephasing, both in 1/us
+    pump_rate: float
+    laser_dephasing: float
+    # dark interval of the init-wait-readout cycle in the field sweep
+    t_wait_us: float
+    rabi_powers: tuple
+    # fixed tau1 of a Hahn-echo tau2 sweep; None sweeps both delays together
+    echo_tau1_us: float | None
+    trend_couplings: tuple
+    # field where the trend probes T2'
+    b_probe_gauss: float
 
 
 @dataclass(frozen=True)
@@ -187,13 +225,15 @@ def build_experiment_config(values: dict) -> ExperimentConfig:
         except (ValueError, IndexError) as exc:
             raise ConfigError(f"{name}: {exc}") from None
 
+    if values["seed"] < 0:
+        raise ConfigError("seed: must be >= 0")
     nv = section("nv", NvParams)
     bath = section("bath", BathParams)
     pops = values["noise.nuclear_populations"]
     noise = section("noise", NoiseModel, seed=values["seed"], nuclear_splitting_mhz=nv.a_par_mhz,
                     nuclear_populations=tuple(pops) if pops else None)
     init, readout = section("readout", LaserInit), section("readout", Readout)
-    f_rf = values["drive.f_rf_mhz"]
+    f_rf, tau1 = values["drive.f_rf_mhz"], values["echo.tau1_us"]
     drive = section("drive", DriveParams, f_rf_mhz=f_rf if f_rf > 0 else None)
     sweep = section("sweep", SweepSpec)
     if values["fieldsweep.t_wait_us"] < 0:
@@ -213,13 +253,22 @@ def build_experiment_config(values: dict) -> ExperimentConfig:
         laser_dephasing=values["cw.laser_dephasing"],
         t_wait_us=values["fieldsweep.t_wait_us"],
         rabi_powers=tuple(powers),
+        echo_tau1_us=tau1 if tau1 >= 0 else None,
         trend_couplings=tuple(couplings),
+        b_probe_gauss=values["trend.b_probe_gauss"],
     )
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate configuration text into an ExperimentConfig."""
     return build_experiment_config(resolve_values(text))
+
+
+def standard_config(seed: int | None = None) -> ExperimentConfig:
+    """The default scenario, the one ``nvspin run`` runs without a config:
+    published N-V parameters where available, calibrated noise elsewhere
+    (see ``SCHEMA``).  ``seed`` overrides the default ensemble seed."""
+    return parse_config("" if seed is None else f"seed = {seed}")
 
 
 def schema_help() -> str:

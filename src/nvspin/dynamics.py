@@ -17,12 +17,11 @@ size differs from it.  Their exponential is :func:`expm`, numpy only;
 scipy is imported by ``steady_state`` alone, for ``null_space``.
 """
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fitting import Trace
 from .spinops import NonHermitianError, expm_unitary, is_hermitian
 
 CollapseOps = Sequence[tuple[np.ndarray, float]]
@@ -378,7 +377,7 @@ def steady_state(h: np.ndarray, collapse_ops: CollapseOps) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# quasi-static noise
+# Markovian noise
 
 def pair_collapse_ops(noise: NoiseModel | None) -> list[tuple[np.ndarray, float]]:
     """Collapse operators realizing a NoiseModel's Markovian rates on the
@@ -396,31 +395,3 @@ def pair_collapse_ops(noise: NoiseModel | None) -> list[tuple[np.ndarray, float]
     if noise.gamma_1 > 0:
         ops.append((np.array([[0, 1], [0, 0]], dtype=complex), noise.gamma_1))
     return ops
-
-
-def ensemble_average(experiment: Callable[[float], Trace],
-                     noise: NoiseModel | None) -> Trace:
-    """Average an experiment over the quasi-static noise ensemble, one
-    member at a time.
-
-    ``experiment`` maps a detuning offset in MHz to a Trace on a fixed grid.
-    The members come from :meth:`NoiseModel.ensemble`, drawn once up front
-    (Gaussian, seeded, plus the discrete nuclear branches when enabled) so
-    the result does not depend on evaluation order.
-    """
-    if noise is None:
-        noise = NoiseModel()
-    detunings, weights = noise.ensemble()
-    ref: Trace | None = None
-    total = None
-    for delta, weight in zip(detunings, weights):
-        tr = experiment(float(delta))
-        if ref is None:
-            ref = tr
-            total = np.zeros_like(ref.y)
-        elif not np.array_equal(tr.x, ref.x):
-            raise ValueError("experiment must sample a fixed grid across the ensemble")
-        total += weight * tr.y
-    assert ref is not None
-    return Trace(ref.x, total, ref.x_unit, ref.y_unit,
-                 dict(ref.meta, n_samples=noise.n_samples))

@@ -15,55 +15,19 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .config import ExperimentConfig
 from .dynamics import NoiseModel, lindblad_trajectory, pair_collapse_ops, steady_state
 from .fitting import FitResult, Trace, fit_damped_cosine, fit_exp_decay, fit_lorentzian
 from .hamiltonian import (
     BathParams,
-    DriveParams,
-    NvParams,
     h_n,
     h_nv,
     pair_hamiltonian,
     resonance_field,
     rotating_frame,
 )
-from .pulseq import LaserInit, Readout, hahn_sequence, run_sequence
+from .pulseq import hahn_sequence, run_sequence
 from .spinops import eigensystem
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    grid: tuple = ()
-
-    def __post_init__(self):
-        if len(self.grid) and np.any(np.diff(np.asarray(self.grid)) <= 0):
-            raise ValueError("sweep grid must be strictly monotonic")
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Everything one simulated run depends on.
-
-    Built only by :func:`nvspin.config.build_experiment_config`, which
-    validates every field; ``config.SCHEMA`` holds the defaults.
-    """
-
-    nv: NvParams
-    bath: BathParams
-    noise: NoiseModel
-    init: LaserInit
-    readout: Readout
-    drive: DriveParams
-    sweep: SweepSpec
-    b_field_gauss: float
-    # continuous-wave ESR only: optical pumping rate and laser-induced
-    # dephasing, both in 1/us
-    pump_rate: float
-    laser_dephasing: float
-    # dark interval of the init-wait-readout cycle in the field sweep
-    t_wait_us: float
-    rabi_powers: tuple
-    trend_couplings: tuple
 
 
 # Rabi window (us) of the default rabi grid, the field sweep and the trend
@@ -71,15 +35,6 @@ RABI_WINDOW_US = np.linspace(0.0, 4.0, 161)
 RABI_WINDOW_US.flags.writeable = False
 # the trend takes its off-resonance PL this far above the resonance field
 OFF_RESONANCE_OFFSET_GAUSS = 25.0
-
-
-def standard_config(seed: int | None = None) -> ExperimentConfig:
-    """The default scenario, the one ``nvspin run`` runs without a config:
-    published N-V parameters where available, calibrated noise elsewhere
-    (see ``config.SCHEMA``).  ``seed`` overrides the default ensemble seed."""
-    from .config import parse_config
-
-    return parse_config("" if seed is None else f"seed = {seed}")
 
 
 @dataclass
@@ -241,17 +196,16 @@ def exp_cw_esr(cfg: ExperimentConfig, f_grid_mhz) -> Trace:
                   "transition_mhz": f_t})
 
 
-def exp_rabi(cfg: ExperimentConfig, t_grid_us, powers=None) -> SweepResult:
-    """Rabi nutations for a set of relative RF powers; f1 scales with the
-    square root of the power."""
+def exp_rabi(cfg: ExperimentConfig, t_grid_us) -> SweepResult:
+    """Rabi nutations for each relative RF power of ``cfg.rabi_powers``; f1
+    scales with the square root of the power."""
     t_grid = np.asarray(t_grid_us, dtype=float)
-    powers = tuple(cfg.rabi_powers if powers is None else powers)
     rho0 = cfg.init.density()
     collapse = pair_collapse_ops(cfg.noise)
     deltas, weights = cfg.noise.ensemble()
     traces: list[Trace] = []
     fits: list[FitResult] = []
-    for power in powers:
+    for power in cfg.rabi_powers:
         f1 = cfg.drive.f1_mhz * np.sqrt(power)
         h = pair_hamiltonian(_frame_detuning(cfg, f1) + deltas, f1)
         p0 = lindblad_trajectory(h, collapse, rho0, t_grid, observable=_P0)
@@ -264,22 +218,23 @@ def exp_rabi(cfg: ExperimentConfig, t_grid_us, powers=None) -> SweepResult:
         traces,
         fits,
         {
-            "power": np.array(powers),
+            "power": np.array(cfg.rabi_powers),
             "f1_fit_mhz": np.array([f["f1_mhz"] for f in fits]),
             "t2p_us": np.array([f["t2p_us"] for f in fits]),
         },
     )
 
 
-def exp_hahn(cfg: ExperimentConfig, tau_grid_us, tau1_us: float | None = None) -> SweepResult:
+def exp_hahn(cfg: ExperimentConfig, tau_grid_us) -> SweepResult:
     """Hahn echo decay.
 
-    With ``tau1_us=None`` both delays are swept together and the trace is
-    plotted against the total delay 2 tau with an exponential fit for T2.
-    Otherwise tau1 stays fixed, ``tau_grid_us`` sweeps tau2, and no fit is
-    attempted (the trace shows the echo-position symmetry).
+    With ``cfg.echo_tau1_us`` None both delays are swept together and the
+    trace is plotted against the total delay 2 tau with an exponential fit
+    for T2.  Otherwise tau1 stays fixed, ``tau_grid_us`` sweeps tau2, and no
+    fit is attempted (the trace shows the echo-position symmetry).
     """
     tau_grid = np.asarray(tau_grid_us, dtype=float)
+    tau1_us = cfg.echo_tau1_us
     deltas, weights = cfg.noise.ensemble()
     detunings = _frame_detuning(cfg, cfg.drive.f1_mhz) + deltas
     p0 = np.empty((len(deltas), len(tau_grid)))
@@ -333,18 +288,14 @@ def exp_field_sweep(cfg: ExperimentConfig, b_grid_gauss) -> SweepResult:
     )
 
 
-def exp_t2p_vs_dip(cfgs: list[ExperimentConfig], b_probe_gauss: float | None = None) -> Trace:
-    """T2' at the probe field versus the normalized photoluminescence dip
-    amplitude on resonance, one point per synthetic center.
+def exp_t2p_vs_dip(cfgs: list[ExperimentConfig]) -> Trace:
+    """T2' at each center's ``b_probe_gauss`` versus the normalized
+    photoluminescence dip amplitude on resonance, one point per synthetic
+    center.
 
-    ``b_probe_gauss`` defaults to the schema's ``trend.b_probe_gauss``.
     Output is sorted by dip amplitude; the Rabi window is the field
     sweep's.
     """
-    if b_probe_gauss is None:
-        from .config import SCHEMA
-
-        b_probe_gauss = SCHEMA["trend.b_probe_gauss"].default
     t_grid = RABI_WINDOW_US
     amplitudes = []
     t2ps = []
@@ -353,7 +304,7 @@ def exp_t2p_vs_dip(cfgs: list[ExperimentConfig], b_probe_gauss: float | None = N
         fields = [b_res, b_res + OFF_RESONANCE_OFFSET_GAUSS]
         i_res, i_off = cfg.readout.counts(_joint_p0(cfg, fields, 0.0, [cfg.t_wait_us])[:, 0])
         amplitudes.append((i_off - i_res) / i_off)
-        rabi = cfg.readout.counts(_joint_p0(cfg, b_probe_gauss, cfg.drive.f1_mhz, t_grid))
+        rabi = cfg.readout.counts(_joint_p0(cfg, cfg.b_probe_gauss, cfg.drive.f1_mhz, t_grid))
         fit = fit_damped_cosine(Trace(t_grid, rabi, "us", "counts"))
         t2ps.append(fit["t2p_us"])
     order = np.argsort(amplitudes, kind="stable")
@@ -362,7 +313,7 @@ def exp_t2p_vs_dip(cfgs: list[ExperimentConfig], b_probe_gauss: float | None = N
         np.asarray(t2ps)[order],
         "normalized dip",
         "us",
-        {"b_probe_gauss": b_probe_gauss, "n_centers": len(cfgs)},
+        {"n_centers": len(cfgs)},
     )
 
 
@@ -385,7 +336,8 @@ def trend_configs(cfg: ExperimentConfig) -> list[ExperimentConfig]:
 
 
 def exp_levels(cfg: ExperimentConfig, b_grid_gauss) -> dict[str, np.ndarray]:
-    """Eigenlevels of the N-V center and one P1 electron spin versus field.
+    """Eigenlevels of the N-V center and one P1 electron spin versus field,
+    both electrons at g = ``cfg.nv.g``.
 
     N-V levels are labeled by their dominant m_S character, so columns stay
     continuous across the level crossing.  Also reports the 0 -> -1
@@ -410,7 +362,7 @@ def exp_levels(cfg: ExperimentConfig, b_grid_gauss) -> dict[str, np.ndarray]:
         for level in range(3):
             character = int(np.argmax(np.abs(v[:, level]) ** 2))
             cols[label_keys[character]][i] = w[level]
-        wn, _ = eigensystem(h_n(b))
+        wn, _ = eigensystem(h_n(b, cfg.nv.g))
         cols["n_down_mhz"][i] = wn[0]
         cols["n_up_mhz"][i] = wn[1]
         cols["f_nv_mhz"][i] = cols["nv_msm1_mhz"][i] - cols["nv_ms0_mhz"][i]

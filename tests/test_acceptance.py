@@ -13,10 +13,10 @@ import pytest
 import scipy.optimize
 
 from cli_env import cli_env
+from nvspin.config import standard_config
 from nvspin.dynamics import (
     NoiseModel,
     basis_density,
-    ensemble_average,
     lindblad_trajectory,
     pair_collapse_ops,
     propagate,
@@ -31,7 +31,6 @@ from nvspin.experiments import (
     joint_frame_hamiltonian,
     nv_transition_mhz,
     spectral_peak_count,
-    standard_config,
     trend_configs,
 )
 from nvspin.fitting import Trace, fit_damped_cosine, fit_exp_decay, fit_lorentzian
@@ -89,7 +88,7 @@ def test_criterion_3_sqrt_power_scaling():
     with criterion(3, "fitted f1 for powers (1, 4, 9) in ratio 1:2:3 within 1%", 30.0):
         cfg = standard_config()
         cfg = replace(cfg, noise=replace(cfg.noise, sigma_static_mhz=0.0, n_samples=1))
-        result = exp_rabi(cfg, np.linspace(0.0, 4.0, 161), powers=(1.0, 4.0, 9.0))
+        result = exp_rabi(replace(cfg, rabi_powers=(1.0, 4.0, 9.0)), np.linspace(0.0, 4.0, 161))
         f1 = result.derived["f1_fit_mhz"]
         ratios = f1 / f1[0]
         assert np.all(np.abs(ratios / np.array([1.0, 2.0, 3.0]) - 1.0) < 0.01)
@@ -99,7 +98,7 @@ def test_criterion_4_echo_vs_rabi_decay_ratio():
     with criterion(4, "standard scenario: T2 = 6 us +/- 5% and T2/T2' in [2.5, 3.5]",
                    60.0):
         cfg = standard_config()
-        rabi = exp_rabi(cfg, np.linspace(0.0, 4.0, 161), powers=(1.0,))
+        rabi = exp_rabi(replace(cfg, rabi_powers=(1.0,)), np.linspace(0.0, 4.0, 161))
         t2p = rabi.derived["t2p_us"][0]
         echo = exp_hahn(cfg, np.linspace(0.25, 6.0, 24))
         t2 = echo.derived["t2_us"]
@@ -113,7 +112,7 @@ def test_criterion_5_echo_symmetry_and_refocusing():
         cfg = standard_config()
         cfg = replace(cfg, noise=replace(cfg.noise, gamma_phi=0.0,
                                          sigma_static_mhz=0.5, n_samples=48))
-        result = exp_hahn(cfg, np.linspace(1.0, 3.0, 41), tau1_us=2.0)
+        result = exp_hahn(replace(cfg, echo_tau1_us=2.0), np.linspace(1.0, 3.0, 41))
         assert abs(result.derived["tau2_at_max_us"] - 2.0) <= 2.0 / 40
 
         sigma = 0.3
@@ -123,11 +122,9 @@ def test_criterion_5_echo_symmetry_and_refocusing():
         init, read = LaserInit(polarization=1.0), Readout(contrast=1.0, photons=1.0)
 
         def averaged(builder):
-            def experiment(delta):
-                p0, _ = run_sequence(builder(), None, delta)
-                return Trace([0.0, 1.0], [p0, p0])
-
-            return ensemble_average(experiment, noise).y[0]
+            deltas, weights = noise.ensemble()
+            p0, _ = run_sequence(builder(), None, deltas)
+            return weights @ p0
 
         echo_deficit = 1.0 - averaged(
             lambda: hahn_sequence(tau, tau, drive, init=init, readout=read))
@@ -176,13 +173,14 @@ def test_criterion_8_hyperfine_beating():
         f_t = nv_transition_mhz(cfg)
         a = cfg.nv.a_par_mhz
         t_grid = np.linspace(0.0, 12.0, 481)
-        base = replace(cfg, drive=replace(cfg.drive, f1_mhz=6.0, f_rf_mhz=f_t - a))
+        base = replace(cfg, rabi_powers=(1.0,),
+                       drive=replace(cfg.drive, f1_mhz=6.0, f_rf_mhz=f_t - a))
         mixed = replace(base, noise=NoiseModel(
             nuclear_splitting_mhz=a, nuclear_populations=(1 / 3, 1 / 3, 1 / 3)))
         polarized = replace(base, noise=NoiseModel(
             nuclear_splitting_mhz=a, nuclear_populations=(1.0, 0.0, 0.0)))
-        n_mixed = spectral_peak_count(exp_rabi(mixed, t_grid, powers=(1.0,)).traces[0])
-        n_pol = spectral_peak_count(exp_rabi(polarized, t_grid, powers=(1.0,)).traces[0])
+        n_mixed = spectral_peak_count(exp_rabi(mixed, t_grid).traces[0])
+        n_pol = spectral_peak_count(exp_rabi(polarized, t_grid).traces[0])
         assert n_mixed == 3
         assert n_pol == 1
 

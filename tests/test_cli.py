@@ -198,6 +198,26 @@ class TestRunCommand:
         assert all("(exit 0)" in step for step in list(loaded)[1:]), loaded
         assert not any(loaded.values()), loaded
 
+    def test_import_graph_has_no_back_edges(self):
+        # the package __init__ imports every module, so the child imports
+        # the modules into a bare package object that skips it
+        script = (
+            "import importlib, importlib.util, sys, types\n"
+            "pkg = types.ModuleType('nvspin')\n"
+            "pkg.__path__ = importlib.util.find_spec('nvspin').submodule_search_locations\n"
+            "sys.modules['nvspin'] = pkg\n"
+            "importlib.import_module('nvspin.dynamics')\n"
+            "print('nvspin.fitting' in sys.modules)\n"
+            "importlib.import_module('nvspin.config')\n"
+            "print('nvspin.experiments' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script],
+                              env=cli_env("1"), capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        dynamics_loads_fitting, config_loads_experiments = proc.stdout.split()
+        assert dynamics_loads_fitting == "False"
+        assert config_loads_experiments == "False"
+
     def test_seed_override_changes_outputs(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("sweep.grid = 0:2:81\n")
@@ -217,6 +237,12 @@ class TestRunCommand:
         assert self.run_cli("run", "esr", "--config", str(cfg),
                             "--out", str(tmp_path / "o")) == 1
         assert "did you mean" in capsys.readouterr().err
+
+    def test_negative_seed_flag_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert self.run_cli("run", "rabi", "--seed", "-1", "--out", str(out)) == 1
+        assert "config error: seed" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("experiment", ["esr", "fieldsweep", "trend"])
     def test_fixed_drive_frequency_rejected(self, tmp_path, capsys, experiment):
@@ -261,6 +287,7 @@ class TestRunCommand:
         ("rabi", "rabi.powers = 1,-inf", "rabi.powers"),
         ("rabi", "sweep.grid = 0:nan:5", "sweep.grid"),
         ("rabi", "sweep.grid = 0,inf", "sweep.grid"),
+        ("rabi", "seed = -1", "seed"),
     ])
     def test_config_the_model_cannot_honour(self, tmp_path, capsys, experiment, text, key):
         cfg = tmp_path / "c.cfg"

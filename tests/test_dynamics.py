@@ -5,12 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nvspin import dynamics
+from nvspin.config import standard_config
 from nvspin.dynamics import (
     DegenerateSteadyStateError,
     NoiseModel,
     basis_density,
     build_liouvillian,
-    ensemble_average,
     evolve_lindblad,
     lindblad_trajectory,
     pair_collapse_ops,
@@ -23,7 +23,6 @@ from nvspin.experiments import (
     _joint_collapse,
     joint_frame_hamiltonian,
     nv_transition_mhz,
-    standard_config,
 )
 from nvspin.fitting import Trace, fit_exp_decay
 from nvspin.hamiltonian import DriveParams, pair_hamiltonian, resonance_field
@@ -484,38 +483,35 @@ class TestValidateDensity:
 
 
 class TestEnsembleAverage:
+    """Nutations averaged over ``NoiseModel.ensemble()`` with its weights."""
+
+    T_GRID = np.linspace(0.0, 4.0, 81)
+
     @staticmethod
-    def rabi_experiment(f1=1.0, t_grid=None):
-        t = np.linspace(0.0, 4.0, 81) if t_grid is None else t_grid
-
-        def experiment(delta):
-            return Trace(t, rabi_probability(f1, delta, t))
-
-        return experiment
+    def averaged_rabi(noise, f1=1.0, t_grid=T_GRID):
+        deltas, weights = noise.ensemble()
+        return weights @ rabi_probability(f1, deltas[:, None], t_grid)
 
     def test_zero_sigma_single_sample_is_identity(self):
-        exp = self.rabi_experiment()
         noise = NoiseModel(sigma_static_mhz=0.0, n_samples=1, seed=3)
-        out = ensemble_average(exp, noise)
-        assert np.allclose(out.y, exp(0.0).y)
+        out = self.averaged_rabi(noise)
+        assert np.allclose(out, rabi_probability(1.0, 0.0, self.T_GRID))
 
     def test_deterministic_given_seed(self):
-        exp = self.rabi_experiment()
         noise = NoiseModel(sigma_static_mhz=0.5, n_samples=16, seed=11)
-        a = ensemble_average(exp, noise)
-        b = ensemble_average(exp, noise)
-        assert np.array_equal(a.y, b.y)
+        a = self.averaged_rabi(noise)
+        b = self.averaged_rabi(noise)
+        assert np.array_equal(a, b)
 
     def test_large_sigma_collapses_contrast(self):
         # numerically computed limit of the detuning-averaged nutation: for
         # sigma >> f1 most shots are far off resonance, so the oscillation
         # contrast collapses and the trace settles at its per-shot baseline
         # 1 - <f1^2/(f1^2+d^2)>/2
-        exp = self.rabi_experiment(f1=1.0)
         noise = NoiseModel(sigma_static_mhz=30.0, n_samples=400, seed=2)
-        out = ensemble_average(exp, noise)
-        bare = exp(0.0).y
-        late = out.y[out.x > 1.0]
+        out = self.averaged_rabi(noise, f1=1.0)
+        bare = rabi_probability(1.0, 0.0, self.T_GRID)
+        late = out[self.T_GRID > 1.0]
         assert np.ptp(late) < 0.02 * np.ptp(bare)  # oscillation gone
         deltas = noise.static_detunings()
         baseline = 1.0 - np.mean(1.0 / (1.0 + deltas**2)) / 2.0
@@ -523,28 +519,26 @@ class TestEnsembleAverage:
 
     def test_polarized_nucleus_single_frequency(self):
         t = np.linspace(0.0, 8.0, 161)
-        exp = self.rabi_experiment(f1=2.0, t_grid=t)
         noise = NoiseModel(nuclear_splitting_mhz=2.2,
                            nuclear_populations=(1.0, 0.0, 0.0))
-        out = ensemble_average(exp, noise)
+        out = self.averaged_rabi(noise, f1=2.0, t_grid=t)
         # single branch at detuning -A: pure cosine at sqrt(f1^2 + A^2)
         f_eff = np.sqrt(2.0**2 + 2.2**2)
         expected = rabi_probability(2.0, 2.2, t)
-        assert np.max(np.abs(out.y - expected)) < 1e-12
-        spec = np.abs(np.fft.rfft(out.y - out.y.mean()))
+        assert np.max(np.abs(out - expected)) < 1e-12
+        spec = np.abs(np.fft.rfft(out - out.mean()))
         freqs = np.fft.rfftfreq(len(t), d=t[1] - t[0])
         assert abs(freqs[np.argmax(spec)] - f_eff) < 0.2
 
     def test_mixed_nucleus_averages_branches(self):
         t = np.linspace(0.0, 4.0, 41)
-        exp = self.rabi_experiment(f1=2.0, t_grid=t)
         noise = NoiseModel(nuclear_splitting_mhz=2.2,
                            nuclear_populations=(1 / 3, 1 / 3, 1 / 3))
-        out = ensemble_average(exp, noise)
+        out = self.averaged_rabi(noise, f1=2.0, t_grid=t)
         expected = (rabi_probability(2.0, -2.2, t)
                     + rabi_probability(2.0, 0.0, t)
                     + rabi_probability(2.0, 2.2, t)) / 3
-        assert np.max(np.abs(out.y - expected)) < 1e-12
+        assert np.max(np.abs(out - expected)) < 1e-12
 
     def test_invalid_noise(self):
         with pytest.raises(ValueError):
@@ -559,14 +553,6 @@ class TestEnsembleAverage:
         with pytest.raises(ValueError, match="splitting"):
             NoiseModel(nuclear_populations=(1, 1, 1))
 
-    def test_drifting_grid_rejected(self):
-        def experiment(delta):
-            return Trace([0.0, 1.0 + abs(delta)], [0.0, 0.0])
-
-        noise = NoiseModel(sigma_static_mhz=1.0, n_samples=4, seed=1)
-        with pytest.raises(ValueError, match="fixed grid"):
-            ensemble_average(experiment, noise)
-
 
 class TestEchoRefocusing:
     """The dynamics-level coherence claims behind the Hahn echo."""
@@ -576,11 +562,9 @@ class TestEchoRefocusing:
     READ = Readout(contrast=1.0, photons=1.0)
 
     def signal(self, builder, noise, markov=None):
-        def experiment(delta):
-            p0, _ = run_sequence(builder(), markov, delta)
-            return Trace([0.0, 1.0], [p0, p0])
-
-        return ensemble_average(experiment, noise).y[0]
+        deltas, weights = noise.ensemble()
+        p0, _ = run_sequence(builder(), markov, deltas)
+        return weights @ p0
 
     def test_static_noise_echo_vs_ramsey(self):
         sigma = 0.3

@@ -3,9 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from nvspin.config import SweepSpec, standard_config
 from nvspin.dynamics import (
     NoiseModel,
-    ensemble_average,
     lindblad_trajectory,
     pair_collapse_ops,
     steady_state,
@@ -23,10 +23,9 @@ from nvspin.experiments import (
     joint_frame_hamiltonian,
     nv_transition_mhz,
     spectral_peak_count,
-    standard_config,
     trend_configs,
 )
-from nvspin.fitting import Trace, fit_lorentzian
+from nvspin.fitting import fit_lorentzian
 from nvspin.hamiltonian import h_nv, pair_hamiltonian, resonance_field, rotating_frame
 from nvspin.pulseq import hahn_sequence, run_sequence
 
@@ -73,14 +72,14 @@ class TestRabi:
 
     def test_sqrt_power_frequency_ratios(self):
         cfg = quiet_config()
-        result = exp_rabi(cfg, self.T_GRID, powers=(1.0, 4.0, 9.0))
+        result = exp_rabi(replace(cfg, rabi_powers=(1.0, 4.0, 9.0)), self.T_GRID)
         f1 = result.derived["f1_fit_mhz"]
         ratios = f1 / f1[0]
         assert np.all(np.abs(ratios - np.array([1.0, 2.0, 3.0])) < 0.01)
 
     def test_noise_free_residual_and_bound(self):
         cfg = quiet_config()
-        result = exp_rabi(cfg, self.T_GRID, powers=(1.0,))
+        result = exp_rabi(replace(cfg, rabi_powers=(1.0,)), self.T_GRID)
         fit = result.fits[0]
         assert fit.residual_norm < 1e-6 * cfg.readout.photons
         assert "at_bound" in fit.flags
@@ -89,21 +88,21 @@ class TestRabi:
     def test_t2p_grows_with_rabi_frequency(self):
         # static noise is refocused more effectively under faster driving
         cfg = standard_config()
-        result = exp_rabi(cfg, self.T_GRID, powers=(1.0, 4.0, 9.0))
+        result = exp_rabi(replace(cfg, rabi_powers=(1.0, 4.0, 9.0)), self.T_GRID)
         t2p = result.derived["t2p_us"]
         assert t2p[0] < t2p[1] < t2p[2]
 
     def test_contrast_scales_with_readout(self):
         cfg = quiet_config()
         double = replace(cfg, readout=replace(cfg.readout, contrast=0.6))
-        a = exp_rabi(cfg, self.T_GRID, powers=(1.0,)).traces[0].y
-        b = exp_rabi(double, self.T_GRID, powers=(1.0,)).traces[0].y
+        a = exp_rabi(replace(cfg, rabi_powers=(1.0,)), self.T_GRID).traces[0].y
+        b = exp_rabi(replace(double, rabi_powers=(1.0,)), self.T_GRID).traces[0].y
         assert np.allclose(np.ptp(b), 2 * np.ptp(a), rtol=1e-9)
 
     def test_bit_reproducible(self):
         cfg = standard_config()
-        a = exp_rabi(cfg, self.T_GRID, powers=(1.0,)).traces[0].y
-        b = exp_rabi(cfg, self.T_GRID, powers=(1.0,)).traces[0].y
+        a = exp_rabi(replace(cfg, rabi_powers=(1.0,)), self.T_GRID).traces[0].y
+        b = exp_rabi(replace(cfg, rabi_powers=(1.0,)), self.T_GRID).traces[0].y
         assert np.array_equal(a, b)
 
 
@@ -123,12 +122,12 @@ class TestHyperfineBeating:
 
     def test_mixed_nucleus_shows_three_peaks(self):
         cfg = self.scenario((1 / 3, 1 / 3, 1 / 3))
-        trace = exp_rabi(cfg, self.T_GRID, powers=(1.0,)).traces[0]
+        trace = exp_rabi(replace(cfg, rabi_powers=(1.0,)), self.T_GRID).traces[0]
         assert spectral_peak_count(trace) == 3
 
     def test_polarized_nucleus_single_peak(self):
         cfg = self.scenario((1.0, 0.0, 0.0))
-        trace = exp_rabi(cfg, self.T_GRID, powers=(1.0,)).traces[0]
+        trace = exp_rabi(replace(cfg, rabi_powers=(1.0,)), self.T_GRID).traces[0]
         assert spectral_peak_count(trace) == 1
 
 
@@ -151,7 +150,7 @@ class TestHahn:
         cfg = standard_config()
         cfg = replace(cfg, noise=replace(cfg.noise, gamma_phi=0.0,
                                          sigma_static_mhz=0.5, n_samples=48))
-        result = exp_hahn(cfg, np.linspace(1.0, 3.0, 41), tau1_us=2.0)
+        result = exp_hahn(replace(cfg, echo_tau1_us=2.0), np.linspace(1.0, 3.0, 41))
         step = 2.0 / 40
         assert abs(result.derived["tau2_at_max_us"] - 2.0) <= step
 
@@ -206,19 +205,26 @@ class TestJointModel:
             assert np.max(np.abs(stacked - per_field)) <= 1e-12
 
 
-def callback_esr(cfg, f_grid):
-    """The per-member callback formulation of ``exp_cw_esr``."""
+def member_average(cfg, member):
+    """``member(delta)`` for each detuning of the ensemble, one call at a
+    time, averaged with the member weights."""
+    deltas, weights = cfg.noise.ensemble()
+    return weights @ np.array([member(float(delta)) for delta in deltas])
+
+
+def looped_esr(cfg, f_grid):
+    """``exp_cw_esr`` as one steady state per member and grid point."""
     f_t = nv_transition_mhz(cfg)
     markov = replace(cfg.noise, gamma_phi=cfg.laser_dephasing + cfg.noise.gamma_phi)
     collapse = [(np.array([[0, 1], [0, 0]], dtype=complex), cfg.pump_rate),
                 *pair_collapse_ops(markov)]
 
-    def experiment(delta):
+    def member(delta):
         p0 = [steady_state(pair_hamiltonian(f_t + delta - f, cfg.drive.f1_mhz),
                            collapse)[0, 0].real for f in f_grid]
-        return Trace(f_grid, cfg.readout.counts(np.array(p0)))
+        return cfg.readout.counts(np.array(p0))
 
-    return ensemble_average(experiment, cfg.noise).y
+    return member_average(cfg, member)
 
 
 def frame(cfg, f1):
@@ -226,32 +232,32 @@ def frame(cfg, f1):
                           replace(cfg.drive, f1_mhz=f1), (0, 1))
 
 
-def callback_rabi(cfg, t_grid, power):
-    """The per-member callback formulation of one ``exp_rabi`` power."""
+def looped_rabi(cfg, t_grid, power):
+    """One ``exp_rabi`` power as one trajectory per member."""
     h_base = frame(cfg, cfg.drive.f1_mhz * np.sqrt(power))
 
-    def experiment(delta):
+    def member(delta):
         h = h_base.copy()
         h[1, 1] += delta
         rhos = lindblad_trajectory(h, pair_collapse_ops(cfg.noise), cfg.init.density(), t_grid)
-        return Trace(t_grid, cfg.readout.counts(rhos[:, 0, 0].real))
+        return cfg.readout.counts(rhos[:, 0, 0].real)
 
-    return ensemble_average(experiment, cfg.noise).y
+    return member_average(cfg, member)
 
 
-def callback_hahn(cfg, tau_grid, tau1_us):
-    """The per-member callback formulation of ``exp_hahn``."""
+def looped_hahn(cfg, tau_grid, tau1_us):
+    """``exp_hahn`` as one scalar-detuning sequence per member and delay."""
     base = frame(cfg, cfg.drive.f1_mhz)[1, 1].real
 
-    def experiment(delta):
+    def member(delta):
         y = []
         for tau in tau_grid:
             tau1 = tau if tau1_us is None else tau1_us
             seq = hahn_sequence(tau1, tau, cfg.drive, init=cfg.init, readout=cfg.readout)
             y.append(run_sequence(seq, cfg.noise, base + delta)[1])
-        return Trace(tau_grid, np.array(y))
+        return np.array(y)
 
-    return ensemble_average(experiment, cfg.noise).y
+    return member_average(cfg, member)
 
 
 def max_rel(a, b):
@@ -259,8 +265,8 @@ def max_rel(a, b):
 
 
 class TestEnsembleStack:
-    """Each driver's one stack over the ensemble against the per-member
-    callback averaged by ``ensemble_average``."""
+    """Each driver's one stack over the ensemble against a loop over its
+    members, averaged with the ensemble weights."""
 
     @staticmethod
     def config():
@@ -275,21 +281,21 @@ class TestEnsembleStack:
         cfg = self.config()  # ESR sweeps the drive frequency, so f_rf_mhz is unused
         f_t = nv_transition_mhz(cfg)
         f_grid = np.linspace(f_t - 10.0, f_t + 10.0, 7)
-        assert max_rel(exp_cw_esr(cfg, f_grid).y, callback_esr(cfg, f_grid)) <= 1e-12
+        assert max_rel(exp_cw_esr(cfg, f_grid).y, looped_esr(cfg, f_grid)) <= 1e-12
 
     def test_rabi(self):
         cfg = self.config()
         t_grid = np.linspace(0.0, 2.0, 101)
-        result = exp_rabi(cfg, t_grid, powers=(1.0, 4.0))
+        result = exp_rabi(replace(cfg, rabi_powers=(1.0, 4.0)), t_grid)
         for trace, power in zip(result.traces, (1.0, 4.0)):
-            assert max_rel(trace.y, callback_rabi(cfg, t_grid, power)) <= 1e-12
+            assert max_rel(trace.y, looped_rabi(cfg, t_grid, power)) <= 1e-12
 
     @pytest.mark.parametrize("tau1_us", [None, 2.0])
     def test_hahn(self, tau1_us):
         cfg = self.config()
         tau_grid = np.linspace(0.5, 3.0, 5)
-        trace = exp_hahn(cfg, tau_grid, tau1_us=tau1_us).traces[0]
-        assert max_rel(trace.y, callback_hahn(cfg, tau_grid, tau1_us)) <= 1e-12
+        trace = exp_hahn(replace(cfg, echo_tau1_us=tau1_us), tau_grid).traces[0]
+        assert max_rel(trace.y, looped_hahn(cfg, tau_grid, tau1_us)) <= 1e-12
 
 
 class TestFieldSweep:
@@ -379,6 +385,16 @@ class TestLevels:
         b_cross = b_grid[sign_change[0]]
         assert abs(b_cross - resonance_field(cfg.nv)) < b_grid[1] - b_grid[0]
 
+    def test_crossing_follows_g_factor(self):
+        # both electrons share nv.g, as in the field sweep's resonance field
+        cfg = standard_config()
+        cfg = replace(cfg, nv=replace(cfg.nv, g=2.02))
+        b_grid = np.linspace(500.0, 530.0, 301)
+        cols = exp_levels(cfg, b_grid)
+        mismatch = cols["f_nv_mhz"] - cols["f_n_mhz"]
+        b_cross = b_grid[np.where(np.diff(np.sign(mismatch)))[0][0]]
+        assert abs(b_cross - resonance_field(cfg.nv)) < b_grid[1] - b_grid[0]
+
     def test_zero_field_levels(self):
         cfg = standard_config()
         cols = exp_levels(cfg, np.array([0.0, 100.0]))
@@ -397,7 +413,7 @@ class TestConfigDefaults:
         assert np.isclose(1.0 / cfg.noise.gamma_phi, 6.0)
 
     def test_sweep_spec_rejects_non_monotonic(self):
-        from nvspin.experiments import SweepSpec
-
         with pytest.raises(ValueError):
             SweepSpec((1.0, 1.0, 2.0))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            SweepSpec((2640.0, 2600.0, 2560.0))
