@@ -38,6 +38,9 @@ EXPERIMENTS = ("esr", "rabi", "echo", "fieldsweep", "trend", "levels")
 # these drive on resonance (fieldsweep, trend) or sweep the drive frequency
 # (esr), so a fixed drive.f_rf_mhz would be ignored
 RESONANT_DRIVE = ("esr", "fieldsweep", "trend")
+# these pulse or nutate the spin, so they need a nonzero drive; esr and
+# levels still run without one
+DRIVEN = ("rabi", "echo", "fieldsweep", "trend")
 
 
 @dataclass(frozen=True)
@@ -203,6 +206,8 @@ def run(experiment: str, values: dict, out_dir: Path) -> RunManifest:
     cfg = build_experiment_config(values)
     if experiment in RESONANT_DRIVE and cfg.drive.f_rf_mhz is not None:
         raise ConfigError(f"drive.f_rf_mhz: {experiment} sets the drive frequency itself")
+    if experiment in DRIVEN and cfg.drive.f1_mhz == 0:
+        raise ConfigError(f"drive.f1_mhz: {experiment} needs a nonzero drive")
     out_dir.mkdir(parents=True, exist_ok=True)
     tracker = OutputTracker(out_dir)
     start = time.monotonic()

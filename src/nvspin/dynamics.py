@@ -5,18 +5,25 @@ The Lindblad generator used throughout is
 
     drho/dt = -i 2 pi [H, rho] + sum_k gamma_k (L rho L+ - {L+L, rho}/2)
 
-with H in MHz and rates gamma_k in 1/us.  Hamiltonians may be stacks
-``(..., d, d)`` whose leading axes index the members of
-:meth:`NoiseModel.ensemble`.  ``evolve_lindblad`` exponentiates the
-Liouvillian over one step (the pulse sequences' only path, closed systems
-included; a fixed-step RK4 is held to agreement with it),
-``lindblad_trajectory`` steps a time grid with the same exponential and
+with H in MHz and rates gamma_k in 1/us.  It preserves Hermiticity, so in
+an orthonormal basis of Hermitian matrices T (cached per dimension) it is a
+real matrix acting on real coordinates x = T+ vec(rho) (Havel, J. Math.
+Phys. 44, 534 (2003)); ``build_liouvillian`` returns that real matrix, and
+every state mapped back as rho = T x is Hermitian by construction, with no
+re-Hermitisation.  Hamiltonians may be stacks ``(..., d, d)`` whose leading
+axes index the members of :meth:`NoiseModel.ensemble`.
+``evolve_lindblad`` exponentiates the generator over one step (the pulse
+sequences' only path, closed systems included; a fixed-step RK4 is held to
+agreement with it), ``lindblad_trajectory`` steps a time grid with the same
+exponential, restricted to the coordinates reachable from rho0 (an
+invariant block, Buca & Prosen, New J. Phys. 14, 073007 (2012)), and
 ``steady_state`` takes every member's null space in one batched solve.
 Both integrators reject a non-Hermitian Hamiltonian and a state whose
 size differs from it.  Their exponential is :func:`expm`, numpy only;
 scipy is imported by ``steady_state`` alone, for ``null_space``.
 """
 
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -157,29 +164,85 @@ def _superop(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return sup.reshape(sup.shape[:-4] + (n, n))
 
 
+@functools.lru_cache(maxsize=None)
+def _hermitian_basis(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The orthonormal Hermitian basis T of d x d matrices, built once per
+    dimension, as ``(basis, norm, commutators)``.
+
+    T_p = B_p / norm[p].  Column p of ``basis`` is the row-major vectorized
+    B_p: E_kk in slot (k, k) and, for j < k, E_jk + E_kj in slot (j, k) and
+    i (E_jk - E_kj) in slot (k, j); ``norm`` is 1 or sqrt 2.  Changing basis
+    through the B_p multiplies only by 0, +-1 and +-i, so a generator entry
+    that vanishes by symmetry comes out as an exact zero.  Row p of
+    ``commutators`` is the real generator of rho -> -i 2 pi [T_p, rho],
+    flattened to d^4 entries.
+    """
+    n = dim * dim
+    basis = np.zeros((n, n), dtype=complex)
+    norm = np.ones(n)
+    for j in range(dim):
+        basis[j * dim + j, j * dim + j] = 1.0
+        for k in range(j + 1, dim):
+            upper, lower = j * dim + k, k * dim + j
+            basis[[upper, lower], upper] = 1.0
+            basis[[upper, lower], lower] = 1j, -1j
+            norm[[upper, lower]] = np.sqrt(2.0)
+    mats = basis.T.reshape(n, dim, dim)
+    ident = np.eye(dim)
+    comm = -1j * (_superop(mats, ident) - _superop(ident, mats))
+    comm = (basis.conj().T @ comm @ basis).real
+    commutators = 2 * np.pi * comm / (norm[:, None, None] * np.outer(norm, norm))
+    cached = basis, norm, commutators.reshape(n, n * n)
+    for arr in cached:
+        arr.flags.writeable = False
+    return cached
+
+
+def _coordinates(m: np.ndarray) -> np.ndarray:
+    """Real coordinates tr(T_p m) of a Hermitian matrix or stack
+    ``(..., d, d)``, shape ``(..., d*d)``."""
+    basis, norm, _ = _hermitian_basis(m.shape[-1])
+    return (m.reshape(m.shape[:-2] + (-1,)) @ basis.conj()).real / norm
+
+
+def _matrices(x: np.ndarray, dim: int) -> np.ndarray:
+    """The Hermitian matrices sum_p x_p T_p of real coordinates ``(..., d*d)``;
+    Hermitian to the last bit, since the B_p carry only 0, +-1 and +-i."""
+    basis, norm, _ = _hermitian_basis(dim)
+    return ((x / norm) @ basis.T).reshape(x.shape[:-1] + (dim, dim))
+
+
 def build_liouvillian(h: np.ndarray, collapse_ops: CollapseOps) -> np.ndarray:
-    """Matrix of the Lindblad generator acting on row-major vectorized rho.
+    """Real matrix T+ L T of the Lindblad generator L in the Hermitian basis T
+    (see :func:`_hermitian_basis`), acting on real coordinates x = T+ vec(rho).
 
     ``h`` may be a stack of Hamiltonians ``(..., d, d)``; the result is then
-    the matching stack ``(..., d*d, d*d)``.  The generator is written as
-    K rho + rho K+ + sum_k gamma_k L rho L+ with the non-Hermitian
-    K = -i 2 pi H - sum_k gamma_k L+L / 2, so the jump terms are built once
-    for the whole stack.
+    the matching float stack ``(..., d*d, d*d)``.  Every Lindblad generator
+    preserves Hermiticity, which is why it is real in this basis.  The
+    Hamiltonian part is h's coordinates times the cached commutator
+    generators; the dissipator sum_k gamma_k (L rho L+ - {L+L, rho}/2) is the
+    same for the whole stack and built once.  Raises
+    :class:`NonHermitianError` for a non-Hermitian ``h``.
     """
+    if not is_hermitian(h):
+        raise NonHermitianError("Lindblad Hamiltonian must be Hermitian")
     dim = h.shape[-1]
+    n = dim * dim
+    basis, norm, commutators = _hermitian_basis(dim)
     ident = np.eye(dim)
-    k = -2j * np.pi * h
-    jumps = np.zeros((dim * dim, dim * dim), dtype=complex)
+    dissipator = np.zeros((n, n), dtype=complex)
     for op, rate in collapse_ops:
         if rate < 0:
             raise ValueError("collapse rates must be >= 0")
         if rate == 0:
             continue
         opd = op.conj().T
-        k = k - 0.5 * rate * (opd @ op)
-        jumps = jumps + rate * _superop(op, opd)
-    k_dag = np.conj(np.swapaxes(k, -1, -2))
-    return _superop(k, ident) + _superop(ident, k_dag) + jumps
+        opd_op = opd @ op
+        dissipator += rate * (_superop(op, opd)
+                              - 0.5 * (_superop(opd_op, ident) + _superop(ident, opd_op)))
+    dissipator = (basis.conj().T @ dissipator @ basis).real / np.outer(norm, norm)
+    coords = _coordinates(h).reshape(-1, n)
+    return (coords @ commutators).reshape(h.shape[:-2] + (n, n)) + dissipator
 
 
 def _lindblad_rhs(h: np.ndarray, collapse_ops: CollapseOps, rho: np.ndarray) -> np.ndarray:
@@ -266,9 +329,10 @@ def evolve_lindblad(h: np.ndarray, collapse_ops: CollapseOps, rho0: np.ndarray,
 
     ``h`` and ``rho0`` may be stacks ``(..., d, d)`` whose leading axes
     broadcast against each other; the result has the broadcast shape.
-    ``method="expm"`` (default) exponentiates each member's Liouvillian
-    exactly; ``method="rk4"`` integrates with a fixed step well below the
-    fastest frequency in the problem.
+    ``method="expm"`` (default) exponentiates each member's real generator
+    exactly and maps the coordinates back to Hermitian matrices;
+    ``method="rk4"`` integrates with a fixed step well below the fastest
+    frequency in the problem.
     """
     if t < 0:
         raise ValueError("evolution time must be >= 0")
@@ -277,14 +341,11 @@ def evolve_lindblad(h: np.ndarray, collapse_ops: CollapseOps, rho0: np.ndarray,
     if t == 0:
         return np.broadcast_to(rho, np.broadcast_shapes(h.shape, rho.shape)).copy()
     if method == "expm":
-        liou = build_liouvillian(h, collapse_ops)
-        vec = expm(liou * t) @ rho.reshape(rho.shape[:-2] + (-1, 1))
-        out = vec.reshape(vec.shape[:-2] + rho.shape[-2:])
-    elif method == "rk4":
-        out = _rk4_steps(h, collapse_ops, rho, t)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return 0.5 * (out + np.conj(np.swapaxes(out, -1, -2)))
+        x = expm(build_liouvillian(h, collapse_ops) * t) @ _coordinates(rho)[..., None]
+        return _matrices(x[..., 0], rho.shape[-1])
+    if method == "rk4":
+        return _rk4_steps(h, collapse_ops, rho, t)
+    raise ValueError(f"unknown method {method!r}")
 
 
 # members that lindblad_trajectory steps together: 96 (four field points of
@@ -293,36 +354,60 @@ def evolve_lindblad(h: np.ndarray, collapse_ops: CollapseOps, rho0: np.ndarray,
 TRAJECTORY_BLOCK = 96
 
 
+def _reachable(liou: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """Mask of the coordinates reachable from ``support`` under a generator
+    stack: the closure of ``support`` under the union of the members'
+    nonzero patterns.  Every other coordinate of a state supported on
+    ``support`` stays exactly zero, so the stack may be restricted to it."""
+    coupled = np.any(liou != 0, axis=tuple(range(liou.ndim - 2)))
+    sector = support
+    while True:
+        grown = sector | np.any(coupled[:, sector], axis=1)
+        if np.array_equal(grown, sector):
+            return sector
+        sector = grown
+
+
 def lindblad_trajectory(h: np.ndarray, collapse_ops: CollapseOps, rho0: np.ndarray,
                         times: np.ndarray, observable: np.ndarray | None = None) -> np.ndarray:
     """Density matrices at each time in ``times`` (finite, sorted, >= 0),
     or, given an ``observable`` O, only the real tr(O rho) at each time.
 
-    ``h`` is one Hamiltonian ``(d, d)`` or a stack ``(..., d, d)``; the
-    result has shape ``(..., len(times), d, d)``, or ``(..., len(times))``
-    with an observable, and ``h`` and ``rho0`` pass ``evolve_lindblad``'s
-    guards.  The stack steps in blocks of ``TRAJECTORY_BLOCK`` members, each
-    from one time to the next by the exact propagator expm(L dt), which is
+    ``h`` is one Hamiltonian ``(d, d)`` or a stack ``(..., d, d)``, and
+    ``rho0`` is one ``(d, d)`` state shared by every member; both pass
+    ``evolve_lindblad``'s guards.  The result has shape
+    ``(..., len(times), d, d)``, or ``(..., len(times))`` with an observable.
+    The stack steps in blocks of ``TRAJECTORY_BLOCK`` members on the real
+    coordinates of rho0, restricted to the sector the block can reach from
+    them (:func:`_reachable`): a dark joint wait from a diagonal rho0 steps 6
+    of its 16 coordinates.  Each step is the exact propagator expm(L dt),
     rebuilt only when dt moves by more than 1e-12 relative, so a uniform grid
-    costs one stacked exponential per block.
+    costs one stacked exponential per block.  The states T x are Hermitian by
+    construction.
     """
     times = np.asarray(times, dtype=float)
     if not np.all(np.isfinite(times)) or np.any(times < 0) or np.any(np.diff(times) < 0):
         raise ValueError("times must be finite, sorted and >= 0")
     rho0 = np.asarray(rho0, dtype=complex)
+    if rho0.ndim != 2:
+        raise ValueError(f"rho0 must be one (d, d) state, got shape {rho0.shape}")
     _check_evolution(h, rho0)
     dim = rho0.shape[0]
+    x0 = _coordinates(rho0)
     members = h.reshape((-1, dim, dim))
     if observable is None:
-        out = np.empty((len(members), len(times), dim * dim), dtype=complex)
+        out = np.zeros((len(members), len(times), dim * dim))
     else:
-        # tr(O rho) as a dot product with row-major vectorized rho
-        trace_row = np.asarray(observable).T.reshape(-1)
+        # tr(O rho) = sum_p x_p tr(O T_p)
+        basis, norm, _ = _hermitian_basis(dim)
+        trace_row = (np.asarray(observable).T.reshape(-1) @ basis).real / norm
         out = np.empty((len(members), len(times)))
     for lo in range(0, len(members), TRAJECTORY_BLOCK):
         block = slice(lo, lo + TRAJECTORY_BLOCK)
         liou = build_liouvillian(members[block], collapse_ops)
-        state = np.broadcast_to(rho0.reshape(-1, 1), liou.shape[:-1] + (1,))
+        sector = np.flatnonzero(_reachable(liou, x0 != 0))
+        liou = liou[..., sector[:, None], sector]
+        state = np.broadcast_to(x0[sector, None], liou.shape[:-1] + (1,))
         prev = dt_prop = 0.0
         for i, t in enumerate(times):
             dt = t - prev
@@ -332,25 +417,24 @@ def lindblad_trajectory(h: np.ndarray, collapse_ops: CollapseOps, rho0: np.ndarr
                 state = prop @ state
                 prev = t
             if observable is None:
-                out[block, i] = state[..., 0]
+                out[block, i, sector] = state[..., 0]
             else:
-                out[block, i] = (state[..., 0] @ trace_row).real
+                out[block, i] = state[..., 0] @ trace_row[sector]
     if observable is not None:
         return out.reshape(h.shape[:-2] + (len(times),))
-    rho = out.reshape(h.shape[:-2] + (len(times), dim, dim))
-    herm = np.conj(np.swapaxes(rho, -1, -2))
-    herm += rho
-    herm *= 0.5
-    return herm
+    return _matrices(out, dim).reshape(h.shape[:-2] + (len(times), dim, dim))
 
 
 def steady_state(h: np.ndarray, collapse_ops: CollapseOps) -> np.ndarray:
     """Unique stationary state of the Lindblad generator, for one
     Hamiltonian or a stack ``(..., d, d)`` solved in one batched call.
 
-    Raises :class:`DegenerateSteadyStateError` when any member's Liouvillian
-    null space is not one-dimensional (e.g. no dissipation at all) or its
-    vector has zero trace; every member passes :func:`validate_density`.
+    The null space is taken of the real generator of
+    :func:`build_liouvillian`, so its vector x is real and T x is Hermitian
+    with no re-Hermitisation.  Raises :class:`DegenerateSteadyStateError`
+    when any member's null space is not one-dimensional (e.g. no dissipation
+    at all) or its vector has zero trace; every member passes
+    :func:`validate_density`.
     """
     import scipy.linalg
 
@@ -366,8 +450,7 @@ def steady_state(h: np.ndarray, collapse_ops: CollapseOps) -> np.ndarray:
         raise DegenerateSteadyStateError(
             f"Liouvillian null space has dimension {ns.shape[-1]}, expected 1"
         )
-    rho = ns[..., 0].reshape(h.shape)
-    rho = 0.5 * (rho + np.conj(np.swapaxes(rho, -1, -2)))
+    rho = _matrices(ns[..., 0], h.shape[-1])
     tr = np.trace(rho, axis1=-2, axis2=-1).real
     if np.any(np.abs(tr) < 1e-12):
         raise DegenerateSteadyStateError("null-space vector has zero trace")

@@ -154,8 +154,11 @@ def _joint_p0(cfg: ExperimentConfig, b_gauss, f1_mhz: float, times) -> np.ndarra
     One Lindblad stack over field x P1 hyperfine branch x N-V ensemble
     member; a scalar ``b_gauss`` gives shape ``(len(times),)`` and a field
     array its shape plus ``(len(times),)``.  With ``f1_mhz = 0`` this is the
-    dark wait of the init-wait-readout cycle; otherwise a Rabi nutation
-    against the explicit bath spin.
+    dark wait of the init-wait-readout cycle, which from the diagonal rho0
+    reaches only 6 of the 16 real coordinates (the populations and the
+    |0,up>, |-1,down> coherence), so ``lindblad_trajectory`` steps 6 x 6
+    generators; otherwise a Rabi nutation against the explicit bath spin,
+    which reaches all 16.
     """
     b = np.asarray(b_gauss, dtype=float)
     f_t = np.reshape([nv_transition_mhz(cfg, b_i) for b_i in b.flat], b.shape)

@@ -8,7 +8,9 @@ The interpreter works in the rotating frame of the addressed pair
 (|0> = bright level, |1> = driven level); quasi-static detunings enter via
 the frame detuning, Markovian rates via the NoiseModel.  An array of frame
 detunings runs the whole ensemble at once: every segment after the
-initialization is one stacked ``evolve_lindblad`` step over the members.
+initialization is one stacked ``evolve_lindblad`` step over the members,
+which exponentiates their real 4 x 4 generators and returns Hermitian pair
+states.
 """
 
 from dataclasses import dataclass

@@ -254,6 +254,25 @@ class TestRunCommand:
         assert "drive.f_rf_mhz" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("experiment", ["rabi", "echo", "fieldsweep", "trend"])
+    def test_zero_drive_rejected(self, tmp_path, capsys, experiment):
+        # these pulse or nutate the spin; without a drive they failed at run
+        # time (exit 2) on a pi/2 pulse or a damped-cosine fit
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("drive.f1_mhz = 0\n")
+        out = tmp_path / "o"
+        assert self.run_cli("run", experiment, "--config", str(cfg), "--out", str(out)) == 1
+        assert "config error: drive.f1_mhz" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_drive_esr_runs(self, tmp_path):
+        # with no drive the CW spectrum is flat at the pumped polarization
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("drive.f1_mhz = 0\n")
+        out = tmp_path / "o"
+        assert self.run_cli("run", "esr", "--config", str(cfg), "--out", str(out)) == 0
+        assert np.ptp(read_csv(out / "esr.csv")["i_pl"]) <= 1e-9
+
     def test_missing_config_file(self, tmp_path):
         assert self.run_cli("run", "esr", "--config", str(tmp_path / "nope.cfg"),
                             "--out", str(tmp_path / "o")) == 1

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -20,7 +22,9 @@ from nvspin.dynamics import (
     validate_density,
 )
 from nvspin.experiments import (
+    RABI_WINDOW_US,
     _joint_collapse,
+    _joint_p0,
     joint_frame_hamiltonian,
     nv_transition_mhz,
 )
@@ -171,6 +175,11 @@ class TestEvolveLindblad:
             lindblad_trajectory(rwa_hamiltonian(1.0, 0.0), [], basis_density(2, 0),
                                 [0.0, np.nan, 1.0])
 
+    def test_trajectory_rejects_stacked_state(self):
+        rhos = np.array([basis_density(2, 0), basis_density(2, 1)])
+        with pytest.raises(ValueError, match=r"rho0 must be one \(d, d\) state"):
+            lindblad_trajectory(rwa_hamiltonian(1.0, 0.0), [], rhos, [0.0, 1.0])
+
     def test_trajectory_matches_single_shot(self):
         h = rwa_hamiltonian(2.0, -0.7)
         collapse = [(SZ, 0.25)]
@@ -229,8 +238,14 @@ class TestHamiltonianStacks:
         collapse = [(ops[0], 0.3), (ops[1], 1.7)]
         stacked = build_liouvillian(hs, collapse)
         assert stacked.shape == (2, 3, 9, 9)
+        assert stacked.dtype == np.float64
+        # the generator is real in the orthonormal Hermitian basis T
+        basis, norm, _ = dynamics._hermitian_basis(3)
+        t = basis / norm
+        assert np.max(np.abs(t.conj().T @ t - np.eye(9))) <= 1e-15
         for idx in np.ndindex(2, 3):
-            assert np.max(np.abs(stacked[idx] - kron_liouvillian(hs[idx], collapse))) <= 1e-12
+            oracle = t.conj().T @ kron_liouvillian(hs[idx], collapse) @ t
+            assert np.max(np.abs(stacked[idx] - oracle)) <= 1e-12
 
     def test_stacked_trajectory_matches_expm_per_member(self):
         hs = np.array([[rwa_hamiltonian(f1, df) for df in (-1.5, 0.0, 0.8)]
@@ -330,6 +345,65 @@ class TestHamiltonianStacks:
         assert np.max(np.abs(traced - expected)) <= 1e-12
         single = lindblad_trajectory(hs[-1, 0], collapse, rho0, times)
         assert np.max(np.abs(full[-1, 0] - single)) <= 1e-12
+
+
+def counted_expm(monkeypatch):
+    """Record the shape of every matrix stack ``dynamics.expm`` is given."""
+    shapes = []
+    expm = dynamics.expm
+
+    def counted(a):
+        shapes.append(a.shape)
+        return expm(a)
+
+    monkeypatch.setattr(dynamics, "expm", counted)
+    return shapes
+
+
+class TestReachableSector:
+    """Trajectories step only the coordinates reachable from rho0, and the
+    restriction is exact."""
+
+    @staticmethod
+    def joint_stack(cfg, f1s):
+        # one member per drive and field, on and beside the resonance
+        b_res = resonance_field(cfg.nv)
+        nu0 = np.array([cfg.nv.gamma * b - nv_transition_mhz(cfg, b)
+                        for b in (b_res - 15.0, b_res, b_res + 15.0)])
+        return np.array([joint_frame_hamiltonian(0.3, nu0, f1, cfg.bath.coupling_mhz)
+                         for f1 in f1s])
+
+    @pytest.mark.parametrize("f1s, size", [((0.0,), 6), ((0.0, 5.0, 0.0), 16)])
+    def test_matches_kron_oracle(self, monkeypatch, f1s, size):
+        # gamma_1 > 0, so the lowering operator couples the populations; the
+        # bath dephasing stays on.  A driven member in the block widens the
+        # sector to every coordinate.
+        cfg = standard_config()
+        noise = replace(cfg.noise, gamma_1=0.2)
+        assert cfg.bath.gamma_bath > 0
+        collapse = _joint_collapse(noise, cfg.bath)
+        hs = self.joint_stack(cfg, f1s)
+        rho0 = np.kron(cfg.init.density(), np.eye(2) / 2)
+        times = np.array([0.0, 0.7, 2.5, cfg.t_wait_us])
+        shapes = counted_expm(monkeypatch)
+        traj = lindblad_trajectory(hs, collapse, rho0, times)
+        assert shapes and all(shape[-2:] == (size, size) for shape in shapes)
+        for idx in np.ndindex(hs.shape[:-2]):
+            liou = kron_liouvillian(hs[idx], collapse)
+            for t, rho in zip(times, traj[idx]):
+                oracle = (scipy.linalg.expm(liou * t) @ rho0.reshape(-1)).reshape(4, 4)
+                assert np.max(np.abs(rho - oracle)) <= 1e-12
+
+    def test_default_dark_wait_and_rabi_sizes(self, monkeypatch):
+        cfg = standard_config()
+        b_res = resonance_field(cfg.nv)
+        fields = [b_res - 15.0, b_res, b_res + 15.0]
+        shapes = counted_expm(monkeypatch)
+        _joint_p0(cfg, fields, 0.0, [cfg.t_wait_us])
+        assert shapes and all(shape[-2:] == (6, 6) for shape in shapes)
+        shapes.clear()
+        _joint_p0(cfg, fields, cfg.drive.f1_mhz, RABI_WINDOW_US[:3])
+        assert shapes and all(shape[-2:] == (16, 16) for shape in shapes)
 
 
 def relative_error(a, ref):
