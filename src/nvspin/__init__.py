@@ -15,8 +15,6 @@ from .dynamics import (
     NoiseModel,
     evolve_lindblad,
     lindblad_trajectory,
-    propagate,
-    rabi_probability,
     steady_state,
 )
 from .experiments import (
@@ -27,7 +25,6 @@ from .experiments import (
     exp_levels,
     exp_rabi,
     exp_t2p_vs_dip,
-    spectral_peak_count,
     trend_configs,
 )
 from .fitting import (
@@ -55,9 +52,8 @@ from .pulseq import (
     hahn_sequence,
     pi2_duration,
     pi_duration,
-    ramsey_sequence,
     run_sequence,
 )
-from .spinops import eigensystem, expm_unitary, spin_matrices
+from .spinops import eigensystem, spin_matrices
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -93,7 +93,13 @@ def read_csv(path: Path) -> dict[str, np.ndarray]:
                 store.append(float(part))
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: non-numeric value {part!r}") from None
-    return {name: np.asarray(vals) for name, vals in zip(names, data)}
+    table = np.array(data)
+    finite = np.isfinite(table)
+    if not finite.all():
+        row, col = np.argwhere(~finite.T)[0]
+        part = lines[row + 1].split(",")[col]
+        raise ValueError(f"{path}:{row + 2}: non-finite value {part!r}")
+    return dict(zip(names, table))
 
 
 def format_fit(fit: FitResult) -> str:

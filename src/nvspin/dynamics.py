@@ -1,5 +1,5 @@
-"""Time evolution: unitary propagation, Lindblad dissipation, quasi-static
-noise ensembles and driven steady states.
+"""Time evolution: Lindblad dissipation, quasi-static noise ensembles and
+driven steady states.
 
 The Lindblad generator used throughout is
 
@@ -12,11 +12,12 @@ Phys. 44, 534 (2003)); ``build_liouvillian`` returns that real matrix, and
 every state mapped back as rho = T x is Hermitian by construction, with no
 re-Hermitisation.  Hamiltonians may be stacks ``(..., d, d)`` whose leading
 axes index the members of :meth:`NoiseModel.ensemble`.
-``evolve_lindblad`` exponentiates the generator over one step (the pulse
-sequences' only path, closed systems included; a fixed-step RK4 is held to
-agreement with it), ``lindblad_trajectory`` steps a time grid with the same
-exponential, restricted to the coordinates reachable from rho0 (an
-invariant block, Buca & Prosen, New J. Phys. 14, 073007 (2012)), and
+``evolve_lindblad`` exponentiates the generator over one step (the one
+evolution path of the pulse sequences, closed systems included; the tests
+check it against a fixed-step RK4), ``lindblad_trajectory`` steps a time
+grid with the same exponential, restricted to the coordinates reachable
+from rho0 (an invariant block, Buca & Prosen, New J. Phys. 14, 073007
+(2012)), and
 ``steady_state`` takes every member's null space in one batched solve.
 Both integrators reject a non-Hermitian Hamiltonian and a state whose
 size differs from it.  Their exponential is :func:`expm`, numpy only;
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spinops import NonHermitianError, expm_unitary, is_hermitian
+from .spinops import NonHermitianError, is_hermitian
 
 CollapseOps = Sequence[tuple[np.ndarray, float]]
 
@@ -96,61 +97,20 @@ class NoiseModel:
 # ---------------------------------------------------------------------------
 # density-matrix helpers
 
-def basis_density(dim: int, index: int) -> np.ndarray:
-    rho = np.zeros((dim, dim), dtype=complex)
-    rho[index, index] = 1.0
-    return rho
-
-
-def validate_density(rho: np.ndarray, *, herm_atol: float = 1e-8,
-                     trace_atol: float = 1e-8, eig_floor: float = -1e-7) -> None:
+def validate_density(rho: np.ndarray) -> None:
     """Raise if ``rho``, or any member of a stack ``(..., d, d)``, is not
-    finite, Hermitian, unit-trace and (near) positive."""
+    finite, Hermitian to 1e-8, of trace 1 to 1e-8 and without an eigenvalue
+    below -1e-6."""
     if not np.all(np.isfinite(rho)):
         raise ValueError("density matrix has a non-finite entry")
     rho_dag = np.conj(np.swapaxes(rho, -1, -2))
-    if np.max(np.abs(rho - rho_dag)) > herm_atol:
+    if np.max(np.abs(rho - rho_dag)) > 1e-8:
         raise ValueError("density matrix is not Hermitian")
     tr = np.trace(rho, axis1=-2, axis2=-1)
-    if np.max(np.abs(tr.real - 1.0)) > trace_atol or np.max(np.abs(tr.imag)) > trace_atol:
+    if np.max(np.abs(tr.real - 1.0)) > 1e-8 or np.max(np.abs(tr.imag)) > 1e-8:
         raise ValueError("density matrix trace differs from 1")
-    if np.min(np.linalg.eigvalsh(0.5 * (rho + rho_dag))) < eig_floor:
+    if np.min(np.linalg.eigvalsh(0.5 * (rho + rho_dag))) < -1e-6:
         raise ValueError("density matrix has a significantly negative eigenvalue")
-
-
-# ---------------------------------------------------------------------------
-# coherent evolution
-
-def rabi_probability(f1: float, df, t):
-    """Probability of remaining in the initial level under resonant driving.
-
-    P = 1 - f1^2/(f1^2 + df^2) * sin^2(pi sqrt(f1^2 + df^2) t), the
-    textbook two-level result; broadcasts over ``df`` and ``t``.
-    """
-    df = np.asarray(df, dtype=float)
-    t = np.asarray(t, dtype=float)
-    f_eff_sq = f1**2 + df**2
-    with np.errstate(invalid="ignore", divide="ignore"):
-        contrast = np.where(f_eff_sq > 0, f1**2 / np.where(f_eff_sq > 0, f_eff_sq, 1.0), 0.0)
-    p = 1.0 - contrast * np.sin(np.pi * np.sqrt(f_eff_sq) * t) ** 2
-    if p.ndim == 0:
-        return float(p)
-    return p
-
-
-def propagate(segments: Sequence[tuple[np.ndarray, float]], rho0: np.ndarray) -> np.ndarray:
-    """Apply rho -> U rho U+ for each (Hamiltonian, duration) segment."""
-    rho = np.asarray(rho0, dtype=complex)
-    for h, dt in segments:
-        if dt < 0:
-            raise ValueError("segment durations must be >= 0")
-        if h.shape != rho.shape:
-            raise ValueError(f"Hamiltonian shape {h.shape} != state shape {rho.shape}")
-        if dt == 0:
-            continue
-        u = expm_unitary(h, dt)
-        rho = u @ rho @ u.conj().T
-    return rho
 
 
 # ---------------------------------------------------------------------------
@@ -245,35 +205,6 @@ def build_liouvillian(h: np.ndarray, collapse_ops: CollapseOps) -> np.ndarray:
     return (coords @ commutators).reshape(h.shape[:-2] + (n, n)) + dissipator
 
 
-def _lindblad_rhs(h: np.ndarray, collapse_ops: CollapseOps, rho: np.ndarray) -> np.ndarray:
-    out = -2j * np.pi * (h @ rho - rho @ h)
-    for op, rate in collapse_ops:
-        if rate == 0:
-            continue
-        opd = op.conj().T
-        opd_op = opd @ op
-        out = out + rate * (op @ rho @ opd - 0.5 * (opd_op @ rho + rho @ opd_op))
-    return out
-
-
-def _rk4_steps(h: np.ndarray, collapse_ops: CollapseOps, rho: np.ndarray,
-               t: float) -> np.ndarray:
-    # step kept well below 1/(50 * max frequency scale); the factor 200
-    # holds the mismatch against the exact exponential path under 1e-6
-    freq_scale = float(np.max(np.abs(np.linalg.eigvalsh(h)))) if h.size else 0.0
-    rate_scale = max((rate for _, rate in collapse_ops), default=0.0)
-    scale = max(freq_scale, rate_scale, 1e-9)
-    n = max(1, int(np.ceil(t * scale * 200)))
-    dt = t / n
-    for _ in range(n):
-        k1 = _lindblad_rhs(h, collapse_ops, rho)
-        k2 = _lindblad_rhs(h, collapse_ops, rho + 0.5 * dt * k1)
-        k3 = _lindblad_rhs(h, collapse_ops, rho + 0.5 * dt * k2)
-        k4 = _lindblad_rhs(h, collapse_ops, rho + dt * k3)
-        rho = rho + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return rho
-
-
 def _check_evolution(h: np.ndarray, rho: np.ndarray) -> None:
     """Guards shared by the Lindblad integrators: a Hermitian Hamiltonian
     stack and a state of the same size."""
@@ -323,16 +254,14 @@ def expm(a: np.ndarray) -> np.ndarray:
 
 
 def evolve_lindblad(h: np.ndarray, collapse_ops: CollapseOps, rho0: np.ndarray,
-                    t: float, method: str = "expm") -> np.ndarray:
+                    t: float) -> np.ndarray:
     """Evolve a density matrix for time ``t`` under a constant Hamiltonian
     and Lindblad dissipators.
 
     ``h`` and ``rho0`` may be stacks ``(..., d, d)`` whose leading axes
-    broadcast against each other; the result has the broadcast shape.
-    ``method="expm"`` (default) exponentiates each member's real generator
-    exactly and maps the coordinates back to Hermitian matrices;
-    ``method="rk4"`` integrates with a fixed step well below the fastest
-    frequency in the problem.
+    broadcast against each other; the result has the broadcast shape.  Each
+    member's real generator is exponentiated exactly and the coordinates are
+    mapped back to Hermitian matrices.
     """
     if t < 0:
         raise ValueError("evolution time must be >= 0")
@@ -340,12 +269,8 @@ def evolve_lindblad(h: np.ndarray, collapse_ops: CollapseOps, rho0: np.ndarray,
     _check_evolution(h, rho)
     if t == 0:
         return np.broadcast_to(rho, np.broadcast_shapes(h.shape, rho.shape)).copy()
-    if method == "expm":
-        x = expm(build_liouvillian(h, collapse_ops) * t) @ _coordinates(rho)[..., None]
-        return _matrices(x[..., 0], rho.shape[-1])
-    if method == "rk4":
-        return _rk4_steps(h, collapse_ops, rho, t)
-    raise ValueError(f"unknown method {method!r}")
+    x = expm(build_liouvillian(h, collapse_ops) * t) @ _coordinates(rho)[..., None]
+    return _matrices(x[..., 0], rho.shape[-1])
 
 
 # members that lindblad_trajectory steps together: 96 (four field points of
@@ -455,7 +380,7 @@ def steady_state(h: np.ndarray, collapse_ops: CollapseOps) -> np.ndarray:
     if np.any(np.abs(tr) < 1e-12):
         raise DegenerateSteadyStateError("null-space vector has zero trace")
     rho = rho / tr[..., None, None]
-    validate_density(rho, herm_atol=1e-8, trace_atol=1e-8, eig_floor=-1e-6)
+    validate_density(rho)
     return rho
 
 

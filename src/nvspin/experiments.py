@@ -61,27 +61,6 @@ def _frame_detuning(cfg: ExperimentConfig, f1_mhz: float) -> float:
     return rotating_frame(h_nv(cfg.b_field_gauss, cfg.nv), drive, (0, 1))[1, 1].real
 
 
-def spectral_peak_count(trace: Trace) -> int:
-    """Number of distinct frequencies in a trace's discrete spectrum.
-
-    Counts local maxima of the Hann-windowed, zero-padded magnitude
-    spectrum that reach half of the strongest nonzero-frequency component.
-    Zero padding keeps a line that falls between Fourier bins from being
-    split below the half-max threshold.
-    """
-    y = trace.y - np.mean(trace.y)
-    spec = np.abs(np.fft.rfft(y * np.hanning(len(y)), n=8 * len(y)))
-    spec[0] = 0.0
-    top = np.max(spec)
-    if top == 0:
-        return 0
-    count = 0
-    for k in range(1, len(spec) - 1):
-        if spec[k] >= spec[k - 1] and spec[k] > spec[k + 1] and spec[k] >= 0.5 * top:
-            count += 1
-    return count
-
-
 # ---------------------------------------------------------------------------
 # joint N-V + bath-spin model (rotating frame)
 

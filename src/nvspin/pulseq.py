@@ -109,10 +109,8 @@ def pi_duration(f1_mhz: float) -> float:
 
 
 def pi2_duration(f1_mhz: float) -> float:
-    """Duration of a pi/2 pulse: 1 / (4 f1)."""
-    if f1_mhz <= 0:
-        raise ValueError("pi/2 pulse needs f1 > 0")
-    return 1.0 / (4.0 * f1_mhz)
+    """Duration of a pi/2 pulse: half a pi pulse, 1 / (4 f1)."""
+    return pi_duration(f1_mhz) / 2
 
 
 def hahn_sequence(tau1_us: float, tau2_us: float, drive: DriveParams, *,
@@ -123,8 +121,6 @@ def hahn_sequence(tau1_us: float, tau2_us: float, drive: DriveParams, *,
     The final pi/2 pulse maps the echo amplitude back onto the populations
     seen by the photoluminescence readout.
     """
-    if tau1_us < 0 or tau2_us < 0:
-        raise ValueError("delays must be >= 0")
     t_pi2 = pi2_duration(drive.f1_mhz)
     t_pi = pi_duration(drive.f1_mhz)
     return PulseSequence(
@@ -137,16 +133,6 @@ def hahn_sequence(tau1_us: float, tau2_us: float, drive: DriveParams, *,
             RfPulse(t_pi2, drive),
             readout,
         )
-    )
-
-
-def ramsey_sequence(tau_us: float, drive: DriveParams, *,
-                    init: LaserInit = LaserInit(),
-                    readout: Readout = Readout()) -> PulseSequence:
-    """Unrefocused pi/2 - tau - pi/2 reference for the echo comparison."""
-    t_pi2 = pi2_duration(drive.f1_mhz)
-    return PulseSequence(
-        (init, RfPulse(t_pi2, drive), Delay(tau_us), RfPulse(t_pi2, drive), readout)
     )
 
 

@@ -13,7 +13,7 @@ from math import isclose
 
 import numpy as np
 
-SUPPORTED_SPINS = (0.5, 1.0, 1.5)
+SUPPORTED_SPINS = (0.5, 1.0)
 
 
 class UnsupportedSpinError(ValueError):
@@ -47,26 +47,19 @@ def spin_matrices(s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return sx, sy, sz
 
 
-def is_hermitian(a: np.ndarray, atol: float = 1e-9) -> bool:
+def is_hermitian(a: np.ndarray) -> bool:
     """True if every matrix of ``a`` (one matrix or a stack ``(..., n, n)``)
-    is Hermitian to within ``atol``."""
-    return bool(np.max(np.abs(a - np.conj(np.swapaxes(a, -1, -2)))) < atol)
+    is Hermitian to within 1e-9, entry by entry."""
+    return bool(np.max(np.abs(a - np.conj(np.swapaxes(a, -1, -2)))) < 1e-9)
 
 
-def eigensystem(h: np.ndarray, atol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+def eigensystem(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix.
 
     Columns of the returned matrix are the eigenvectors, so
     ``h @ v == v @ diag(w)``.
     """
-    if not is_hermitian(h, atol):
+    if not is_hermitian(h):
         raise NonHermitianError("eigensystem requires a Hermitian matrix")
     w, v = np.linalg.eigh(h)
     return w, v
-
-
-def expm_unitary(h: np.ndarray, t: float) -> np.ndarray:
-    """Propagator exp(-i 2 pi h t) for a Hermitian ``h`` in MHz, ``t`` in us."""
-    w, v = eigensystem(h)
-    phases = np.exp(-2j * np.pi * w * t)
-    return (v * phases) @ v.conj().T

@@ -103,6 +103,22 @@ class TestCsvIO:
             read_csv(path)
 
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_value_rejected(self, tmp_path, capsys, value):
+        x = np.linspace(-3.0, 3.0, 61)
+        y = 1.0 - 0.5 / (1.0 + (x / 0.4) ** 2)
+        path = tmp_path / "line.csv"
+        write_csv(path, {"f_mhz": x, "i_pl": y})
+        lines = path.read_text().splitlines()
+        lines[31] = f"{lines[31].split(',')[0]},{value}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"{path.name}:32: non-finite value '{value}'"):
+            read_csv(path)
+        for model in ("lorentzian", "exp_decay", "damped_cosine"):
+            assert main(["fit", model, str(path)]) == 2
+            assert f":32: non-finite value '{value}'" in capsys.readouterr().err
+
+
 class TestRunCommand:
     def run_cli(self, *args):
         return main(list(args))

@@ -6,18 +6,16 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nvspin import dynamics
+import nvspin
+from nvspin import dynamics, experiments, pulseq, spinops
 from nvspin.config import standard_config
 from nvspin.dynamics import (
     DegenerateSteadyStateError,
     NoiseModel,
-    basis_density,
     build_liouvillian,
     evolve_lindblad,
     lindblad_trajectory,
     pair_collapse_ops,
-    propagate,
-    rabi_probability,
     steady_state,
     validate_density,
 )
@@ -30,9 +28,16 @@ from nvspin.experiments import (
 )
 from nvspin.fitting import Trace, fit_exp_decay
 from nvspin.hamiltonian import DriveParams, pair_hamiltonian, resonance_field
-from nvspin.pulseq import hahn_sequence, ramsey_sequence, run_sequence
+from nvspin.pulseq import hahn_sequence, run_sequence
 from nvspin.pulseq import LaserInit, Readout
 from nvspin.spinops import NonHermitianError
+from oracles import (
+    basis_density,
+    propagate,
+    rabi_probability,
+    ramsey_sequence,
+    rk4_lindblad,
+)
 
 
 def rwa_hamiltonian(f1, df):
@@ -43,6 +48,8 @@ SZ = np.diag([1.0, -1.0]).astype(complex)
 
 
 class TestRabiProbability:
+    """The closed-form nutation reference of ``oracles.py``."""
+
     def test_zero_time(self):
         assert rabi_probability(1.3, 0.7, 0.0) == 1.0
 
@@ -70,6 +77,8 @@ class TestRabiProbability:
 
 
 class TestPropagate:
+    """The unitary reference integrator of ``oracles.py``."""
+
     def test_empty_segments(self):
         rho0 = basis_density(2, 0)
         assert np.allclose(propagate([], rho0), rho0)
@@ -140,8 +149,8 @@ class TestEvolveLindblad:
         h = rwa_hamiltonian(3.0, 1.0)
         collapse = [(SZ, 0.3), (np.array([[0, 1], [0, 0]], dtype=complex), 0.2)]
         rho0 = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]], dtype=complex)
-        a = evolve_lindblad(h, collapse, rho0, 1.5, method="expm")
-        b = evolve_lindblad(h, collapse, rho0, 1.5, method="rk4")
+        a = evolve_lindblad(h, collapse, rho0, 1.5)
+        b = rk4_lindblad(h, collapse, rho0, 1.5)
         assert np.max(np.abs(a - b)) < 1e-6
 
     def test_conservation_along_trajectory(self):
@@ -207,6 +216,18 @@ class TestEvolveLindblad:
         assert liou.shape == (4, 4)
 
 
+def test_reference_paths_are_not_library_api():
+    # the library has one evolution path; the references live in tests/oracles.py
+    moved = ("propagate", "expm_unitary", "rabi_probability", "basis_density",
+             "_rk4_steps", "_lindblad_rhs", "spectral_peak_count", "ramsey_sequence")
+    for module in (nvspin, dynamics, spinops, experiments, pulseq):
+        assert not [name for name in moved if hasattr(module, name)], module
+    assert not set(moved) & set(nvspin.__all__)
+    with pytest.raises(TypeError):
+        evolve_lindblad(rwa_hamiltonian(1.0, 0.0), [], basis_density(2, 0), 1.0,
+                        method="rk4")
+
+
 def kron_liouvillian(h, collapse_ops):
     """The Kronecker-product form of the Lindblad generator, as the oracle."""
     ident = np.eye(h.shape[0])
@@ -257,7 +278,7 @@ class TestHamiltonianStacks:
         assert traj.shape == (2, 3, 4, 2, 2)
         for idx in np.ndindex(2, 3):
             for t, rho in zip(times, traj[idx]):
-                direct = evolve_lindblad(hs[idx], collapse, rho0, t, method="expm")
+                direct = evolve_lindblad(hs[idx], collapse, rho0, t)
                 assert np.max(np.abs(rho - direct)) <= 1e-9
                 assert np.array_equal(rho, rho.conj().T)
 

@@ -22,12 +22,12 @@ from nvspin.experiments import (
     exp_t2p_vs_dip,
     joint_frame_hamiltonian,
     nv_transition_mhz,
-    spectral_peak_count,
     trend_configs,
 )
 from nvspin.fitting import fit_lorentzian
 from nvspin.hamiltonian import h_nv, pair_hamiltonian, resonance_field, rotating_frame
 from nvspin.pulseq import hahn_sequence, run_sequence
+from oracles import spectral_peak_count
 
 
 def quiet_config(**kwargs):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nvspin.dynamics import NoiseModel, basis_density, propagate, rabi_probability
+from nvspin.dynamics import NoiseModel
 from nvspin.hamiltonian import DriveParams, pair_hamiltonian
 from nvspin.pulseq import (
     Delay,
@@ -14,6 +14,7 @@ from nvspin.pulseq import (
     pi_duration,
     run_sequence,
 )
+from oracles import basis_density, propagate, rabi_probability
 
 DRIVE = DriveParams(f1_mhz=5.0)
 PERFECT_INIT = LaserInit(polarization=1.0)
