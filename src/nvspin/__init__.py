@@ -38,10 +38,9 @@ from .hamiltonian import (
     BathParams,
     DriveParams,
     NvParams,
-    h_n,
-    h_nv,
+    frame_detuning,
+    nv_levels,
     resonance_field,
-    rotating_frame,
 )
 from .pulseq import (
     Delay,
@@ -54,6 +53,5 @@ from .pulseq import (
     pi_duration,
     run_sequence,
 )
-from .spinops import eigensystem, spin_matrices
 
 __all__ = [name for name in dir() if not name.startswith("_")]

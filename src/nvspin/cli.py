@@ -79,12 +79,18 @@ def write_csv(path: Path, columns: dict[str, np.ndarray]) -> None:
 
 
 def read_csv(path: Path) -> dict[str, np.ndarray]:
-    lines = Path(path).read_text().strip().splitlines()
+    text = Path(path).read_text()
+    lines = text.strip().splitlines()
     if not lines:
         raise ValueError(f"{path}: empty CSV")
+    # messages give line numbers in the file, counting blank lines above the header
+    header = text[:len(text) - len(text.lstrip())].count("\n") + 1
     names = lines[0].split(",")
+    duplicate = next((name for i, name in enumerate(names) if name in names[:i]), None)
+    if duplicate is not None:
+        raise ValueError(f"{path}:{header}: duplicate column name {duplicate!r}")
     data = [[] for _ in names]
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(lines[1:], start=header + 1):
         parts = line.split(",")
         if len(parts) != len(names):
             raise ValueError(f"{path}:{lineno}: expected {len(names)} columns")
@@ -98,7 +104,7 @@ def read_csv(path: Path) -> dict[str, np.ndarray]:
     if not finite.all():
         row, col = np.argwhere(~finite.T)[0]
         part = lines[row + 1].split(",")[col]
-        raise ValueError(f"{path}:{row + 2}: non-finite value {part!r}")
+        raise ValueError(f"{path}:{header + 1 + row}: non-finite value {part!r}")
     return dict(zip(names, table))
 
 
@@ -195,7 +201,7 @@ def _run_experiment(experiment: str, cfg, out: OutputTracker) -> list[str]:
         write_csv(out.path("trend.csv"),
                   {"dip_amplitude": trace.x, "t2p_us": trace.y})
         reports.append(f"trend over {trace.meta['n_centers']} centers "
-                       f"at {format_float(cfg.b_probe_gauss)} G")
+                       f"at {format_float(cfg.b_field_gauss)} G")
     elif experiment == "levels":
         cols = exp_levels(cfg, _grid("levels", cfg))
         write_csv(out.path("levels.csv"), cols)

@@ -57,8 +57,6 @@ class ExperimentConfig:
     # fixed tau1 of a Hahn-echo tau2 sweep; None sweeps both delays together
     echo_tau1_us: float | None
     trend_couplings: tuple
-    # field where the trend probes T2'
-    b_probe_gauss: float
 
 
 @dataclass(frozen=True)
@@ -74,7 +72,8 @@ class SchemaEntry:
 # entry reads it from the dataclass, so every default is written once.
 SCHEMA: dict[str, SchemaEntry] = {
     "seed": SchemaEntry("int", 12345, "seed of the run and of its quasi-static ensemble"),
-    "field.b_gauss": SchemaEntry("float", 850.0, "static field along the N-V axis", True),
+    "field.b_gauss": SchemaEntry(
+        "float", 850.0, "static field along the N-V axis (trend probes T2' here)", True),
     "nv.d_mhz": SchemaEntry("float", NvParams.d_mhz, "zero-field splitting", True),
     "nv.g": SchemaEntry("float", NvParams.g, "electron g-factor", True),
     "nv.a_par_mhz": SchemaEntry(
@@ -118,7 +117,6 @@ SCHEMA: dict[str, SchemaEntry] = {
     "echo.tau1_us": SchemaEntry("float", -1.0, "fixed tau1 for a tau2 sweep; < 0 sweeps both"),
     "fieldsweep.t_wait_us": SchemaEntry("float", 5.0, "dark interval of the init-wait-readout cycle"),
     "trend.couplings_mhz": SchemaEntry("floats", (0.1, 0.3, 1.0), "bath coupling per synthetic center"),
-    "trend.b_probe_gauss": SchemaEntry("float", 850.0, "field where T2' is probed", True),
 }
 
 # keys deleted from the schema, with what replaced each, for the unknown-key hint
@@ -127,6 +125,7 @@ _REMOVED_KEYS: dict[str, str] = {
     "drive.b1_gauss": "drive.f1_mhz",
     "fit.model": "nvspin fit <model> <csv>",
     "fit.csv": "nvspin fit <model> <csv>",
+    "trend.b_probe_gauss": "field.b_gauss",
 }
 
 
@@ -255,7 +254,6 @@ def build_experiment_config(values: dict) -> ExperimentConfig:
         rabi_powers=tuple(powers),
         echo_tau1_us=tau1 if tau1 >= 0 else None,
         trend_couplings=tuple(couplings),
-        b_probe_gauss=values["trend.b_probe_gauss"],
     )
 
 

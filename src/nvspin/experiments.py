@@ -18,16 +18,8 @@ import numpy as np
 from .config import ExperimentConfig
 from .dynamics import NoiseModel, lindblad_trajectory, pair_collapse_ops, steady_state
 from .fitting import FitResult, Trace, fit_damped_cosine, fit_exp_decay, fit_lorentzian
-from .hamiltonian import (
-    BathParams,
-    h_n,
-    h_nv,
-    pair_hamiltonian,
-    resonance_field,
-    rotating_frame,
-)
+from .hamiltonian import BathParams, frame_detuning, nv_levels, pair_hamiltonian, resonance_field
 from .pulseq import hahn_sequence, run_sequence
-from .spinops import eigensystem
 
 
 # Rabi window (us) of the default rabi grid, the field sweep and the trend
@@ -47,18 +39,13 @@ class SweepResult:
 # ---------------------------------------------------------------------------
 # shared helpers
 
-def nv_transition_mhz(cfg: ExperimentConfig, b_gauss: float | None = None) -> float:
-    """Frequency of the addressed 0 -> -1 transition from the eigenlevels."""
+def nv_transition_mhz(cfg: ExperimentConfig, b_gauss=None):
+    """Frequency of the addressed transition, the gap between the two lowest
+    N-V levels (0 -> -1 below the 1029 G level crossing); broadcasts over
+    fields."""
     b = cfg.b_field_gauss if b_gauss is None else b_gauss
-    w, _ = eigensystem(h_nv(b, cfg.nv))
-    return float(w[1] - w[0])
-
-
-def _frame_detuning(cfg: ExperimentConfig, f1_mhz: float) -> float:
-    """Detuning of the drive from the addressed pair in the rotating frame,
-    warning on poor selectivity at Rabi frequency ``f1_mhz``."""
-    drive = replace(cfg.drive, f1_mhz=f1_mhz)
-    return rotating_frame(h_nv(cfg.b_field_gauss, cfg.nv), drive, (0, 1))[1, 1].real
+    w = np.sort(nv_levels(b, cfg.nv))
+    return w[..., 1] - w[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +127,7 @@ def _joint_p0(cfg: ExperimentConfig, b_gauss, f1_mhz: float, times) -> np.ndarra
     which reaches all 16.
     """
     b = np.asarray(b_gauss, dtype=float)
-    f_t = np.reshape([nv_transition_mhz(cfg, b_i) for b_i in b.flat], b.shape)
-    nu0 = cfg.nv.gamma * b - f_t
+    nu0 = cfg.nv.gamma * b - nv_transition_mhz(cfg, b)
     shifts, bath_weights = _bath_branches(cfg.bath)
     deltas, weights = cfg.noise.ensemble()
     h = joint_frame_hamiltonian(deltas, (nu0[..., None] + shifts)[..., None], f1_mhz,
@@ -189,7 +175,8 @@ def exp_rabi(cfg: ExperimentConfig, t_grid_us) -> SweepResult:
     fits: list[FitResult] = []
     for power in cfg.rabi_powers:
         f1 = cfg.drive.f1_mhz * np.sqrt(power)
-        h = pair_hamiltonian(_frame_detuning(cfg, f1) + deltas, f1)
+        drive = replace(cfg.drive, f1_mhz=f1)
+        h = pair_hamiltonian(frame_detuning(cfg.b_field_gauss, cfg.nv, drive) + deltas, f1)
         p0 = lindblad_trajectory(h, collapse, rho0, t_grid, observable=_P0)
         trace = Trace(t_grid, cfg.readout.counts(weights @ p0), "us",
                       "counts", {"n_samples": cfg.noise.n_samples, "power": power,
@@ -218,7 +205,7 @@ def exp_hahn(cfg: ExperimentConfig, tau_grid_us) -> SweepResult:
     tau_grid = np.asarray(tau_grid_us, dtype=float)
     tau1_us = cfg.echo_tau1_us
     deltas, weights = cfg.noise.ensemble()
-    detunings = _frame_detuning(cfg, cfg.drive.f1_mhz) + deltas
+    detunings = frame_detuning(cfg.b_field_gauss, cfg.nv, cfg.drive) + deltas
     p0 = np.empty((len(deltas), len(tau_grid)))
     for i, tau in enumerate(tau_grid):
         tau1, tau2 = (tau, tau) if tau1_us is None else (tau1_us, tau)
@@ -271,7 +258,7 @@ def exp_field_sweep(cfg: ExperimentConfig, b_grid_gauss) -> SweepResult:
 
 
 def exp_t2p_vs_dip(cfgs: list[ExperimentConfig]) -> Trace:
-    """T2' at each center's ``b_probe_gauss`` versus the normalized
+    """T2' at each center's ``b_field_gauss`` versus the normalized
     photoluminescence dip amplitude on resonance, one point per synthetic
     center.
 
@@ -286,7 +273,7 @@ def exp_t2p_vs_dip(cfgs: list[ExperimentConfig]) -> Trace:
         fields = [b_res, b_res + OFF_RESONANCE_OFFSET_GAUSS]
         i_res, i_off = cfg.readout.counts(_joint_p0(cfg, fields, 0.0, [cfg.t_wait_us])[:, 0])
         amplitudes.append((i_off - i_res) / i_off)
-        rabi = cfg.readout.counts(_joint_p0(cfg, cfg.b_probe_gauss, cfg.drive.f1_mhz, t_grid))
+        rabi = cfg.readout.counts(_joint_p0(cfg, cfg.b_field_gauss, cfg.drive.f1_mhz, t_grid))
         fit = fit_damped_cosine(Trace(t_grid, rabi, "us", "counts"))
         t2ps.append(fit["t2p_us"])
     order = np.argsort(amplitudes, kind="stable")
@@ -318,35 +305,27 @@ def trend_configs(cfg: ExperimentConfig) -> list[ExperimentConfig]:
 
 
 def exp_levels(cfg: ExperimentConfig, b_grid_gauss) -> dict[str, np.ndarray]:
-    """Eigenlevels of the N-V center and one P1 electron spin versus field,
-    both electrons at g = ``cfg.nv.g``.
+    """Levels of the N-V center and one P1 electron spin versus field, both
+    electrons at g = ``cfg.nv.g``.
 
-    N-V levels are labeled by their dominant m_S character, so columns stay
-    continuous across the level crossing.  Also reports the 0 -> -1
-    transition frequency and the P1 splitting, which cross at the
-    resonance field.
+    N-V levels are labeled by m_S, so columns stay continuous across the
+    level crossing.  Also reports the 0 -> -1 transition frequency and the
+    P1 splitting, which cross at the resonance field.
     """
     b_grid = np.asarray(b_grid_gauss, dtype=float)
-    cols = {
+    nv_p1, nv_0, nv_m1 = nv_levels(b_grid, cfg.nv).T
+    # P1 levels +-gamma B/2, ascending; the stable sort keeps the zero-field
+    # tie in up, down order, so B = 0 writes n_up = -0.0 and n_down = 0.0 as
+    # an eigensolver does
+    zeeman = cfg.nv.gamma * b_grid
+    n_down, n_up = np.sort([zeeman / 2, -zeeman / 2], axis=0, kind="stable")
+    return {
         "b_gauss": b_grid,
-        "nv_ms0_mhz": np.empty_like(b_grid),
-        "nv_msm1_mhz": np.empty_like(b_grid),
-        "nv_msp1_mhz": np.empty_like(b_grid),
-        "n_up_mhz": np.empty_like(b_grid),
-        "n_down_mhz": np.empty_like(b_grid),
-        "f_nv_mhz": np.empty_like(b_grid),
-        "f_n_mhz": np.empty_like(b_grid),
+        "nv_ms0_mhz": nv_0,
+        "nv_msm1_mhz": nv_m1,
+        "nv_msp1_mhz": nv_p1,
+        "n_up_mhz": n_up,
+        "n_down_mhz": n_down,
+        "f_nv_mhz": nv_m1 - nv_0,
+        "f_n_mhz": n_up - n_down,
     }
-    # basis order m = +1, 0, -1 per the operator convention
-    label_keys = ("nv_msp1_mhz", "nv_ms0_mhz", "nv_msm1_mhz")
-    for i, b in enumerate(b_grid):
-        w, v = eigensystem(h_nv(b, cfg.nv))
-        for level in range(3):
-            character = int(np.argmax(np.abs(v[:, level]) ** 2))
-            cols[label_keys[character]][i] = w[level]
-        wn, _ = eigensystem(h_n(b, cfg.nv.g))
-        cols["n_down_mhz"][i] = wn[0]
-        cols["n_up_mhz"][i] = wn[1]
-        cols["f_nv_mhz"][i] = cols["nv_msm1_mhz"][i] - cols["nv_ms0_mhz"][i]
-        cols["f_n_mhz"][i] = wn[1] - wn[0]
-    return cols

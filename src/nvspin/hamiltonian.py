@@ -1,8 +1,10 @@
-"""Hamiltonians for the N-V center and a substitutional-nitrogen (P1)
-electron spin, and the rotating frame of a driven N-V transition.
+"""Static levels of the N-V center for a field along its symmetry axis,
+and the rotating frame of its driven transition.
 
-All Hamiltonians are frequency operators in MHz; the static magnetic field
-is taken along the N-V symmetry axis (z) and is given in gauss.
+Levels and Hamiltonians are frequencies in MHz; the static magnetic field
+is taken along the N-V symmetry axis (z) and is given in gauss.  Along
+that axis the ground-state Hamiltonian D Sz^2 + gamma B Sz is diagonal, so
+its levels D m^2 + gamma B m are written down rather than diagonalised.
 """
 
 import warnings
@@ -11,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import ELECTRON_G, gyromagnetic_ratio
-from .spinops import eigensystem, spin_matrices
 
 
 @dataclass(frozen=True)
@@ -77,17 +78,11 @@ class DriveParams:
             raise ValueError("Rabi frequency must be >= 0")
 
 
-def h_nv(b_gauss: float, p: NvParams) -> np.ndarray:
-    """N-V ground-state Hamiltonian D*Sz^2 + gamma*B*Sz, 3x3 in the basis
-    m_S = +1, 0, -1."""
-    _, _, sz = spin_matrices(1.0)
-    return p.d_mhz * (sz @ sz) + p.gamma * b_gauss * sz
-
-
-def h_n(b_gauss: float, g: float = ELECTRON_G) -> np.ndarray:
-    """Zeeman Hamiltonian of one P1 electron spin, 2x2."""
-    _, _, sz = spin_matrices(0.5)
-    return gyromagnetic_ratio(g) * b_gauss * sz
+def nv_levels(b_gauss, p: NvParams) -> np.ndarray:
+    """N-V ground-state levels E_m = D m^2 + gamma B m, the last axis in the
+    order m_S = +1, 0, -1.  Broadcasts over ``b_gauss``."""
+    zeeman = p.gamma * np.asarray(b_gauss, dtype=float)
+    return np.stack([p.d_mhz + zeeman, np.zeros_like(zeeman), p.d_mhz - zeeman], axis=-1)
 
 
 def resonance_field(p: NvParams) -> float:
@@ -112,41 +107,28 @@ def pair_hamiltonian(detuning_mhz, f1_mhz: float) -> np.ndarray:
     return h
 
 
-def rotating_frame(h_static: np.ndarray, drive: DriveParams,
-                   transition: tuple[int, int]) -> np.ndarray:
-    """Two-level rotating-frame Hamiltonian for a selectively driven pair.
+def frame_detuning(b_gauss: float, p: NvParams, drive: DriveParams) -> float:
+    """Detuning of the drive from the transition between the two lowest N-V
+    levels, the pair every driven experiment addresses; the rotating-frame
+    Hamiltonian is ``pair_hamiltonian(detuning, drive.f1_mhz)``.
 
-    Levels are indices into the ascending eigenvalues of ``h_static``.  The
-    result is :func:`pair_hamiltonian` with detuning = transition frequency
-    - drive frequency; counter-rotating terms are dropped.
-
-    Raises if either selected level is degenerate (the addressed pair would
-    be ambiguous) and warns when some spectator transition lies within
-    ``SELECTIVITY_FACTOR * f1`` of the drive.
+    Raises if either level of the pair is degenerate (the addressed pair
+    would be ambiguous) and warns when a spectator transition to the third
+    level lies within ``SELECTIVITY_FACTOR * f1`` of the drive.
     """
-    w, _ = eigensystem(h_static)
-    i, j = transition
-    if i == j:
-        raise ValueError("transition needs two distinct levels")
-    for sel in (i, j):
-        others = np.delete(np.arange(len(w)), sel)
-        if np.any(np.abs(w[others] - w[sel]) < 1e-6):
-            raise ValueError(
-                f"level {sel} is degenerate; addressed transition is ambiguous"
-            )
-    f_t = w[j] - w[i]
+    w = np.sort(nv_levels(b_gauss, p))
+    if np.any(np.diff(w) < 1e-6):
+        raise ValueError(
+            f"N-V levels are degenerate at {b_gauss} G; addressed transition is ambiguous"
+        )
+    f_t = w[1] - w[0]
     f_rf = drive.f_rf_mhz if drive.f_rf_mhz is not None else f_t
-    detuning = f_t - f_rf
-    # spectator transitions sharing a level with the addressed pair
     if drive.f1_mhz > 0:
-        for a in range(len(w)):
-            for b in range(a + 1, len(w)):
-                if {a, b} == {i, j} or not ({a, b} & {i, j}):
-                    continue
-                if abs(abs(w[b] - w[a]) - f_rf) < SELECTIVITY_FACTOR * drive.f1_mhz:
-                    warnings.warn(
-                        "drive is not selective: spectator transition "
-                        f"({a},{b}) lies within {SELECTIVITY_FACTOR} f1 of the drive",
-                        stacklevel=2,
-                    )
-    return pair_hamiltonian(detuning, drive.f1_mhz)
+        for level in (0, 1):
+            if abs(w[2] - w[level] - f_rf) < SELECTIVITY_FACTOR * drive.f1_mhz:
+                warnings.warn(
+                    "drive is not selective: spectator transition "
+                    f"({level},2) lies within {SELECTIVITY_FACTOR} f1 of the drive",
+                    stacklevel=2,
+                )
+    return float(f_t - f_rf)

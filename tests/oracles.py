@@ -1,20 +1,79 @@
 """Reference implementations the tests compare the library against.
 
 None of these is on a production path: the library evolves every state
-through ``dynamics.evolve_lindblad`` and ``dynamics.lindblad_trajectory``.
+through ``dynamics.evolve_lindblad`` and ``dynamics.lindblad_trajectory``
+and writes the static levels in closed form (``hamiltonian.nv_levels``).
 Each function here is an independent route to a quantity that those paths
-or the experiments also produce.
+or the experiments also produce; the dense Hamiltonians are built from
+ladder-operator spin matrices and diagonalised numerically.
 """
 
 from collections.abc import Sequence
+from math import isclose
 
 import numpy as np
 
 from nvspin.dynamics import CollapseOps
 from nvspin.fitting import Trace
-from nvspin.hamiltonian import DriveParams
+from nvspin.hamiltonian import DriveParams, NvParams
 from nvspin.pulseq import Delay, LaserInit, PulseSequence, Readout, RfPulse, pi2_duration
-from nvspin.spinops import eigensystem
+from nvspin.spinops import NonHermitianError, is_hermitian
+
+SUPPORTED_SPINS = (0.5, 1.0)
+
+
+class UnsupportedSpinError(ValueError):
+    """Raised for spin quantum numbers outside the supported set."""
+
+
+def spin_matrices(s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Return (Sx, Sy, Sz) for spin quantum number ``s``.
+
+    Matrices are (2s+1)-dimensional in the Sz eigenbasis ordered
+    m = +s ... -s, built from the standard ladder operators.
+    """
+    if not any(isclose(s, v) for v in SUPPORTED_SPINS):
+        raise UnsupportedSpinError(
+            f"spin quantum number {s} not supported (use one of {SUPPORTED_SPINS})"
+        )
+    dim = int(round(2 * s + 1))
+    m = s - np.arange(dim)
+    sz = np.diag(m).astype(complex)
+    # <m+1| S+ |m> = sqrt(s(s+1) - m(m+1)) on the superdiagonal
+    ladder = np.sqrt(s * (s + 1) - m[1:] * (m[1:] + 1))
+    sp = np.zeros((dim, dim), dtype=complex)
+    sp[np.arange(dim - 1), np.arange(1, dim)] = ladder
+    sm = sp.conj().T
+    sx = (sp + sm) / 2
+    sy = (sp - sm) / 2j
+    return sx, sy, sz
+
+
+def eigensystem(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix or a
+    stack of them.
+
+    Columns of the returned matrix are the eigenvectors, so
+    ``h @ v == v @ diag(w)``.
+    """
+    if not is_hermitian(h):
+        raise NonHermitianError("eigensystem requires a Hermitian matrix")
+    w, v = np.linalg.eigh(h)
+    return w, v
+
+
+def h_nv(b_gauss, p: NvParams) -> np.ndarray:
+    """Dense N-V ground-state Hamiltonian D*Sz^2 + gamma*B*Sz in the basis
+    m_S = +1, 0, -1; a field array gives a stack ``(..., 3, 3)``."""
+    _, _, sz = spin_matrices(1.0)
+    zeeman = p.gamma * np.asarray(b_gauss, dtype=float)[..., None, None]
+    return p.d_mhz * (sz @ sz) + zeeman * sz
+
+
+def h_n(b_gauss: float, p: NvParams) -> np.ndarray:
+    """Zeeman Hamiltonian of one P1 electron spin at g = ``p.g``, 2x2."""
+    _, _, sz = spin_matrices(0.5)
+    return p.gamma * b_gauss * sz
 
 
 def basis_density(dim: int, index: int) -> np.ndarray:

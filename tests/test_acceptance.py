@@ -32,11 +32,12 @@ from nvspin.experiments import (
     trend_configs,
 )
 from nvspin.fitting import Trace, fit_damped_cosine, fit_exp_decay, fit_lorentzian
-from nvspin.hamiltonian import DriveParams, h_nv, pair_hamiltonian, resonance_field
+from nvspin.hamiltonian import DriveParams, pair_hamiltonian, resonance_field
 from nvspin.pulseq import LaserInit, Readout, hahn_sequence, run_sequence
-from nvspin.spinops import eigensystem
 from oracles import (
     basis_density,
+    eigensystem,
+    h_nv,
     rabi_probability,
     ramsey_sequence,
     rk4_lindblad,

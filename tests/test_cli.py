@@ -103,6 +103,27 @@ class TestCsvIO:
             read_csv(path)
 
 
+    @pytest.mark.parametrize("value, message", [
+        ("abc", "non-numeric value 'abc'"), ("inf", "non-finite value 'inf'")])
+    def test_line_numbers_count_blank_lines_above_the_header(self, tmp_path, value, message):
+        path = tmp_path / "blank.csv"
+        path.write_text(f"\n\nx,y\n1,2\n2,{value}\n")
+        with pytest.raises(ValueError, match=f"{path.name}:5: {message}"):
+            read_csv(path)
+
+    @pytest.mark.parametrize("header, rows", [("x,x", "1,2\n2,3\n3,5\n"),
+                                              ("t,t,y", "1,1,2\n2,2,3\n3,3,5\n")])
+    def test_duplicate_column_name_rejected(self, tmp_path, capsys, header, rows):
+        # a repeated name used to drop a column: "need at least two columns"
+        # for x,x, and t,t,y fitted y against the second t
+        path = tmp_path / "dup.csv"
+        path.write_text(f"{header}\n{rows}")
+        name = header.split(",")[0]
+        with pytest.raises(ValueError, match=f"{path.name}:1: duplicate column name '{name}'"):
+            read_csv(path)
+        assert main(["fit", "exp_decay", str(path)]) == 2
+        assert f"duplicate column name '{name}'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_value_rejected(self, tmp_path, capsys, value):
         x = np.linspace(-3.0, 3.0, 61)
@@ -191,7 +212,7 @@ class TestRunCommand:
 
     def test_scipy_linalg_stays_unloaded(self, tmp_path):
         # only the steady state of esr needs scipy (its null_space); every
-        # other command must run without importing it
+        # other command must run without importing scipy or scipy.linalg
         out = tmp_path / "out"
         commands = [["run", exp, "--out", str(out / exp)]
                     for exp in ("echo", "rabi", "fieldsweep", "trend", "levels")]
@@ -199,11 +220,12 @@ class TestRunCommand:
         script = (
             "import json, sys\n"
             "import nvspin.cli\n"
-            "loaded = {'import nvspin.cli': 'scipy.linalg' in sys.modules}\n"
+            "def scipy_loaded():\n"
+            "    return 'scipy' in sys.modules or 'scipy.linalg' in sys.modules\n"
+            "loaded = {'import nvspin.cli': scipy_loaded()}\n"
             "for argv in json.loads(sys.argv[1]):\n"
             "    code = nvspin.cli.main(argv)\n"
-            "    loaded['nvspin ' + ' '.join(argv[:2]) + f' (exit {code})'] = "
-            "'scipy.linalg' in sys.modules\n"
+            "    loaded['nvspin ' + ' '.join(argv[:2]) + f' (exit {code})'] = scipy_loaded()\n"
             "print(json.dumps(loaded))\n"
         )
         proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
@@ -288,6 +310,15 @@ class TestRunCommand:
         out = tmp_path / "o"
         assert self.run_cli("run", "esr", "--config", str(cfg), "--out", str(out)) == 0
         assert np.ptp(read_csv(out / "esr.csv")["i_pl"]) <= 1e-9
+
+    def test_degenerate_levels_exit_2(self, tmp_path, capsys):
+        # at zero field m_S = +1 and -1 coincide, so the driven pair is ambiguous
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("field.b_gauss = 0\n")
+        out = tmp_path / "o"
+        assert self.run_cli("run", "echo", "--config", str(cfg), "--out", str(out)) == 2
+        assert "degenerate" in capsys.readouterr().err
+        assert not any(out.iterdir())
 
     def test_missing_config_file(self, tmp_path):
         assert self.run_cli("run", "esr", "--config", str(tmp_path / "nope.cfg"),

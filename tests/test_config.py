@@ -53,7 +53,6 @@ REACH = {
     "echo.tau1_us": ("echo", "1.5"),
     "fieldsweep.t_wait_us": ("fieldsweep", "2"),
     "trend.couplings_mhz": ("trend", "0.2,0.5,1"),
-    "trend.b_probe_gauss": ("trend", "800"),
 }
 
 
@@ -88,6 +87,7 @@ def test_key_reaches_an_output(key, outputs):
 
 # keys that more experiments read than the one REACH names
 ALSO_REACH = [
+    ("field.b_gauss", "trend", "800"),
     ("noise.nuclear_populations", "fieldsweep", "1,0,0"),
     ("noise.nuclear_populations", "trend", "1,0,0"),
     ("noise.gamma_1", "esr", "0.5"),
@@ -104,6 +104,7 @@ def test_key_reaches_every_experiment_reading_it(key, experiment, value, outputs
     "nv.include_nucleus", "nv.a_perp_mhz", "bath.n_spins", "bath.couplings_mhz",
     "bath.a_n_perp_mhz", "readout.repetitions", "sweep.variable", "drive.phase_rad",
     "noise.nuclear_splitting_mhz", "noise.seed", "drive.b1_gauss", "fit.model", "fit.csv",
+    "trend.b_probe_gauss",
 ])
 def test_removed_key_is_unknown(key):
     with pytest.raises(ConfigError, match="unknown key"):
@@ -115,6 +116,7 @@ def test_removed_key_is_unknown(key):
     ("drive.b1_gauss", "drive.f1_mhz"),
     ("fit.model", "nvspin fit <model> <csv>"),
     ("fit.csv", "nvspin fit <model> <csv>"),
+    ("trend.b_probe_gauss", "field.b_gauss"),
 ])
 def test_removed_key_hint_names_its_replacement(key, replacement):
     with pytest.raises(ConfigError, match="unknown key") as err:

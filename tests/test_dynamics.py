@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nvspin
-from nvspin import dynamics, experiments, pulseq, spinops
+from nvspin import dynamics, experiments, hamiltonian, pulseq, spinops
 from nvspin.config import standard_config
 from nvspin.dynamics import (
     DegenerateSteadyStateError,
@@ -217,10 +217,13 @@ class TestEvolveLindblad:
 
 
 def test_reference_paths_are_not_library_api():
-    # the library has one evolution path; the references live in tests/oracles.py
+    # the library has one evolution path and closed-form static levels; the
+    # references live in tests/oracles.py
     moved = ("propagate", "expm_unitary", "rabi_probability", "basis_density",
-             "_rk4_steps", "_lindblad_rhs", "spectral_peak_count", "ramsey_sequence")
-    for module in (nvspin, dynamics, spinops, experiments, pulseq):
+             "_rk4_steps", "_lindblad_rhs", "spectral_peak_count", "ramsey_sequence",
+             "spin_matrices", "SUPPORTED_SPINS", "UnsupportedSpinError", "eigensystem",
+             "h_nv", "h_n", "rotating_frame")
+    for module in (nvspin, dynamics, spinops, hamiltonian, experiments, pulseq):
         assert not [name for name in moved if hasattr(module, name)], module
     assert not set(moved) & set(nvspin.__all__)
     with pytest.raises(TypeError):

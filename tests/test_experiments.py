@@ -3,7 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nvspin.config import SweepSpec, standard_config
+from nvspin.cli import run
+from nvspin.config import SweepSpec, resolve_values, standard_config
 from nvspin.dynamics import (
     NoiseModel,
     lindblad_trajectory,
@@ -25,7 +26,7 @@ from nvspin.experiments import (
     trend_configs,
 )
 from nvspin.fitting import fit_lorentzian
-from nvspin.hamiltonian import h_nv, pair_hamiltonian, resonance_field, rotating_frame
+from nvspin.hamiltonian import frame_detuning, pair_hamiltonian, resonance_field
 from nvspin.pulseq import hahn_sequence, run_sequence
 from oracles import spectral_peak_count
 
@@ -228,8 +229,8 @@ def looped_esr(cfg, f_grid):
 
 
 def frame(cfg, f1):
-    return rotating_frame(h_nv(cfg.b_field_gauss, cfg.nv),
-                          replace(cfg.drive, f1_mhz=f1), (0, 1))
+    return pair_hamiltonian(
+        frame_detuning(cfg.b_field_gauss, cfg.nv, replace(cfg.drive, f1_mhz=f1)), f1)
 
 
 def looped_rabi(cfg, t_grid, power):
@@ -403,6 +404,29 @@ class TestLevels:
         assert np.isclose(cols["nv_msp1_mhz"][0], 2880.0, atol=1e-9)
         # m_S = -1 comes down, +1 goes up
         assert cols["nv_msm1_mhz"][1] < 2880.0 < cols["nv_msp1_mhz"][1]
+
+
+# small grids and a two-member ensemble for a run of each experiment
+SMALL_RUNS = {
+    "esr": "sweep.grid = 480:520:21",
+    "rabi": "sweep.grid = 0:2:81\nrabi.powers = 1",
+    "echo": "sweep.grid = 0.5:3:6",
+    "fieldsweep": "sweep.grid = 500:530:11",
+    "trend": "trend.couplings_mhz = 0.3,1",
+    "levels": "sweep.grid = 0:1100:12",
+}
+
+
+def test_experiments_run_without_an_eigensolver(tmp_path, monkeypatch):
+    # the field lies along the N-V axis, so every level is in closed form
+    def no_eigh(*_args, **_kwargs):
+        raise AssertionError("np.linalg.eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    for experiment, text in SMALL_RUNS.items():
+        values = resolve_values(f"noise.n_samples = 2\n{text}\n")
+        run(experiment, values, tmp_path / experiment)
+        assert (tmp_path / experiment / "manifest.txt").exists()
 
 
 class TestConfigDefaults:

@@ -1,18 +1,23 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.constants as const
 import scipy.optimize
 
-from nvspin.constants import MU_B_MHZ_PER_G
+from nvspin.cli import _default_grid
+from nvspin.config import standard_config
+from nvspin.constants import ELECTRON_G, MU_B_MHZ_PER_G
+from nvspin.experiments import exp_levels, nv_transition_mhz
 from nvspin.hamiltonian import (
     DriveParams,
     NvParams,
-    h_n,
-    h_nv,
+    frame_detuning,
+    nv_levels,
+    pair_hamiltonian,
     resonance_field,
-    rotating_frame,
 )
-from nvspin.spinops import eigensystem
+from oracles import eigensystem, h_n, h_nv
 
 
 def max_abs(a):
@@ -27,26 +32,29 @@ class TestConstants:
 
 
 class TestHNv:
+    """The closed-form N-V levels, ``nv_levels``, and the dense oracle."""
+
     def test_zero_field_eigenvalues(self):
         p = NvParams()
-        w, _ = eigensystem(h_nv(0.0, p))
+        w = np.sort(nv_levels(0.0, p))
         assert np.allclose(w, [0.0, 2880.0, 2880.0])
 
     def test_transition_at_100_gauss(self):
         p = NvParams()
-        w, _ = eigensystem(h_nv(100.0, p))
+        w = np.sort(nv_levels(100.0, p))
         assert np.isclose(w[1] - w[0], 2600.0751, atol=1e-4)
 
     def test_level_crossing_field(self):
         p = NvParams()
         b_cross = p.d_mhz / p.gamma
         assert np.isclose(b_cross, 1028.9, atol=0.1)
-        w, _ = eigensystem(h_nv(b_cross, p))
+        w = np.sort(nv_levels(b_cross, p))
         # m_S = 0 and m_S = -1 degenerate at the crossing
         assert np.isclose(w[0], w[1], atol=1e-9)
 
     @pytest.mark.parametrize("b", [37.0, 100.0, 514.4, 850.0])
     def test_transitions_match_formula(self, b):
+        # oracle: the eigenvalues of the dense Hamiltonian
         p = NvParams()
         w, _ = eigensystem(h_nv(b, p))
         f_minus = w[1] - w[0]
@@ -58,6 +66,18 @@ class TestHNv:
         h = h_nv(321.0, NvParams())
         assert max_abs(h - h.conj().T) < 1e-12
 
+    @pytest.mark.parametrize("d_mhz, g", [(2880.0, ELECTRON_G), (2870.0, 2.0), (1420.0, 2.01)])
+    def test_sorted_levels_and_gap_equal_the_eigensolver(self, d_mhz, g):
+        # 10,001 fields in [-2000, 2000] G plus zero field, the level
+        # crossing and the default fieldsweep and levels grids
+        p = NvParams(d_mhz=d_mhz, g=g)
+        cfg = replace(standard_config(), nv=p)
+        b = np.concatenate([np.linspace(-2000.0, 2000.0, 10_001), [0.0, p.d_mhz / p.gamma],
+                            _default_grid("fieldsweep", cfg), _default_grid("levels", cfg)])
+        w, _ = eigensystem(h_nv(b, p))
+        assert np.array_equal(np.sort(nv_levels(b, p)), w)
+        assert np.array_equal(nv_transition_mhz(cfg, b), w[:, 1] - w[:, 0])
+
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             NvParams(d_mhz=-1.0)
@@ -66,13 +86,32 @@ class TestHNv:
 
 
 class TestHN:
+    """The P1 levels that ``exp_levels`` writes."""
+
     def test_splitting_at_resonance_field(self):
-        w, _ = eigensystem(h_n(514.4236900683))
-        assert np.isclose(w[1] - w[0], 1440.0, atol=1e-3)
+        cols = exp_levels(standard_config(), [514.4236900683])
+        assert np.isclose(cols["n_up_mhz"][0] - cols["n_down_mhz"][0], 1440.0, atol=1e-3)
 
     def test_zero_field_degenerate(self):
-        w, _ = eigensystem(h_n(0.0))
-        assert np.isclose(w[0], w[1], atol=1e-12)
+        cols = exp_levels(standard_config(), [0.0])
+        assert np.isclose(cols["n_down_mhz"][0], cols["n_up_mhz"][0], atol=1e-12)
+
+    def test_levels_equal_the_eigensolver(self):
+        # the old per-field route: eigenlevels of the dense Hamiltonians, N-V
+        # levels labeled by dominant m_S character; repr compares signed zeros
+        cfg = standard_config()
+        b_grid = np.concatenate([_default_grid("levels", cfg), [-300.0, 1028.9, 1500.0]])
+        cols = exp_levels(cfg, b_grid)
+        labels = ("nv_msp1_mhz", "nv_ms0_mhz", "nv_msm1_mhz")
+        for i, b in enumerate(b_grid):
+            w, v = eigensystem(h_nv(b, cfg.nv))
+            for level in range(3):
+                label = labels[int(np.argmax(np.abs(v[:, level]) ** 2))]
+                assert repr(cols[label][i]) == repr(w[level])
+            wn, _ = eigensystem(h_n(b, cfg.nv))
+            expected = {"n_down_mhz": wn[0], "n_up_mhz": wn[1], "f_n_mhz": wn[1] - wn[0]}
+            for key, value in expected.items():
+                assert repr(cols[key][i]) == repr(value)
 
 
 class TestResonanceField:
@@ -100,37 +139,42 @@ class TestResonanceField:
 
 
 class TestRotatingFrame:
+    """``frame_detuning``: the drive's detuning from the lowest N-V pair."""
+
+    def frame(self, b, drive):
+        return pair_hamiltonian(frame_detuning(b, NvParams(), drive), drive.f1_mhz)
+
     def test_on_resonance_gap(self):
-        h = h_nv(850.0, NvParams())
-        frame = rotating_frame(h, DriveParams(f1_mhz=1.0), (0, 1))
-        w, _ = eigensystem(frame)
+        drive = DriveParams(f1_mhz=1.0)
+        assert frame_detuning(850.0, NvParams(), drive) == 0.0
+        w, _ = eigensystem(self.frame(850.0, drive))
         assert np.isclose(w[1] - w[0], 1.0, atol=1e-9)
 
     def test_generalized_rabi_gap(self):
-        h = h_nv(850.0, NvParams())
-        w, _ = eigensystem(h)
+        w = np.sort(nv_levels(850.0, NvParams()))
         f_t = w[1] - w[0]
-        frame = rotating_frame(h, DriveParams(f1_mhz=1.0, f_rf_mhz=f_t - 1.0), (0, 1))
-        w, _ = eigensystem(frame)
+        drive = DriveParams(f1_mhz=1.0, f_rf_mhz=f_t - 1.0)
+        assert frame_detuning(850.0, NvParams(), drive) == 1.0
+        w, _ = eigensystem(self.frame(850.0, drive))
         assert np.isclose(w[1] - w[0], np.sqrt(2.0), atol=1e-9)
 
     def test_no_drive_is_diagonal(self):
-        h = h_nv(850.0, NvParams())
-        w, _ = eigensystem(h)
+        w = np.sort(nv_levels(850.0, NvParams()))
         f_t = w[1] - w[0]
-        frame = rotating_frame(h, DriveParams(f1_mhz=0.0, f_rf_mhz=f_t - 2.5), (0, 1))
+        frame = self.frame(850.0, DriveParams(f1_mhz=0.0, f_rf_mhz=f_t - 2.5))
         assert max_abs(frame - np.diag([0.0, 2.5])) < 1e-9
 
     def test_degenerate_pair_rejected(self):
-        h = h_nv(0.0, NvParams())  # m_S = +/-1 degenerate at zero field
-        with pytest.raises(ValueError, match="ambiguous|degenerate"):
-            rotating_frame(h, DriveParams(f1_mhz=1.0), (0, 1))
+        # m_S = +/-1 degenerate at zero field, 0 and -1 at the level crossing
+        p = NvParams()
+        for b in (0.0, p.d_mhz / p.gamma):
+            with pytest.raises(ValueError, match="degenerate"):
+                frame_detuning(b, p, DriveParams(f1_mhz=1.0))
 
     def test_poor_selectivity_warns(self):
         # at low field the m_S = +1 transition sits within 20 f1 of the drive
-        h = h_nv(10.0, NvParams())
         with pytest.warns(UserWarning, match="selective"):
-            rotating_frame(h, DriveParams(f1_mhz=5.0), (0, 1))
+            frame_detuning(10.0, NvParams(), DriveParams(f1_mhz=5.0))
 
 
 class TestDriveParams:

@@ -1,16 +1,13 @@
+"""``is_hermitian`` of ``nvspin.spinops``, and the spin matrices,
+eigensolver and propagator that the oracles build on."""
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nvspin.spinops import (
-    NonHermitianError,
-    UnsupportedSpinError,
-    eigensystem,
-    is_hermitian,
-    spin_matrices,
-)
-from oracles import expm_unitary
+from nvspin.spinops import NonHermitianError, is_hermitian
+from oracles import UnsupportedSpinError, eigensystem, expm_unitary, spin_matrices
 
 
 def max_abs(a):
@@ -24,6 +21,8 @@ def random_hermitian(dim, seed):
 
 
 class TestSpinMatrices:
+    """The ladder-operator spin matrices of ``oracles.py``."""
+
     def test_spin_half_sz(self):
         _, _, sz = spin_matrices(0.5)
         assert np.allclose(sz, np.diag([0.5, -0.5]))
@@ -60,6 +59,8 @@ class TestSpinMatrices:
 
 
 class TestEigensystem:
+    """The Hermitian eigensolver of ``oracles.py``."""
+
     def test_diagonal_sorted(self):
         w, _ = eigensystem(np.diag([3.0, 1.0, 2.0]).astype(complex))
         assert np.allclose(w, [1.0, 2.0, 3.0])
