@@ -45,7 +45,6 @@ from .hamiltonian import (
 from .pulseq import (
     Delay,
     LaserInit,
-    PulseSequence,
     Readout,
     RfPulse,
     hahn_sequence,

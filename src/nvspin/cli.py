@@ -41,6 +41,8 @@ RESONANT_DRIVE = ("esr", "fieldsweep", "trend")
 # these pulse or nutate the spin, so they need a nonzero drive; esr and
 # levels still run without one
 DRIVEN = ("rabi", "echo", "fieldsweep", "trend")
+# these sweep a duration, so their grid must be >= 0
+DURATION_GRID = ("rabi", "echo")
 
 
 @dataclass(frozen=True)
@@ -168,12 +170,12 @@ def _run_experiment(experiment: str, cfg, out: OutputTracker) -> list[str]:
         write_csv(out.path("esr.csv"), {"f_mhz": trace.x, "i_pl": trace.y})
         k = int(np.argmin(trace.y))
         reports.append(f"esr dip at {format_float(trace.x[k])} MHz "
-                       f"(transition {format_float(trace.meta['transition_mhz'])} MHz)")
+                       f"(transition {format_float(nv_transition_mhz(cfg))} MHz)")
     elif experiment == "rabi":
         result = exp_rabi(cfg, _grid("rabi", cfg))
         for i, (trace, fit) in enumerate(zip(result.traces, result.fits)):
             write_csv(out.path(f"rabi_{i}.csv"), {"t_us": trace.x, "i_pl": trace.y})
-            reports.append(f"rabi power {trace.meta['power']}:\n{format_fit(fit)}")
+            reports.append(f"rabi power {cfg.rabi_powers[i]}:\n{format_fit(fit)}")
     elif experiment == "echo":
         result = exp_hahn(cfg, _grid("echo", cfg))
         trace = result.traces[0]
@@ -200,7 +202,7 @@ def _run_experiment(experiment: str, cfg, out: OutputTracker) -> list[str]:
         trace = exp_t2p_vs_dip(trend_configs(cfg))
         write_csv(out.path("trend.csv"),
                   {"dip_amplitude": trace.x, "t2p_us": trace.y})
-        reports.append(f"trend over {trace.meta['n_centers']} centers "
+        reports.append(f"trend over {len(cfg.trend_couplings)} centers "
                        f"at {format_float(cfg.b_field_gauss)} G")
     elif experiment == "levels":
         cols = exp_levels(cfg, _grid("levels", cfg))
@@ -220,6 +222,8 @@ def run(experiment: str, values: dict, out_dir: Path) -> RunManifest:
         raise ConfigError(f"drive.f_rf_mhz: {experiment} sets the drive frequency itself")
     if experiment in DRIVEN and cfg.drive.f1_mhz == 0:
         raise ConfigError(f"drive.f1_mhz: {experiment} needs a nonzero drive")
+    if experiment in DURATION_GRID and cfg.sweep.grid and cfg.sweep.grid[0] < 0:
+        raise ConfigError(f"sweep.grid: {experiment} sweeps a duration, which must be >= 0")
     out_dir.mkdir(parents=True, exist_ok=True)
     tracker = OutputTracker(out_dir)
     start = time.monotonic()
@@ -252,7 +256,7 @@ def fit_file(csv_path: Path, model: str) -> FitResult:
     names = list(columns)
     if len(names) < 2:
         raise ValueError(f"{csv_path}: need at least two columns")
-    trace = Trace(columns[names[0]], columns[names[1]], names[0], names[1])
+    trace = Trace(columns[names[0]], columns[names[1]])
     return FIT_MODELS[model](trace)
 
 

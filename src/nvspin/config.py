@@ -190,6 +190,7 @@ def _unknown_key_hint(key: str) -> str:
 def resolve_values(text: str) -> dict:
     """Parse config text into a fully defaulted {key: value} mapping."""
     values = {key: entry.default for key, entry in SCHEMA.items()}
+    set_on: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -199,6 +200,9 @@ def resolve_values(text: str) -> dict:
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in SCHEMA:
             raise ConfigError(f"line {lineno}: unknown key {key!r}{_unknown_key_hint(key)}")
+        if key in set_on:
+            raise ConfigError(f"line {lineno}: {key} already set on line {set_on[key]}")
+        set_on[key] = lineno
         try:
             values[key] = _parse_scalar(SCHEMA[key].kind, raw)
         except ValueError as exc:

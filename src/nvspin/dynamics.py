@@ -206,10 +206,8 @@ def build_liouvillian(h: np.ndarray, collapse_ops: CollapseOps) -> np.ndarray:
 
 
 def _check_evolution(h: np.ndarray, rho: np.ndarray) -> None:
-    """Guards shared by the Lindblad integrators: a Hermitian Hamiltonian
-    stack and a state of the same size."""
-    if not is_hermitian(h):
-        raise NonHermitianError("Lindblad Hamiltonian must be Hermitian")
+    """Guard shared by the Lindblad integrators: a state of the Hamiltonian's
+    size.  :func:`build_liouvillian`, which both call, checks Hermiticity."""
     if h.shape[-2:] != rho.shape[-2:]:
         raise ValueError("Hamiltonian and state dimensions differ")
 
@@ -267,9 +265,10 @@ def evolve_lindblad(h: np.ndarray, collapse_ops: CollapseOps, rho0: np.ndarray,
         raise ValueError("evolution time must be >= 0")
     rho = np.asarray(rho0, dtype=complex)
     _check_evolution(h, rho)
+    liou = build_liouvillian(h, collapse_ops)
     if t == 0:
         return np.broadcast_to(rho, np.broadcast_shapes(h.shape, rho.shape)).copy()
-    x = expm(build_liouvillian(h, collapse_ops) * t) @ _coordinates(rho)[..., None]
+    x = expm(liou * t) @ _coordinates(rho)[..., None]
     return _matrices(x[..., 0], rho.shape[-1])
 
 

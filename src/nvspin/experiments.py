@@ -159,9 +159,7 @@ def exp_cw_esr(cfg: ExperimentConfig, f_grid_mhz) -> Trace:
     deltas, weights = cfg.noise.ensemble()
     h = pair_hamiltonian(f_t + deltas[:, None] - f_grid, cfg.drive.f1_mhz)
     p0 = np.array([steady_state(h_m, collapse)[..., 0, 0].real for h_m in h])
-    return Trace(f_grid, cfg.readout.counts(weights @ p0), "MHz", "counts",
-                 {"n_samples": cfg.noise.n_samples, "b_gauss": cfg.b_field_gauss,
-                  "transition_mhz": f_t})
+    return Trace(f_grid, cfg.readout.counts(weights @ p0))
 
 
 def exp_rabi(cfg: ExperimentConfig, t_grid_us) -> SweepResult:
@@ -178,9 +176,7 @@ def exp_rabi(cfg: ExperimentConfig, t_grid_us) -> SweepResult:
         drive = replace(cfg.drive, f1_mhz=f1)
         h = pair_hamiltonian(frame_detuning(cfg.b_field_gauss, cfg.nv, drive) + deltas, f1)
         p0 = lindblad_trajectory(h, collapse, rho0, t_grid, observable=_P0)
-        trace = Trace(t_grid, cfg.readout.counts(weights @ p0), "us",
-                      "counts", {"n_samples": cfg.noise.n_samples, "power": power,
-                                 "f1_mhz": f1, "b_gauss": cfg.b_field_gauss})
+        trace = Trace(t_grid, cfg.readout.counts(weights @ p0))
         traces.append(trace)
         fits.append(fit_damped_cosine(trace))
     return SweepResult(
@@ -204,17 +200,16 @@ def exp_hahn(cfg: ExperimentConfig, tau_grid_us) -> SweepResult:
     """
     tau_grid = np.asarray(tau_grid_us, dtype=float)
     tau1_us = cfg.echo_tau1_us
+    rho0 = cfg.init.density()
     deltas, weights = cfg.noise.ensemble()
     detunings = frame_detuning(cfg.b_field_gauss, cfg.nv, cfg.drive) + deltas
     p0 = np.empty((len(deltas), len(tau_grid)))
     for i, tau in enumerate(tau_grid):
         tau1, tau2 = (tau, tau) if tau1_us is None else (tau1_us, tau)
-        seq = hahn_sequence(tau1, tau2, cfg.drive, init=cfg.init, readout=cfg.readout)
-        p0[:, i], _ = run_sequence(seq, cfg.noise, detunings)
+        p0[:, i] = run_sequence(hahn_sequence(tau1, tau2, cfg.drive), rho0, cfg.noise,
+                                detunings)
     x = 2 * tau_grid if tau1_us is None else tau_grid
-    trace = Trace(x, cfg.readout.counts(weights @ p0), "us", "counts",
-                  {"n_samples": cfg.noise.n_samples, "b_gauss": cfg.b_field_gauss,
-                   "f1_mhz": cfg.drive.f1_mhz, "tau1_us": tau1_us})
+    trace = Trace(x, cfg.readout.counts(weights @ p0))
     fits = []
     derived = {}
     if tau1_us is None:
@@ -239,10 +234,10 @@ def exp_field_sweep(cfg: ExperimentConfig, b_grid_gauss) -> SweepResult:
     t_grid = RABI_WINDOW_US
     ipl = cfg.readout.counts(_joint_p0(cfg, b_grid, 0.0, [cfg.t_wait_us])[:, 0])
     rabi = cfg.readout.counts(_joint_p0(cfg, b_grid, cfg.drive.f1_mhz, t_grid))
-    rabi_fits = [fit_damped_cosine(Trace(t_grid, y, "us", "counts")) for y in rabi]
+    rabi_fits = [fit_damped_cosine(Trace(t_grid, y)) for y in rabi]
     t2p = np.array([fit["t2p_us"] for fit in rabi_fits])
-    ipl_trace = Trace(b_grid, ipl, "G", "counts", {"observable": "i_pl"})
-    inv_trace = Trace(b_grid, 1.0 / t2p, "G", "1/us", {"observable": "inv_t2p"})
+    ipl_trace = Trace(b_grid, ipl)
+    inv_trace = Trace(b_grid, 1.0 / t2p)
     fits = [fit_lorentzian(ipl_trace), fit_lorentzian(inv_trace)]
     return SweepResult(
         [ipl_trace, inv_trace],
@@ -274,16 +269,10 @@ def exp_t2p_vs_dip(cfgs: list[ExperimentConfig]) -> Trace:
         i_res, i_off = cfg.readout.counts(_joint_p0(cfg, fields, 0.0, [cfg.t_wait_us])[:, 0])
         amplitudes.append((i_off - i_res) / i_off)
         rabi = cfg.readout.counts(_joint_p0(cfg, cfg.b_field_gauss, cfg.drive.f1_mhz, t_grid))
-        fit = fit_damped_cosine(Trace(t_grid, rabi, "us", "counts"))
+        fit = fit_damped_cosine(Trace(t_grid, rabi))
         t2ps.append(fit["t2p_us"])
     order = np.argsort(amplitudes, kind="stable")
-    return Trace(
-        np.asarray(amplitudes)[order],
-        np.asarray(t2ps)[order],
-        "normalized dip",
-        "us",
-        {"n_centers": len(cfgs)},
-    )
+    return Trace(np.asarray(amplitudes)[order], np.asarray(t2ps)[order])
 
 
 def trend_configs(cfg: ExperimentConfig) -> list[ExperimentConfig]:

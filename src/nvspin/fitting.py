@@ -14,7 +14,7 @@ derived from the data (spectral peak, log-linear regression, extremum
 location) so fits are reproducible without hand-tuned starting points.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,9 +33,6 @@ class Trace:
 
     x: np.ndarray
     y: np.ndarray
-    x_unit: str = ""
-    y_unit: str = ""
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)

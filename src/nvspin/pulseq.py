@@ -1,16 +1,17 @@
-"""Pulse sequences on the addressed two-level transition and their
-interpretation into photoluminescence signals.
+"""Pulse sequences on the addressed two-level transition.
 
-Sequences follow the three-step experimental template: a laser pulse
-initializes the spin, manipulation happens in the dark, and a second laser
-pulse reads the state out through the spin-dependent photoluminescence.
-The interpreter works in the rotating frame of the addressed pair
-(|0> = bright level, |1> = driven level); quasi-static detunings enter via
-the frame detuning, Markovian rates via the NoiseModel.  An array of frame
-detunings runs the whole ensemble at once: every segment after the
-initialization is one stacked ``evolve_lindblad`` step over the members,
-which exponentiates their real 4 x 4 generators and returns Hermitian pair
-states.
+Every pulsed measurement follows the three-step experimental template: a
+laser pulse initializes the spin, manipulation happens in the dark, and a
+second laser pulse reads the state out through the spin-dependent
+photoluminescence.  Each experiment does both laser steps, once per trace:
+``LaserInit`` and ``Readout`` are the one definition of each.  A sequence
+is the manipulation in the dark alone, a tuple of ``RfPulse`` and ``Delay``
+segments.  ``run_sequence`` works in the rotating frame of the addressed
+pair (|0> = bright level, |1> = driven level); quasi-static detunings enter
+via the frame detuning, Markovian rates via the NoiseModel.  An array of
+frame detunings runs the whole ensemble at once: every segment is one
+stacked ``evolve_lindblad`` step over the members, which exponentiates
+their real 4 x 4 generators and returns Hermitian pair states.
 """
 
 from dataclasses import dataclass
@@ -73,32 +74,12 @@ class Readout:
         return self.photons * (1.0 - self.contrast * (1.0 - np.asarray(p0)))
 
 
-Segment = LaserInit | RfPulse | Delay | Readout
+Segment = RfPulse | Delay
 
 
 def _check_duration(value: float) -> None:
     if value < 0:
         raise ValueError("segment duration must be >= 0")
-
-
-@dataclass(frozen=True)
-class PulseSequence:
-    """Ordered segments, ending in exactly one Readout.
-
-    A LaserInit may only appear as the first segment, which also guarantees
-    laser and RF segments never overlap in time.
-    """
-
-    segments: tuple[Segment, ...]
-
-    def __post_init__(self):
-        segs = self.segments
-        n_read = sum(isinstance(s, Readout) for s in segs)
-        if n_read != 1 or not isinstance(segs[-1], Readout):
-            raise ValueError("sequence needs exactly one Readout, in last position")
-        n_init = sum(isinstance(s, LaserInit) for s in segs)
-        if n_init > 1 or (n_init == 1 and not isinstance(segs[0], LaserInit)):
-            raise ValueError("at most one LaserInit is allowed, in first position")
 
 
 def pi_duration(f1_mhz: float) -> float:
@@ -113,50 +94,35 @@ def pi2_duration(f1_mhz: float) -> float:
     return pi_duration(f1_mhz) / 2
 
 
-def hahn_sequence(tau1_us: float, tau2_us: float, drive: DriveParams, *,
-                  init: LaserInit = LaserInit(),
-                  readout: Readout = Readout()) -> PulseSequence:
-    """Hahn echo: pi/2 - tau1 - pi - tau2 - pi/2 - readout.
+def hahn_sequence(tau1_us: float, tau2_us: float,
+                  drive: DriveParams) -> tuple[Segment, ...]:
+    """Hahn echo: pi/2 - tau1 - pi - tau2 - pi/2.
 
     The final pi/2 pulse maps the echo amplitude back onto the populations
     seen by the photoluminescence readout.
     """
     t_pi2 = pi2_duration(drive.f1_mhz)
     t_pi = pi_duration(drive.f1_mhz)
-    return PulseSequence(
-        (
-            init,
-            RfPulse(t_pi2, drive),
-            Delay(tau1_us),
-            RfPulse(t_pi, drive),
-            Delay(tau2_us),
-            RfPulse(t_pi2, drive),
-            readout,
-        )
-    )
+    return (RfPulse(t_pi2, drive), Delay(tau1_us), RfPulse(t_pi, drive),
+            Delay(tau2_us), RfPulse(t_pi2, drive))
 
 
-def run_sequence(seq: PulseSequence, noise: NoiseModel | None = None,
-                 detuning_mhz=0.0) -> tuple:
-    """Interpret a sequence and return (P0, I_PL).
+def run_sequence(seq: tuple[Segment, ...], rho0: np.ndarray,
+                 noise: NoiseModel | None = None, detuning_mhz=0.0):
+    """Evolve the pair state ``rho0`` through the segments of ``seq`` and
+    return the m_S = 0 population P0.
 
     ``detuning_mhz`` is the frame detuning of the drive from the addressed
     transition (quasi-static noise enters here; Markovian rates from
-    ``noise`` act during pulses and delays).  ``I_PL`` is the expected
-    count of the final Readout.  A scalar detuning gives two floats; an
-    array of detunings gives two arrays of that shape, one entry per
-    detuning.
+    ``noise`` act during pulses and delays).  A scalar detuning gives a
+    float; an array of detunings gives an array of that shape, one entry
+    per detuning.
     """
     detuning = np.asarray(detuning_mhz, dtype=float)
-    rho = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+    rho = np.asarray(rho0, dtype=complex)
     collapse = pair_collapse_ops(noise)
-    *body, readout = seq.segments
-    for segment in body:
-        if isinstance(segment, LaserInit):
-            rho = segment.density()
-            continue
+    for segment in seq:
         f1 = segment.drive.f1_mhz if isinstance(segment, RfPulse) else 0.0
         rho = evolve_lindblad(pair_hamiltonian(detuning, f1), collapse, rho,
                               segment.duration_us)
-    p0 = np.broadcast_to(rho[..., 0, 0].real, detuning.shape).copy()[()]
-    return p0, readout.counts(p0)
+    return np.broadcast_to(rho[..., 0, 0].real, detuning.shape).copy()[()]

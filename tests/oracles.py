@@ -16,7 +16,7 @@ import numpy as np
 from nvspin.dynamics import CollapseOps
 from nvspin.fitting import Trace
 from nvspin.hamiltonian import DriveParams, NvParams
-from nvspin.pulseq import Delay, LaserInit, PulseSequence, Readout, RfPulse, pi2_duration
+from nvspin.pulseq import Delay, RfPulse, Segment, pi2_duration
 from nvspin.spinops import NonHermitianError, is_hermitian
 
 SUPPORTED_SPINS = (0.5, 1.0)
@@ -175,11 +175,7 @@ def spectral_peak_count(trace: Trace) -> int:
     return count
 
 
-def ramsey_sequence(tau_us: float, drive: DriveParams, *,
-                    init: LaserInit = LaserInit(),
-                    readout: Readout = Readout()) -> PulseSequence:
+def ramsey_sequence(tau_us: float, drive: DriveParams) -> tuple[Segment, ...]:
     """Unrefocused pi/2 - tau - pi/2 reference for the echo comparison."""
     t_pi2 = pi2_duration(drive.f1_mhz)
-    return PulseSequence(
-        (init, RfPulse(t_pi2, drive), Delay(tau_us), RfPulse(t_pi2, drive), readout)
-    )
+    return (RfPulse(t_pi2, drive), Delay(tau_us), RfPulse(t_pi2, drive))

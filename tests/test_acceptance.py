@@ -33,7 +33,7 @@ from nvspin.experiments import (
 )
 from nvspin.fitting import Trace, fit_damped_cosine, fit_exp_decay, fit_lorentzian
 from nvspin.hamiltonian import DriveParams, pair_hamiltonian, resonance_field
-from nvspin.pulseq import LaserInit, Readout, hahn_sequence, run_sequence
+from nvspin.pulseq import LaserInit, hahn_sequence, run_sequence
 from oracles import (
     basis_density,
     eigensystem,
@@ -121,17 +121,14 @@ def test_criterion_5_echo_symmetry_and_refocusing():
         tau = 3.0 / (2 * np.pi * sigma) / 2  # 2 pi sigma (2 tau) = 3
         noise = NoiseModel(sigma_static_mhz=sigma, n_samples=400, seed=7)
         drive = DriveParams(f1_mhz=25.0)
-        init, read = LaserInit(polarization=1.0), Readout(contrast=1.0, photons=1.0)
+        rho0 = LaserInit(polarization=1.0).density()
 
-        def averaged(builder):
+        def averaged(seq):
             deltas, weights = noise.ensemble()
-            p0, _ = run_sequence(builder(), None, deltas)
-            return weights @ p0
+            return weights @ run_sequence(seq, rho0, None, deltas)
 
-        echo_deficit = 1.0 - averaged(
-            lambda: hahn_sequence(tau, tau, drive, init=init, readout=read))
-        ramsey_deficit = 1.0 - averaged(
-            lambda: ramsey_sequence(2 * tau, drive, init=init, readout=read))
+        echo_deficit = 1.0 - averaged(hahn_sequence(tau, tau, drive))
+        ramsey_deficit = 1.0 - averaged(ramsey_sequence(2 * tau, drive))
         assert echo_deficit < 1e-3
         assert ramsey_deficit >= 10 * echo_deficit
 

@@ -354,6 +354,10 @@ class TestRunCommand:
         ("rabi", "sweep.grid = 0:nan:5", "sweep.grid"),
         ("rabi", "sweep.grid = 0,inf", "sweep.grid"),
         ("rabi", "seed = -1", "seed"),
+        # rabi and echo sweep a duration; both failed at run time (exit 2)
+        ("rabi", "sweep.grid = -1,0.5,1,1.5,2,2.5,3", "sweep.grid"),
+        ("echo", "sweep.grid = -1,0.5,1,1.5,2,2.5,3", "sweep.grid"),
+        ("esr", "noise.gamma_phi = 0.1\nnoise.gamma_phi = 0.2", "noise.gamma_phi"),
     ])
     def test_config_the_model_cannot_honour(self, tmp_path, capsys, experiment, text, key):
         cfg = tmp_path / "c.cfg"
@@ -362,6 +366,13 @@ class TestRunCommand:
         assert self.run_cli("run", experiment, "--config", str(cfg), "--out", str(out)) == 1
         assert key in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("experiment", ["esr", "levels"])
+    def test_negative_grid_runs_where_it_is_no_duration(self, tmp_path, experiment):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("sweep.grid = -10,0,10\nnoise.n_samples = 2\n")
+        out = tmp_path / "o"
+        assert self.run_cli("run", experiment, "--config", str(cfg), "--out", str(out)) == 0
 
     def test_run_fit_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -138,3 +138,13 @@ def test_standard_config_is_the_cli_default(seed):
 def test_nuclear_populations_set_on_standard_config():
     noise = replace(standard_config().noise, nuclear_populations=(1, 1, 1))
     assert len(noise.ensemble()[0]) == 3 * noise.n_samples
+
+
+def test_key_set_twice_is_rejected():
+    with pytest.raises(ConfigError) as err:
+        resolve_values("noise.gamma_phi = 0.1\nnoise.gamma_phi = 0.2\n")
+    assert str(err.value) == "line 2: noise.gamma_phi already set on line 1"
+    # line numbers count comments and blank lines; the same value twice is
+    # still a second assignment
+    with pytest.raises(ConfigError, match="line 4: seed already set on line 1"):
+        resolve_values("seed = 3\n# comment\n\nseed = 3\n")

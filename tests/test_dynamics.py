@@ -28,8 +28,7 @@ from nvspin.experiments import (
 )
 from nvspin.fitting import Trace, fit_exp_decay
 from nvspin.hamiltonian import DriveParams, pair_hamiltonian, resonance_field
-from nvspin.pulseq import hahn_sequence, run_sequence
-from nvspin.pulseq import LaserInit, Readout
+from nvspin.pulseq import LaserInit, hahn_sequence, run_sequence
 from nvspin.spinops import NonHermitianError
 from oracles import (
     basis_density,
@@ -167,6 +166,12 @@ class TestEvolveLindblad:
         with pytest.raises(ValueError):
             evolve_lindblad(np.array([[0, 1], [0, 0]], dtype=complex), [],
                             basis_density(2, 0), 1.0)
+
+    def test_non_hermitian_rejected_at_zero_time(self):
+        # a zero step returns rho0 unchanged, but still checks the Hamiltonian
+        with pytest.raises(NonHermitianError, match="Hermitian"):
+            evolve_lindblad(np.array([[0, 1], [0, 0]], dtype=complex), [],
+                            basis_density(2, 0), 0.0)
 
     def test_trajectory_rejects_non_hermitian_stack(self):
         hs = np.array([rwa_hamiltonian(1.0, df) for df in (0.0, 0.5)])
@@ -656,26 +661,18 @@ class TestEchoRefocusing:
     """The dynamics-level coherence claims behind the Hahn echo."""
 
     DRIVE = DriveParams(f1_mhz=25.0)
-    INIT = LaserInit(polarization=1.0)
-    READ = Readout(contrast=1.0, photons=1.0)
+    RHO_0 = LaserInit(polarization=1.0).density()
 
-    def signal(self, builder, noise, markov=None):
+    def signal(self, seq, noise, markov=None):
         deltas, weights = noise.ensemble()
-        p0, _ = run_sequence(builder(), markov, deltas)
-        return weights @ p0
+        return weights @ run_sequence(seq, self.RHO_0, markov, deltas)
 
     def test_static_noise_echo_vs_ramsey(self):
         sigma = 0.3
         tau = 3.0 / (2 * np.pi * sigma) / 2  # 2 pi sigma (2 tau) = 3
         noise = NoiseModel(sigma_static_mhz=sigma, n_samples=400, seed=7)
-        echo = self.signal(
-            lambda: hahn_sequence(tau, tau, self.DRIVE, init=self.INIT, readout=self.READ),
-            noise,
-        )
-        ramsey = self.signal(
-            lambda: ramsey_sequence(2 * tau, self.DRIVE, init=self.INIT, readout=self.READ),
-            noise,
-        )
+        echo = self.signal(hahn_sequence(tau, tau, self.DRIVE), noise)
+        ramsey = self.signal(ramsey_sequence(2 * tau, self.DRIVE), noise)
         echo_deficit = 1.0 - echo
         ramsey_deficit = 1.0 - ramsey
         assert echo_deficit < 1e-3
@@ -687,9 +684,7 @@ class TestEchoRefocusing:
         taus = np.linspace(0.5, 5.0, 16)
         ys = []
         for tau in taus:
-            seq = hahn_sequence(tau, tau, self.DRIVE, init=self.INIT, readout=self.READ)
-            p0, _ = run_sequence(seq, noise, 0.0)
-            ys.append(p0)
+            ys.append(run_sequence(hahn_sequence(tau, tau, self.DRIVE), self.RHO_0, noise, 0.0))
         fit = fit_exp_decay(Trace(2 * taus, np.array(ys)))
         assert fit.converged
         assert abs(fit["t_us"] - 1.0 / gamma_phi) / (1.0 / gamma_phi) < 0.02

@@ -27,7 +27,7 @@ from nvspin.experiments import (
 )
 from nvspin.fitting import fit_lorentzian
 from nvspin.hamiltonian import frame_detuning, pair_hamiltonian, resonance_field
-from nvspin.pulseq import hahn_sequence, run_sequence
+from nvspin.pulseq import LaserInit, Readout, hahn_sequence, run_sequence
 from oracles import spectral_peak_count
 
 
@@ -162,6 +162,23 @@ class TestHahn:
         b = exp_hahn(cfg, tau_grid).traces[0].y
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("tau1_us", [None, 3.0])
+    def test_initialises_and_reads_out_once(self, monkeypatch, tau1_us):
+        # one laser initialisation and one readout per trace, as in every
+        # other experiment, however many delays the grid holds
+        calls = {"density": 0, "counts": 0}
+
+        def counting(name, method):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return method(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(LaserInit, "density", counting("density", LaserInit.density))
+        monkeypatch.setattr(Readout, "counts", counting("counts", Readout.counts))
+        exp_hahn(replace(standard_config(), echo_tau1_us=tau1_us), np.linspace(0.25, 6.0, 24))
+        assert calls == {"density": 1, "counts": 1}
+
 
 def looped_joint_p0(cfg, b_gauss, f1_mhz, times):
     """Reference for the stacked joint model: one trajectory per P1 branch
@@ -254,8 +271,9 @@ def looped_hahn(cfg, tau_grid, tau1_us):
         y = []
         for tau in tau_grid:
             tau1 = tau if tau1_us is None else tau1_us
-            seq = hahn_sequence(tau1, tau, cfg.drive, init=cfg.init, readout=cfg.readout)
-            y.append(run_sequence(seq, cfg.noise, base + delta)[1])
+            p0 = run_sequence(hahn_sequence(tau1, tau, cfg.drive), cfg.init.density(),
+                              cfg.noise, base + delta)
+            y.append(cfg.readout.counts(p0))
         return np.array(y)
 
     return member_average(cfg, member)

@@ -1,12 +1,15 @@
+import inspect
+
 import numpy as np
 import pytest
 
+import nvspin
+from nvspin import pulseq
 from nvspin.dynamics import NoiseModel
 from nvspin.hamiltonian import DriveParams, pair_hamiltonian
 from nvspin.pulseq import (
     Delay,
     LaserInit,
-    PulseSequence,
     Readout,
     RfPulse,
     hahn_sequence,
@@ -19,6 +22,7 @@ from oracles import basis_density, propagate, rabi_probability
 DRIVE = DriveParams(f1_mhz=5.0)
 PERFECT_INIT = LaserInit(polarization=1.0)
 PERFECT_READ = Readout(contrast=1.0, photons=1.0)
+RHO_0 = PERFECT_INIT.density()
 
 
 class TestDurations:
@@ -36,25 +40,11 @@ class TestDurations:
 
     def test_double_pi_returns_to_start(self):
         t_pi = pi_duration(DRIVE.f1_mhz)
-        seq = PulseSequence((PERFECT_INIT, RfPulse(t_pi, DRIVE),
-                             RfPulse(t_pi, DRIVE), PERFECT_READ))
-        p0, _ = run_sequence(seq)
+        p0 = run_sequence((RfPulse(t_pi, DRIVE), RfPulse(t_pi, DRIVE)), RHO_0)
         assert abs(p0 - 1.0) < 1e-9
 
 
 class TestSequenceValidation:
-    def test_readout_must_be_last(self):
-        with pytest.raises(ValueError, match="Readout"):
-            PulseSequence((PERFECT_READ, RfPulse(0.1, DRIVE)))
-
-    def test_exactly_one_readout(self):
-        with pytest.raises(ValueError, match="Readout"):
-            PulseSequence((PERFECT_INIT, PERFECT_READ, PERFECT_READ))
-
-    def test_laser_init_only_first(self):
-        with pytest.raises(ValueError, match="LaserInit"):
-            PulseSequence((RfPulse(0.1, DRIVE), PERFECT_INIT, PERFECT_READ))
-
     def test_negative_duration_rejected(self):
         with pytest.raises(ValueError):
             Delay(-0.1)
@@ -80,25 +70,38 @@ class TestInitAndReadout:
 
 class TestRunSequence:
     def test_init_then_readout_max_counts(self):
-        seq = PulseSequence((PERFECT_INIT, Readout(contrast=0.3, photons=800.0)))
-        p0, i_pl = run_sequence(seq)
+        p0 = run_sequence((), RHO_0)
+        i_pl = Readout(contrast=0.3, photons=800.0).counts(p0)
         assert p0 == 1.0
         assert i_pl == 800.0
 
     def test_pi_pulse_full_contrast(self):
-        seq = PulseSequence((
-            PERFECT_INIT,
-            RfPulse(pi_duration(DRIVE.f1_mhz), DRIVE),
-            Readout(contrast=0.3, photons=1000.0),
-        ))
-        p0, i_pl = run_sequence(seq)
+        p0 = run_sequence((RfPulse(pi_duration(DRIVE.f1_mhz), DRIVE),), RHO_0)
+        i_pl = Readout(contrast=0.3, photons=1000.0).counts(p0)
         assert abs(p0) < 1e-9
         assert abs(i_pl - 700.0) < 1e-6
 
+    def test_starts_from_the_given_state(self):
+        # no implicit |0><0|: an empty sequence returns rho0's P0, and a
+        # sequence from a LaserInit state equals one from |0><0|
+        # mixed with identity / 2 by the same weights
+        init = LaserInit(polarization=0.6)
+        assert run_sequence((), init.density()) == 0.8
+        seq = hahn_sequence(0.4, 0.7, DRIVE)
+        pure = run_sequence(seq, basis_density(2, 0), detuning_mhz=0.9)
+        mixed = run_sequence(seq, np.eye(2) / 2, detuning_mhz=0.9)
+        assert abs(run_sequence(seq, init.density(), detuning_mhz=0.9)
+                   - (0.6 * pure + 0.4 * mixed)) < 1e-12
+
+    def test_returns_p0_only(self):
+        assert isinstance(run_sequence(hahn_sequence(0.6, 0.9, DRIVE), RHO_0), float)
+        p0 = run_sequence(hahn_sequence(0.6, 0.9, DRIVE), RHO_0,
+                          detuning_mhz=np.array([0.0, 0.5]))
+        assert isinstance(p0, np.ndarray) and p0.shape == (2,)
+
     def test_rabi_sweep_matches_formula(self):
         for t in np.linspace(0.0, 1.0, 23):
-            seq = PulseSequence((PERFECT_INIT, RfPulse(t, DRIVE), PERFECT_READ))
-            p0, _ = run_sequence(seq, detuning_mhz=1.3)
+            p0 = run_sequence((RfPulse(t, DRIVE),), RHO_0, detuning_mhz=1.3)
             assert abs(p0 - rabi_probability(DRIVE.f1_mhz, 1.3, t)) < 1e-9
 
     def test_interpreter_equals_concatenated_propagate(self):
@@ -106,8 +109,7 @@ class TestRunSequence:
         detuning = 0.8
         segs = [RfPulse(0.07, DRIVE), RfPulse(0.11, DriveParams(f1_mhz=2.0)),
                 RfPulse(0.05, DRIVE)]
-        seq = PulseSequence((*segs, PERFECT_READ))
-        p0, _ = run_sequence(seq, detuning_mhz=detuning)
+        p0 = run_sequence(tuple(segs), basis_density(2, 0), detuning_mhz=detuning)
         rho = propagate(
             [(pair_hamiltonian(detuning, s.drive.f1_mhz), s.duration_us) for s in segs],
             basis_density(2, 0),
@@ -120,8 +122,7 @@ class TestRunSequence:
             readout = Readout(contrast=eps, photons=1000.0)
             values = []
             for t in np.linspace(0.0, 0.4, 41):
-                seq = PulseSequence((PERFECT_INIT, RfPulse(t, DRIVE), readout))
-                values.append(run_sequence(seq)[1])
+                values.append(readout.counts(run_sequence((RfPulse(t, DRIVE),), RHO_0)))
             return max(values) - min(values)
 
         assert np.isclose(contrast_span(0.3), 2 * contrast_span(0.15), rtol=1e-12)
@@ -130,13 +131,21 @@ class TestRunSequence:
 class TestHahnSequence:
     def test_structure(self):
         seq = hahn_sequence(1.0, 2.0, DRIVE)
-        kinds = [type(s).__name__ for s in seq.segments]
-        assert kinds == ["LaserInit", "RfPulse", "Delay", "RfPulse", "Delay",
-                         "RfPulse", "Readout"]
-        assert seq.segments[1].duration_us == pi2_duration(DRIVE.f1_mhz)
-        assert seq.segments[3].duration_us == pi_duration(DRIVE.f1_mhz)
-        assert seq.segments[2].duration_us == 1.0
-        assert seq.segments[4].duration_us == 2.0
+        kinds = [type(s).__name__ for s in seq]
+        assert kinds == ["RfPulse", "Delay", "RfPulse", "Delay", "RfPulse"]
+        assert seq[0].duration_us == pi2_duration(DRIVE.f1_mhz)
+        assert seq[2].duration_us == pi_duration(DRIVE.f1_mhz)
+        assert seq[1].duration_us == 1.0
+        assert seq[3].duration_us == 2.0
+
+    def test_no_laser_parameters(self):
+        # the experiment initialises and reads out; a sequence is the dark part,
+        # a plain tuple of pulses and delays
+        assert list(inspect.signature(hahn_sequence).parameters) == [
+            "tau1_us", "tau2_us", "drive"]
+        assert type(hahn_sequence(1.0, 2.0, DRIVE)) is tuple
+        assert not hasattr(pulseq, "PulseSequence")
+        assert "PulseSequence" not in nvspin.__all__
 
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
@@ -144,8 +153,7 @@ class TestHahnSequence:
 
     def test_zero_delay_equals_concatenated_pulses(self):
         # tau1 = tau2 = 0: three back-to-back pulses, check against propagate
-        seq = hahn_sequence(0.0, 0.0, DRIVE, init=PERFECT_INIT, readout=PERFECT_READ)
-        p0, _ = run_sequence(seq)
+        p0 = run_sequence(hahn_sequence(0.0, 0.0, DRIVE), RHO_0)
         h = np.array([[0.0, DRIVE.f1_mhz / 2], [DRIVE.f1_mhz / 2, 0.0]], dtype=complex)
         total = 2 * pi2_duration(DRIVE.f1_mhz) + pi_duration(DRIVE.f1_mhz)
         rho = propagate([(h, total)], basis_density(2, 0))
@@ -158,16 +166,14 @@ class TestHahnSequence:
         # exact refocusing of the free-evolution phase; residual deficit is
         # the finite-pulse tilt ~ (delta / f1)^2, negligible here
         tau = 2.0
-        seq = hahn_sequence(tau, tau, DriveParams(f1_mhz=40.0),
-                            init=PERFECT_INIT, readout=PERFECT_READ)
-        p_ref, _ = run_sequence(seq, detuning_mhz=0.0)
-        p_det, _ = run_sequence(seq, detuning_mhz=delta)
+        seq = hahn_sequence(tau, tau, DriveParams(f1_mhz=40.0))
+        p_ref = run_sequence(seq, RHO_0, detuning_mhz=0.0)
+        p_det = run_sequence(seq, RHO_0, detuning_mhz=delta)
         assert abs(p_det - p_ref) < 1e-6
 
     def test_echo_robust_at_larger_detuning(self):
-        seq = hahn_sequence(2.0, 2.0, DriveParams(f1_mhz=40.0),
-                            init=PERFECT_INIT, readout=PERFECT_READ)
-        p_det, _ = run_sequence(seq, detuning_mhz=0.6)
+        seq = hahn_sequence(2.0, 2.0, DriveParams(f1_mhz=40.0))
+        p_det = run_sequence(seq, RHO_0, detuning_mhz=0.6)
         assert abs(p_det - 1.0) < 1e-3
 
     def test_echo_maximum_at_symmetric_delays(self):
@@ -176,9 +182,8 @@ class TestHahnSequence:
         taus2 = np.linspace(0.5, 2.5, 41)
         signal = []
         for tau2 in taus2:
-            seq = hahn_sequence(tau1, tau2, DRIVE, init=PERFECT_INIT,
-                                readout=PERFECT_READ)
-            signal.append(run_sequence(seq, detuning_mhz=delta)[0])
+            seq = hahn_sequence(tau1, tau2, DRIVE)
+            signal.append(run_sequence(seq, RHO_0, detuning_mhz=delta))
         assert abs(taus2[np.argmax(signal)] - tau1) <= (taus2[1] - taus2[0])
 
 
@@ -190,18 +195,20 @@ class TestEnsembleStack:
     @pytest.mark.parametrize("noise", [None, NoiseModel(gamma_phi=0.4, gamma_1=0.1)])
     def test_stack_matches_scalar_loop(self, noise):
         seq = hahn_sequence(0.6, 0.9, DRIVE)
-        p0, i_pl = run_sequence(seq, noise, self.DETUNINGS)
+        rho0, readout = LaserInit().density(), Readout()
+        p0 = run_sequence(seq, rho0, noise, self.DETUNINGS)
+        i_pl = readout.counts(p0)
         assert p0.shape == i_pl.shape == self.DETUNINGS.shape
         for k, delta in enumerate(self.DETUNINGS):
-            p_ref, i_ref = run_sequence(seq, noise, delta)
+            p_ref = run_sequence(seq, rho0, noise, delta)
+            i_ref = readout.counts(p_ref)
             assert abs(p0[k] - p_ref) <= 1e-12
             assert abs(i_pl[k] - i_ref) <= 1e-12 * i_ref
 
     def test_closed_system_matches_propagate_per_member(self):
         segs = [RfPulse(0.07, DRIVE), Delay(0.3), RfPulse(0.11, DriveParams(f1_mhz=2.0)),
                 Delay(0.0), RfPulse(pi_duration(DRIVE.f1_mhz), DRIVE)]
-        p0, _ = run_sequence(PulseSequence((PERFECT_INIT, *segs, PERFECT_READ)),
-                             detuning_mhz=self.DETUNINGS)
+        p0 = run_sequence(tuple(segs), RHO_0, detuning_mhz=self.DETUNINGS)
         for k, delta in enumerate(self.DETUNINGS):
             rho = propagate(
                 [(pair_hamiltonian(delta, s.drive.f1_mhz if isinstance(s, RfPulse) else 0.0),
@@ -211,11 +218,12 @@ class TestEnsembleStack:
             assert abs(p0[k] - rho[0, 0].real) <= 1e-12
 
     def test_init_only_sequence_broadcasts(self):
-        p0, i_pl = run_sequence(PulseSequence((PERFECT_INIT, PERFECT_READ)),
-                                detuning_mhz=self.DETUNINGS.reshape(2, 2))
+        p0 = run_sequence((), RHO_0, detuning_mhz=self.DETUNINGS.reshape(2, 2))
+        i_pl = PERFECT_READ.counts(p0)
         assert np.array_equal(p0, np.ones((2, 2)))
         assert np.array_equal(i_pl, np.ones((2, 2)))
 
     def test_scalar_detuning_returns_floats(self):
-        p0, i_pl = run_sequence(hahn_sequence(0.6, 0.9, DRIVE), None, 0.3)
+        p0 = run_sequence(hahn_sequence(0.6, 0.9, DRIVE), LaserInit().density(), None, 0.3)
+        i_pl = Readout().counts(p0)
         assert type(p0) is np.float64 and type(i_pl) is np.float64
