@@ -31,7 +31,7 @@ from .experiments import (
     nv_transition_mhz,
     trend_configs,
 )
-from .fitting import FIT_MODELS, FitResult, Trace
+from .fitting import FIT_MODELS, FitResult, Trace, _uniformly_spaced
 from .hamiltonian import resonance_field
 
 EXPERIMENTS = ("esr", "rabi", "echo", "fieldsweep", "trend", "levels")
@@ -224,6 +224,13 @@ def run(experiment: str, values: dict, out_dir: Path) -> RunManifest:
         raise ConfigError(f"drive.f1_mhz: {experiment} needs a nonzero drive")
     if experiment in DURATION_GRID and cfg.sweep.grid and cfg.sweep.grid[0] < 0:
         raise ConfigError(f"sweep.grid: {experiment} sweeps a duration, which must be >= 0")
+    if experiment == "trend" and cfg.sweep.grid:
+        # it fits each center on the fixed Rabi window
+        raise ConfigError("sweep.grid: trend takes no grid")
+    if (experiment == "rabi" and len(cfg.sweep.grid) > 2
+            and not _uniformly_spaced(np.diff(cfg.sweep.grid))):
+        raise ConfigError("sweep.grid: rabi fits a damped cosine, which needs "
+                          "uniformly spaced times")
     out_dir.mkdir(parents=True, exist_ok=True)
     tracker = OutputTracker(out_dir)
     start = time.monotonic()

@@ -14,6 +14,7 @@ derived from the data (spectral peak, log-linear regression, extremum
 location) so fits are reproducible without hand-tuned starting points.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,10 @@ DECAY_BOUND_FACTOR = 100.0
 # stopping tests, and the cap on trial steps
 LM_FTOL = LM_XTOL = LM_GTOL = 1e-12
 LM_MAX_ITER = 500
+# A damped-cosine fit takes its starting frequency from a discrete Fourier
+# transform, so its x steps may differ by at most this fraction of their mean;
+# the rounding of linspace and decimal grids moves them by about 1e-13.
+SPACING_RTOL = 1e-6
 
 
 @dataclass
@@ -92,20 +97,26 @@ def levenberg_marquardt(fun, p0) -> LMResult:
     stop, it = "max_iter", 0
     for it in range(1, LM_MAX_ITER + 1):
         g, a = jac.T @ r, jac.T @ jac
-        d = np.sqrt(np.diag(a))
-        if np.all(np.abs(g) <= LM_GTOL * np.sqrt(cost) * d):
+        diag = a.diagonal()
+        d = np.sqrt(diag)
+        if (np.abs(g) <= LM_GTOL * math.sqrt(cost) * d).all():
             stop = "gtol"
             break
-        damping = lam * np.clip(np.diag(a), 1e-14, None)
+        damping = lam * np.maximum(diag, 1e-14)
+        # a is rebuilt every iteration, so it takes the damping in place
+        a.flat[::len(p) + 1] += damping
         try:
-            step = np.linalg.solve(a + np.diag(damping), -g)
+            step = np.linalg.solve(a, -g)
         except np.linalg.LinAlgError:
             lam *= 10.0
             continue
-        if np.linalg.norm(d * step) <= LM_XTOL * np.linalg.norm(d * p):
+        # the scaled norms |d * step| and |d * p|, as np.linalg.norm forms them
+        ds, dp = d * step, d * p
+        if math.sqrt(ds @ ds) <= LM_XTOL * math.sqrt(dp @ dp):
             stop = "xtol"
             break
-        r_new, jac_new = fun(p + step)
+        trial = p + step
+        r_new, jac_new = fun(trial)
         cost_new = float(r_new @ r_new)
         js = jac @ step
         predicted = float(js @ js + 2.0 * step @ (damping * step))
@@ -113,7 +124,7 @@ def levenberg_marquardt(fun, p0) -> LMResult:
         # whether a step lowers the cost turns on the last bits of the data
         small = abs(cost - cost_new) <= LM_FTOL * cost and predicted <= LM_FTOL * cost
         if cost_new < cost:
-            p, r, jac, cost = p + step, r_new, jac_new, cost_new
+            p, r, jac, cost = trial, r_new, jac_new, cost_new
             history.append(cost)
             lam = max(lam / 3.0, 1e-12)
         else:
@@ -121,7 +132,7 @@ def levenberg_marquardt(fun, p0) -> LMResult:
         if small:
             stop = "ftol"
             break
-    return LMResult(p, history, float(np.sqrt(cost)), stop != "max_iter", it, stop)
+    return LMResult(p, history, math.sqrt(cost), stop != "max_iter", it, stop)
 
 
 def _wrap_phase(phi: float) -> float:
@@ -132,12 +143,19 @@ def _wrap_phase(phi: float) -> float:
     return float(out)
 
 
-def _check_trace(trace: Trace, min_points: int) -> tuple[np.ndarray, np.ndarray]:
+def _check_trace(trace: Trace, min_points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, y, np.diff(x)) of a trace long enough and strictly increasing."""
     if len(trace) < min_points:
         raise ValueError(f"fit needs at least {min_points} points, got {len(trace)}")
-    if np.any(np.diff(trace.x) <= 0):
+    dx = np.diff(trace.x)
+    if np.any(dx <= 0):
         raise ValueError("fit needs strictly increasing x values")
-    return trace.x, trace.y
+    return trace.x, trace.y, dx
+
+
+def _uniformly_spaced(dx: np.ndarray) -> bool:
+    """Whether the steps ``dx`` differ by at most SPACING_RTOL of their mean."""
+    return bool(np.ptp(dx) <= SPACING_RTOL * np.mean(dx))
 
 
 def _flat_result(model: str, trace: Trace, extra: dict[str, float]) -> FitResult:
@@ -148,29 +166,28 @@ def _flat_result(model: str, trace: Trace, extra: dict[str, float]) -> FitResult
     return FitResult(model, params, resid, True, 0, flags=("unidentifiable",))
 
 
-def _spectral_peak(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    """Dominant nonzero frequency of a uniformly sampled trace.
+def _spectral_peak(step: float, yc: np.ndarray) -> tuple[float, float, float]:
+    """Dominant nonzero frequency of a trace sampled every ``step``, with
+    its mean already subtracted.
 
     Returns (frequency, amplitude, phase) from the discrete spectrum.
     """
-    dx = np.mean(np.diff(x))
-    yc = y - np.mean(y)
     spec = np.fft.rfft(yc)
-    freqs = np.fft.rfftfreq(len(y), d=dx)
+    freqs = np.fft.rfftfreq(len(yc), d=step)
     k = 1 + int(np.argmax(np.abs(spec[1:])))
-    amp = 2 * np.abs(spec[k]) / len(y)
+    amp = 2 * np.abs(spec[k]) / len(yc)
     return float(freqs[k]), float(amp), float(np.angle(spec[k]))
 
 
-def _bounded_decay_time(rate: float, x: np.ndarray) -> tuple[float, tuple[str, ...]]:
-    dx = float(np.min(np.diff(x)))
-    span = float(x[-1] - x[0])
-    upper = DECAY_BOUND_FACTOR * span
+def _bounded_decay_time(rate: float, x: np.ndarray,
+                        dx: np.ndarray) -> tuple[float, tuple[str, ...]]:
+    lower = float(np.min(dx))
+    upper = DECAY_BOUND_FACTOR * float(x[-1] - x[0])
     t = 1.0 / rate if rate > 0 else np.inf
     if t > upper:
         return float(upper), ("at_bound",)
-    if t < dx:
-        return float(dx), ("at_bound",)
+    if t < lower:
+        return lower, ("at_bound",)
     return float(t), ()
 
 
@@ -180,8 +197,12 @@ def _damped_cosine(p, x, y):
     envelope = np.exp(-abs(rate) * x)
     arg = 2 * np.pi * f1 * x + phase
     c, s = envelope * np.cos(arg), envelope * np.sin(arg)
-    jac = np.column_stack([np.ones_like(x), c, -2 * np.pi * amp * x * s,
-                           -np.sign(rate) * amp * x * c, -amp * s])
+    jac = np.empty((len(x), 5))
+    jac[:, 0] = 1.0
+    jac[:, 1] = c
+    np.multiply(-2 * np.pi * amp * x, s, out=jac[:, 2])
+    np.multiply(-np.sign(rate) * amp * x, c, out=jac[:, 3])
+    np.multiply(-amp, s, out=jac[:, 4])
     return offset + amp * c - y, jac
 
 
@@ -191,13 +212,20 @@ def fit_damped_cosine(trace: Trace) -> FitResult:
     The decay is optimized as a rate so that undamped data converges
     cleanly; the reported T2p is clipped to [dt, 100 * span] and flagged
     when it sits at a bound.  Requires the trace to span at least two
-    oscillation periods of the spectral-peak frequency.
+    oscillation periods of the spectral-peak frequency, sampled uniformly:
+    x steps that differ by more than SPACING_RTOL of their mean are
+    rejected, since the starting frequency comes from a discrete Fourier
+    transform.
     """
-    x, y = _check_trace(trace, 5)
+    x, y, dx = _check_trace(trace, 5)
     if np.ptp(y) == 0.0:
         return _flat_result("damped_cosine", trace,
                             {"f1_mhz": 0.0, "t2p_us": np.inf, "phase_rad": 0.0})
-    f0, a0, phi0 = _spectral_peak(x, y)
+    if not _uniformly_spaced(dx):
+        raise ValueError("a damped-cosine fit needs uniformly spaced x values")
+    mean = np.mean(y)
+    yc = y - mean
+    f0, a0, phi0 = _spectral_peak(np.mean(dx), yc)
     span = x[-1] - x[0]
     if f0 * span < 2.0:
         raise ValueError(
@@ -207,17 +235,16 @@ def fit_damped_cosine(trace: Trace) -> FitResult:
     # crude decay estimate from the drop in oscillation power between the
     # first and second half of the trace
     half = len(y) // 2
-    yc = y - np.mean(y)
     p1 = np.sqrt(np.mean(yc[:half] ** 2))
     p2 = np.sqrt(np.mean(yc[half:] ** 2))
     rate0 = max(0.0, 2.0 * np.log(p1 / p2) / span) if p2 > 0 else 2.0 / span
-    offset0 = float(np.mean(y))
+    offset0 = float(mean)
 
     lm = levenberg_marquardt(lambda p: _damped_cosine(p, x, y), [offset0, a0, f0, rate0, phi0])
     offset, amp, f1, rate, phase = lm.params
     if amp < 0:
         amp, phase = -amp, phase + np.pi
-    t2p, bound = _bounded_decay_time(abs(rate), x)
+    t2p, bound = _bounded_decay_time(abs(rate), x, dx)
     params = {
         "offset": float(offset),
         "amplitude": float(amp),
@@ -233,13 +260,16 @@ def _exp_decay(p, x, y):
     """Residual and Jacobian of offset + A exp(-|rate| t)."""
     offset, amp, rate = p
     decay = np.exp(-abs(rate) * x)
-    jac = np.column_stack([np.ones_like(x), decay, -np.sign(rate) * amp * x * decay])
+    jac = np.empty((len(x), 3))
+    jac[:, 0] = 1.0
+    jac[:, 1] = decay
+    np.multiply(-np.sign(rate) * amp * x, decay, out=jac[:, 2])
     return offset + amp * decay - y, jac
 
 
 def fit_exp_decay(trace: Trace) -> FitResult:
     """Fit y = offset + A exp(-t/T); T is reported within the decay bounds."""
-    x, y = _check_trace(trace, 5)
+    x, y, dx = _check_trace(trace, 5)
     if np.ptp(y) == 0.0:
         return _flat_result("exp_decay", trace, {"t_us": np.inf})
     offset0 = float(y[-1])
@@ -255,7 +285,7 @@ def fit_exp_decay(trace: Trace) -> FitResult:
 
     lm = levenberg_marquardt(lambda p: _exp_decay(p, x, y), [offset0, a0, rate0])
     offset, amp, rate = lm.params
-    t, bound = _bounded_decay_time(abs(rate), x)
+    t, bound = _bounded_decay_time(abs(rate), x, dx)
     params = {"offset": float(offset), "amplitude": float(amp), "t_us": t}
     return FitResult("exp_decay", params, lm.residual_norm, lm.converged,
                      lm.iterations, (lm.stop, *bound))
@@ -265,10 +295,14 @@ def _lorentzian(p, x, y):
     """Residual and Jacobian of offset + A h^2 / ((x - c)^2 + h^2), h = w/2."""
     offset, amp, c, w = p
     h, u = w / 2, x - c
-    q = u ** 2 + h ** 2
-    shape = h ** 2 / q
-    jac = np.column_stack([np.ones_like(x), shape, 2 * amp * shape * u / q,
-                           amp * h * u ** 2 / q ** 2])
+    u2, h2 = u ** 2, h ** 2
+    q = u2 + h2
+    shape = h2 / q
+    jac = np.empty((len(x), 4))
+    jac[:, 0] = 1.0
+    jac[:, 1] = shape
+    np.divide(2 * amp * shape * u, q, out=jac[:, 2])
+    np.divide(amp * h * u2, q ** 2, out=jac[:, 3])
     return offset + amp * shape - y, jac
 
 
@@ -279,7 +313,7 @@ def fit_lorentzian(trace: Trace) -> FitResult:
     be bracketed by the data (not sit at either end of the trace); a fitted
     center outside the data's span is flagged ``outside_span``.
     """
-    x, y = _check_trace(trace, 7)
+    x, y, dx = _check_trace(trace, 7)
     if np.ptp(y) == 0.0:
         return _flat_result("lorentzian", trace,
                             {"center": float(np.mean(x)), "fwhm": 0.0})
@@ -291,7 +325,7 @@ def fit_lorentzian(trace: Trace) -> FitResult:
     a0 = float(y[k] - edge)
     above = np.abs(y - edge) > abs(a0) / 2 if a0 != 0 else np.zeros(len(y), bool)
     w0 = float(x[above][-1] - x[above][0]) if np.count_nonzero(above) >= 2 else (x[-1] - x[0]) / 5
-    w0 = max(w0, 2 * float(np.min(np.diff(x))))
+    w0 = max(w0, 2 * float(np.min(dx)))
 
     lm = levenberg_marquardt(lambda p: _lorentzian(p, x, y), [edge, a0, c0, w0])
     offset, amp, c, w = lm.params

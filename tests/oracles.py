@@ -5,7 +5,10 @@ through ``dynamics.evolve_lindblad`` and ``dynamics.lindblad_trajectory``
 and writes the static levels in closed form (``hamiltonian.nv_levels``).
 Each function here is an independent route to a quantity that those paths
 or the experiments also produce; the dense Hamiltonians are built from
-ladder-operator spin matrices and diagonalised numerically.
+ladder-operator spin matrices and diagonalised numerically.  The
+Levenberg-Marquardt loop and the three fit models (each building its
+Jacobian with ``np.column_stack``) are the plain forms of the library's,
+which must give the same floating-point results bit for bit.
 """
 
 from collections.abc import Sequence
@@ -14,7 +17,7 @@ from math import isclose
 import numpy as np
 
 from nvspin.dynamics import CollapseOps
-from nvspin.fitting import Trace
+from nvspin.fitting import LM_FTOL, LM_GTOL, LM_MAX_ITER, LM_XTOL, LMResult, Trace
 from nvspin.hamiltonian import DriveParams, NvParams
 from nvspin.pulseq import Delay, RfPulse, Segment, pi2_duration
 from nvspin.spinops import NonHermitianError, is_hermitian
@@ -179,3 +182,88 @@ def ramsey_sequence(tau_us: float, drive: DriveParams) -> tuple[Segment, ...]:
     """Unrefocused pi/2 - tau - pi/2 reference for the echo comparison."""
     t_pi2 = pi2_duration(drive.f1_mhz)
     return (RfPulse(t_pi2, drive), Delay(tau_us), RfPulse(t_pi2, drive))
+
+
+def levenberg_marquardt(fun, p0) -> LMResult:
+    """The loop of ``nvspin.fitting.levenberg_marquardt`` written plainly,
+    one numpy call per formula (``np.diag``, ``np.clip``, ``a + np.diag(...)``,
+    ``np.linalg.norm``); the library's leaner loop must match it bit for bit.
+
+    ``fun`` maps a parameter vector to ``(r, J)``, the residual and its exact
+    Jacobian.  Each iteration tries one step damped by ``lam * diag(J^T J)``;
+    ``lam`` shrinks on accepted steps and grows on rejected ones, so the cost
+    history decreases monotonically.  ``stop`` names the test that ended it:
+    ``"ftol"`` (a step's actual, in magnitude, and predicted relative cost
+    reductions both <= LM_FTOL), ``"xtol"`` (a trial step <= LM_XTOL of the
+    parameters, both scaled by J's column norms), ``"gtol"`` (every cosine
+    between r and a column of J <= LM_GTOL), or ``"max_iter"``, the only
+    outcome that is not ``converged``.
+    """
+    p = np.asarray(p0, dtype=float).copy()
+    r, jac = fun(p)
+    cost = float(r @ r)
+    history = [cost]
+    lam = 1e-3
+    stop, it = "max_iter", 0
+    for it in range(1, LM_MAX_ITER + 1):
+        g, a = jac.T @ r, jac.T @ jac
+        d = np.sqrt(np.diag(a))
+        if np.all(np.abs(g) <= LM_GTOL * np.sqrt(cost) * d):
+            stop = "gtol"
+            break
+        damping = lam * np.clip(np.diag(a), 1e-14, None)
+        try:
+            step = np.linalg.solve(a + np.diag(damping), -g)
+        except np.linalg.LinAlgError:
+            lam *= 10.0
+            continue
+        if np.linalg.norm(d * step) <= LM_XTOL * np.linalg.norm(d * p):
+            stop = "xtol"
+            break
+        r_new, jac_new = fun(p + step)
+        cost_new = float(r_new @ r_new)
+        js = jac @ step
+        predicted = float(js @ js + 2.0 * step @ (damping * step))
+        # tested on rejected steps too, as lmder does: at the roundoff floor
+        # whether a step lowers the cost turns on the last bits of the data
+        small = abs(cost - cost_new) <= LM_FTOL * cost and predicted <= LM_FTOL * cost
+        if cost_new < cost:
+            p, r, jac, cost = p + step, r_new, jac_new, cost_new
+            history.append(cost)
+            lam = max(lam / 3.0, 1e-12)
+        else:
+            lam *= 4.0
+        if small:
+            stop = "ftol"
+            break
+    return LMResult(p, history, float(np.sqrt(cost)), stop != "max_iter", it, stop)
+
+
+def damped_cosine_model(p, x, y):
+    """Residual and Jacobian of offset + A exp(-|rate| t) cos(2 pi f1 t + phase)."""
+    offset, amp, f1, rate, phase = p
+    envelope = np.exp(-abs(rate) * x)
+    arg = 2 * np.pi * f1 * x + phase
+    c, s = envelope * np.cos(arg), envelope * np.sin(arg)
+    jac = np.column_stack([np.ones_like(x), c, -2 * np.pi * amp * x * s,
+                           -np.sign(rate) * amp * x * c, -amp * s])
+    return offset + amp * c - y, jac
+
+
+def exp_decay_model(p, x, y):
+    """Residual and Jacobian of offset + A exp(-|rate| t)."""
+    offset, amp, rate = p
+    decay = np.exp(-abs(rate) * x)
+    jac = np.column_stack([np.ones_like(x), decay, -np.sign(rate) * amp * x * decay])
+    return offset + amp * decay - y, jac
+
+
+def lorentzian_model(p, x, y):
+    """Residual and Jacobian of offset + A h^2 / ((x - c)^2 + h^2), h = w/2."""
+    offset, amp, c, w = p
+    h, u = w / 2, x - c
+    q = u ** 2 + h ** 2
+    shape = h ** 2 / q
+    jac = np.column_stack([np.ones_like(x), shape, 2 * amp * shape * u / q,
+                           amp * h * u ** 2 / q ** 2])
+    return offset + amp * shape - y, jac

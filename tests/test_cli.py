@@ -358,6 +358,11 @@ class TestRunCommand:
         ("rabi", "sweep.grid = -1,0.5,1,1.5,2,2.5,3", "sweep.grid"),
         ("echo", "sweep.grid = -1,0.5,1,1.5,2,2.5,3", "sweep.grid"),
         ("esr", "noise.gamma_phi = 0.1\nnoise.gamma_phi = 0.2", "noise.gamma_phi"),
+        # trend has no grid; it ran and ignored the key
+        ("trend", "sweep.grid = 1,2,3", "sweep.grid"),
+        # 20 periods on a non-uniform grid; it failed at run time (exit 2),
+        # saying the trace spanned 1.82 periods
+        ("rabi", "sweep.grid = 0,0.05,0.1,0.5,1,1.5,2,2.5,3,3.5,4", "sweep.grid"),
     ])
     def test_config_the_model_cannot_honour(self, tmp_path, capsys, experiment, text, key):
         cfg = tmp_path / "c.cfg"
@@ -373,6 +378,16 @@ class TestRunCommand:
         cfg.write_text("sweep.grid = -10,0,10\nnoise.n_samples = 2\n")
         out = tmp_path / "o"
         assert self.run_cli("run", experiment, "--config", str(cfg), "--out", str(out)) == 0
+
+    @pytest.mark.parametrize("grid", [
+        "0:2:41",
+        ",".join(f"{0.05 * k:.2f}" for k in range(41)),
+    ], ids=["start_stop_count", "decimal"])
+    def test_uniform_rabi_grids_run(self, tmp_path, grid):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"sweep.grid = {grid}\nnoise.n_samples = 2\n")
+        out = tmp_path / "o"
+        assert self.run_cli("run", "rabi", "--config", str(cfg), "--out", str(out)) == 0
 
     def test_run_fit_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -424,6 +439,13 @@ class TestFitCommand:
         assert main(["fit", "exp_decay", str(path)]) == 0
         out = capsys.readouterr().out
         assert "t_us" in out and "converged: True" in out
+
+    def test_non_uniform_damped_cosine_csv_is_an_error(self, tmp_path, capsys):
+        t = np.array([0.0, 0.05, 0.1, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0])
+        path = tmp_path / "d.csv"
+        write_csv(path, {"t_us": t, "i_pl": 850.0 + 100.0 * np.cos(2 * np.pi * 5.0 * t)})
+        assert main(["fit", "damped_cosine", str(path)]) == 2
+        assert "uniformly spaced" in capsys.readouterr().err
 
     def test_fit_command_exits_2_at_iteration_cap(self, tmp_path, monkeypatch, capsys):
         from nvspin import fitting

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,8 @@ from nvspin.fitting import (
     fit_lorentzian,
     levenberg_marquardt,
 )
+from oracles import damped_cosine_model, exp_decay_model, lorentzian_model
+from oracles import levenberg_marquardt as reference_lm
 
 
 def damped_cosine(t, offset, amp, f1, t2p, phase):
@@ -165,6 +169,145 @@ class TestAgreesWithMinpack:
             assert fit["fwhm"] == pytest.approx(abs(p[3]), rel=1e-7)
 
 
+def _minpack_traces():
+    """The traces of TestAgreesWithMinpack, drawn the same way."""
+    t = np.linspace(0.0, 4.0, 161)
+    rng = np.random.default_rng(8)
+    for f1, t2p in [(5.0, 2.0), (10.0, 3.7), (15.0, 4.8), (5.0, 0.6)]:
+        y = damped_cosine(t, 850.0, 140.0, f1, t2p, 0.2) + rng.normal(0.0, 4.0, len(t))
+        yield "damped_cosine", Trace(t, y)
+    t = np.linspace(0.25, 12.0, 24)
+    rng = np.random.default_rng(9)
+    for tau in (3.0, 6.0, 9.0):
+        y = exp_decay(t, 850.0, 125.0, tau) + rng.normal(0.0, 1.0, len(t))
+        yield "exp_decay", Trace(t, y)
+    x = np.linspace(499.4, 529.4, 60)
+    rng = np.random.default_rng(10)
+    for amp, w, noise in [(-58.0, 4.5, 1.0), (0.15, 3.2, 0.005), (-20.0, 8.0, 2.0)]:
+        y = lorentzian(x, 985.0, amp, 514.4, w) + rng.normal(0.0, noise, len(x))
+        yield "lorentzian", Trace(x, y)
+
+
+def _ulp_scaled_traces():
+    """The traces of test_stop_reason_stable_under_ulp_scaling."""
+    t = np.linspace(0.0, 4.0, 161)
+    rng = np.random.default_rng(5)
+    for t2p, phase in [(1.5, 0.2), (2.0, 0.0), (3.0, -0.4), (5.0, 0.1), (0.8, 0.3)]:
+        y = damped_cosine(t, 850.0, 140.0, 5.0, t2p, phase) + rng.normal(0.0, 4.0, len(t))
+        for k in (0, 1, 2, 3):
+            yield "damped_cosine", Trace(t, y * (1 + k * 2.0 ** -52))
+
+
+def _noisy_traces(model, count, seed):
+    """Seeded draws over several trace sizes, from clean to barely above
+    the noise, so that fits stop on ftol and on xtol and a few run to
+    max_iter."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        noise = 10.0 ** rng.uniform(-4.0, 0.0)
+        if model == "damped_cosine":
+            t = np.linspace(0.0, 4.0, rng.choice([41, 161, 401]))
+            y = damped_cosine(t, rng.uniform(-1, 1), rng.uniform(0.3, 1.5),
+                              rng.uniform(1.0, 8.0), rng.uniform(0.5, 6.0),
+                              rng.uniform(-3.0, 3.0))
+        elif model == "exp_decay":
+            t = np.linspace(0.25, 12.0, rng.choice([12, 24, 200]))
+            y = exp_decay(t, rng.uniform(0, 1), rng.uniform(-2.0, 2.0), rng.uniform(0.5, 8.0))
+        else:
+            t = np.linspace(499.4, 529.4, rng.choice([15, 60, 561]))
+            y = lorentzian(t, rng.uniform(5, 10), rng.uniform(0.5, 2.0) * rng.choice([-1, 1]),
+                           rng.uniform(505, 524), rng.uniform(1.0, 15.0))
+        yield model, Trace(t, y + rng.normal(0.0, noise, len(t)))
+
+
+def _failing_solve(solve, every, raised):
+    """``solve``, except that every ``every``-th call reports a singular
+    matrix; each failed call is appended to ``raised``."""
+    calls = itertools.count(1)
+
+    def flaky(a, b):
+        call = next(calls)
+        if call % every == 0:
+            raised.append(call)
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    return flaky
+
+
+class TestMatchesReferenceLoop:
+    """The library's loop and models against the plain forms in
+    ``oracles``, bit for bit, from the start point each fit chooses."""
+
+    FITS = {"damped_cosine": (fit_damped_cosine, _damped_cosine, damped_cosine_model),
+            "exp_decay": (fit_exp_decay, _exp_decay, exp_decay_model),
+            "lorentzian": (fit_lorentzian, _lorentzian, lorentzian_model)}
+
+    @staticmethod
+    def _bits(res):
+        return (res.params.tobytes(), np.array(res.cost_history).tobytes(),
+                np.float64(res.residual_norm).tobytes(), res.iterations, res.stop,
+                res.converged)
+
+    def _compare(self, monkeypatch, traces, fail_every=0):
+        """Stop reasons seen, and the number of solves made to fail."""
+        stops, raised = set(), []
+        for model, trace in traces:
+            fit, library, reference = self.FITS[model]
+            starts = []
+
+            def spy(fun, p0):
+                starts.append(np.array(p0, dtype=float))
+                return levenberg_marquardt(fun, p0)
+
+            with monkeypatch.context() as m:
+                m.setattr(fitting, "levenberg_marquardt", spy)
+                fit(trace)
+            x, y = trace.x, trace.y
+            results = []
+            for loop, fun in ((levenberg_marquardt, library),
+                              (reference_lm, reference)):
+                with monkeypatch.context() as m:
+                    if fail_every:
+                        m.setattr(np.linalg, "solve",
+                                  _failing_solve(np.linalg.solve, fail_every, raised))
+                    results.append(self._bits(loop(lambda p: fun(p, x, y), starts[0])))
+            assert results[0] == results[1], (model, starts[0])
+            stops.add(results[0][4])
+        return stops, len(raised)
+
+    def test_minpack_cases(self, monkeypatch):
+        self._compare(monkeypatch, _minpack_traces())
+
+    def test_ulp_scaled_traces(self, monkeypatch):
+        self._compare(monkeypatch, _ulp_scaled_traces())
+
+    @pytest.mark.parametrize("model, seed", [("damped_cosine", 40), ("exp_decay", 41),
+                                             ("lorentzian", 42)])
+    def test_seeded_noisy_traces(self, monkeypatch, model, seed):
+        stops, _ = self._compare(monkeypatch, _noisy_traces(model, 120, seed))
+        assert {"ftol", "xtol"} <= stops
+
+    def test_singular_solve_path(self, monkeypatch):
+        # J^T J plus its positive damping is not exactly singular in
+        # practice, so a solve that fails on every third call stands in for
+        # one, in both loops alike
+        _, raised = self._compare(monkeypatch, _minpack_traces(), fail_every=3)
+        assert raised > 0
+
+    @pytest.mark.parametrize("model, x, p", [
+        ("damped_cosine", np.linspace(0.0, 4.0, 161), [0.8, -0.3, 1.4, -0.5, -2.0]),
+        ("exp_decay", np.linspace(0.0, 12.0, 24), [0.6, -0.4, -0.17]),
+        ("lorentzian", np.linspace(-3.0, 3.0, 61), [1.0, 0.3, -0.2, -1.5]),
+    ])
+    def test_models_match_reference(self, model, x, p):
+        _, library, reference = self.FITS[model]
+        y = np.cos(x)
+        for got, want in zip(library(np.array(p), x, y), reference(np.array(p), x, y)):
+            assert got.tobytes() == want.tobytes()
+            assert got.flags.c_contiguous == want.flags.c_contiguous
+
+
 class TestDampedCosineFit:
     def test_noiseless_round_trip(self):
         t = np.linspace(0.0, 10.0, 201)
@@ -229,6 +372,22 @@ class TestDampedCosineFit:
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError, match="at least"):
             fit_damped_cosine(Trace([0.0, 1.0, 2.0], [0.0, 1.0, 0.0]))
+
+    def test_non_uniform_grid_rejected(self):
+        # 20 periods of 5 MHz; an FFT on this grid's mean spacing saw 1.82
+        t = np.array([0.0, 0.05, 0.1, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0])
+        with pytest.raises(ValueError, match="uniformly spaced"):
+            fit_damped_cosine(Trace(t, damped_cosine(t, 0.5, 0.4, 5.0, 2.0, 0.0)))
+
+    @pytest.mark.parametrize("t", [
+        np.linspace(0.0, 4.0, 161),
+        np.linspace(0.0, 7.3, 1201),
+        np.array([float(f"{0.025 * k:.3f}") for k in range(161)]),
+    ], ids=["rabi_window", "refit_1201", "decimal"])
+    def test_uniform_grids_accepted(self, t):
+        fit = fit_damped_cosine(Trace(t, damped_cosine(t, 0.5, 0.4, 5.0, 2.0, 0.0)))
+        assert fit.converged
+        assert abs(fit["f1_mhz"] - 5.0) < 1e-6
 
     def test_affine_rescale_invariance(self):
         t = np.linspace(0.0, 10.0, 201)
