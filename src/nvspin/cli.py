@@ -193,6 +193,9 @@ def _run_experiment(experiment: str, cfg, out: OutputTracker) -> list[str]:
             "i_pl": ipl.y,
             "inv_t2p_per_us": inv.y,
             "t2p_us": result.derived["t2p_us"],
+            # written as 1.0 and 0.0, so every column parses as a number
+            "rabi_converged": result.derived["rabi_converged"],
+            "rabi_at_bound": result.derived["rabi_at_bound"],
         })
         for fit, label in zip(result.fits, ("i_pl dip", "1/t2p peak")):
             reports.append(f"{label}:\n{format_fit(fit)}")

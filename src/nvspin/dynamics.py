@@ -14,10 +14,10 @@ re-Hermitisation.  Hamiltonians may be stacks ``(..., d, d)`` whose leading
 axes index the members of :meth:`NoiseModel.ensemble`.
 ``evolve_lindblad`` exponentiates the generator over one step (the one
 evolution path of the pulse sequences, closed systems included; the tests
-check it against a fixed-step RK4), ``lindblad_trajectory`` steps a time
-grid with the same exponential, restricted to the coordinates reachable
-from rho0 (an invariant block, Buca & Prosen, New J. Phys. 14, 073007
-(2012)), and
+check it against a fixed-step RK4), ``lindblad_trajectory`` advances a
+time grid with the same exponential, restricted to the coordinates
+reachable from rho0 (an invariant block, Buca & Prosen, New J. Phys. 14,
+073007 (2012)), each run of equal steps by doubling (P^2m = (P^m)^2), and
 ``steady_state`` takes every member's null space in one batched solve.
 Both integrators reject a non-Hermitian Hamiltonian and a state whose
 size differs from it.  Their exponential is :func:`expm`, numpy only;
@@ -276,6 +276,12 @@ def evolve_lindblad(h: np.ndarray, collapse_ops: CollapseOps, rho0: np.ndarray,
 # the default field sweep) ran that sweep as fast as any larger block, and
 # stepping all its 1,440 members at once took peak RSS from 45 to 97 MiB
 TRAJECTORY_BLOCK = 96
+# a block also holds at most this many states, members x (grid points + 1),
+# in its (members, points + 1, sector) buffer: on the 161-point Rabi window
+# 48 members ran as fast as 96 and faster than 24, and at 96 one default
+# sweep's tracemalloc peak rose from 4.2 to 6.3 MiB, as much as the 5% bound
+# on the benchmark's peak RSS (about 44 MiB); a 1-point wait keeps 96
+TRAJECTORY_STATES = 48 * 162
 
 
 def _reachable(liou: np.ndarray, support: np.ndarray) -> np.ndarray:
@@ -292,6 +298,20 @@ def _reachable(liou: np.ndarray, support: np.ndarray) -> np.ndarray:
         sector = grown
 
 
+def _equal_step_runs(times: np.ndarray) -> list[list]:
+    """The grid 0, times[0], times[1], ... as runs ``[start, stop, dt]`` of
+    steps within 1e-12 relative of the run's first, ``dt``, indexed by grid
+    point: the run takes point ``start`` to points ``start + 1 ... stop``.
+    Repeated times make runs with dt = 0."""
+    runs = []
+    for i, dt in enumerate(np.diff(times, prepend=0.0).tolist()):
+        if runs and abs(dt - runs[-1][2]) <= 1e-12 * runs[-1][2]:
+            runs[-1][1] = i + 1
+        else:
+            runs.append([i, i + 1, dt])
+    return runs
+
+
 def lindblad_trajectory(h: np.ndarray, collapse_ops: CollapseOps, rho0: np.ndarray,
                         times: np.ndarray, observable: np.ndarray | None = None) -> np.ndarray:
     """Density matrices at each time in ``times`` (finite, sorted, >= 0),
@@ -301,13 +321,19 @@ def lindblad_trajectory(h: np.ndarray, collapse_ops: CollapseOps, rho0: np.ndarr
     ``rho0`` is one ``(d, d)`` state shared by every member; both pass
     ``evolve_lindblad``'s guards.  The result has shape
     ``(..., len(times), d, d)``, or ``(..., len(times))`` with an observable.
-    The stack steps in blocks of ``TRAJECTORY_BLOCK`` members on the real
-    coordinates of rho0, restricted to the sector the block can reach from
-    them (:func:`_reachable`): a dark joint wait from a diagonal rho0 steps 6
-    of its 16 coordinates.  Each step is the exact propagator expm(L dt),
-    rebuilt only when dt moves by more than 1e-12 relative, so a uniform grid
-    costs one stacked exponential per block.  The states T x are Hermitian by
-    construction.
+    The stack steps in blocks of ``TRAJECTORY_BLOCK`` members, fewer on a
+    grid so long that a block would hold over ``TRAJECTORY_STATES`` states
+    (48 on the 161-point Rabi window), on the real coordinates of rho0,
+    restricted to the sector the block can reach from them
+    (:func:`_reachable`): a dark joint wait from a diagonal rho0 steps 6 of
+    its 16 coordinates.  The grid from t = 0 splits into runs of equal
+    steps, and each run is advanced by doubling: with P = expm(L dt) and
+    the states at its first m points known, the next m are P^m times those,
+    one stacked product, and P^2m = (P^m)^2 (the squaring phase of scaling
+    and squaring, Higham 2005).  A uniform 161-point grid thus costs one
+    exponential, 7 squarings and 8 products per block; a run whose step
+    matches the previous run's to 1e-12 relative reuses its propagator.  The
+    states T x are Hermitian by construction.
     """
     times = np.asarray(times, dtype=float)
     if not np.all(np.isfinite(times)) or np.any(times < 0) or np.any(np.diff(times) < 0):
@@ -319,6 +345,7 @@ def lindblad_trajectory(h: np.ndarray, collapse_ops: CollapseOps, rho0: np.ndarr
     dim = rho0.shape[0]
     x0 = _coordinates(rho0)
     members = h.reshape((-1, dim, dim))
+    runs = _equal_step_runs(times)
     if observable is None:
         out = np.zeros((len(members), len(times), dim * dim))
     else:
@@ -326,24 +353,41 @@ def lindblad_trajectory(h: np.ndarray, collapse_ops: CollapseOps, rho0: np.ndarr
         basis, norm, _ = _hermitian_basis(dim)
         trace_row = (np.asarray(observable).T.reshape(-1) @ basis).real / norm
         out = np.empty((len(members), len(times)))
-    for lo in range(0, len(members), TRAJECTORY_BLOCK):
-        block = slice(lo, lo + TRAJECTORY_BLOCK)
+    size = max(1, min(TRAJECTORY_BLOCK, TRAJECTORY_STATES // (len(times) + 1)))
+    # time-major states, point 0 being t = 0, in one buffer for all blocks:
+    # a buffer per block left the process's peak RSS 1 MiB higher after 130
+    # default-size sweeps, as the heap fragmented around the freed buffers
+    buffer = np.empty(size * (len(times) + 1) * dim * dim)
+    for lo in range(0, len(members), size):
+        block = slice(lo, lo + size)
         liou = build_liouvillian(members[block], collapse_ops)
         sector = np.flatnonzero(_reachable(liou, x0 != 0))
         liou = liou[..., sector[:, None], sector]
-        state = np.broadcast_to(x0[sector, None], liou.shape[:-1] + (1,))
-        prev = dt_prop = 0.0
-        for i, t in enumerate(times):
-            dt = t - prev
-            if dt > 0:
-                if abs(dt - dt_prop) > 1e-12 * dt_prop:
-                    prop, dt_prop = expm(liou * dt), dt
-                state = prop @ state
-                prev = t
-            if observable is None:
-                out[block, i, sector] = state[..., 0]
-            else:
-                out[block, i] = state[..., 0] @ trace_row[sector]
+        states = buffer[:len(liou) * (len(times) + 1) * len(sector)].reshape(
+            len(liou), len(times) + 1, len(sector))
+        states[:, 0] = x0[sector]
+        dt_prop = 0.0
+        for start, stop, dt in runs:
+            if dt == 0.0:
+                states[:, start + 1:stop + 1] = states[:, start, None]
+                continue
+            if abs(dt - dt_prop) > 1e-12 * dt_prop:
+                # transposed, as the states are rows; a contiguous copy
+                # halves the cost of the products
+                prop = np.ascontiguousarray(np.swapaxes(expm(liou * dt), -1, -2))
+                dt_prop = dt
+            power, known = prop, 1
+            while known <= stop - start:
+                if known > 1:
+                    power = power @ power
+                m = min(known, stop - start + 1 - known)
+                np.matmul(states[:, start:start + m], power,
+                          out=states[:, start + known:start + known + m])
+                known += m
+        if observable is None:
+            out[block, :, sector] = states[:, 1:]
+        else:
+            out[block] = states[:, 1:] @ trace_row[sector]
     if observable is not None:
         return out.reshape(h.shape[:-2] + (len(times),))
     return _matrices(out, dim).reshape(h.shape[:-2] + (len(times), dim, dim))

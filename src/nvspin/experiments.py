@@ -17,7 +17,14 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .dynamics import NoiseModel, lindblad_trajectory, pair_collapse_ops, steady_state
-from .fitting import FitResult, Trace, fit_damped_cosine, fit_exp_decay, fit_lorentzian
+from .fitting import (
+    FitResult,
+    Trace,
+    fit_damped_cosine,
+    fit_damped_cosines,
+    fit_exp_decay,
+    fit_lorentzian,
+)
 from .hamiltonian import BathParams, frame_detuning, nv_levels, pair_hamiltonian, resonance_field
 from .pulseq import hahn_sequence, run_sequence
 
@@ -164,21 +171,19 @@ def exp_cw_esr(cfg: ExperimentConfig, f_grid_mhz) -> Trace:
 
 def exp_rabi(cfg: ExperimentConfig, t_grid_us) -> SweepResult:
     """Rabi nutations for each relative RF power of ``cfg.rabi_powers``; f1
-    scales with the square root of the power."""
+    scales with the square root of the power.  The (power x member) stack
+    takes one ``lindblad_trajectory`` call, and the traces one stacked fit."""
     t_grid = np.asarray(t_grid_us, dtype=float)
-    rho0 = cfg.init.density()
-    collapse = pair_collapse_ops(cfg.noise)
     deltas, weights = cfg.noise.ensemble()
-    traces: list[Trace] = []
-    fits: list[FitResult] = []
-    for power in cfg.rabi_powers:
-        f1 = cfg.drive.f1_mhz * np.sqrt(power)
-        drive = replace(cfg.drive, f1_mhz=f1)
-        h = pair_hamiltonian(frame_detuning(cfg.b_field_gauss, cfg.nv, drive) + deltas, f1)
-        p0 = lindblad_trajectory(h, collapse, rho0, t_grid, observable=_P0)
-        trace = Trace(t_grid, cfg.readout.counts(weights @ p0))
-        traces.append(trace)
-        fits.append(fit_damped_cosine(trace))
+    f1s = [cfg.drive.f1_mhz * np.sqrt(power) for power in cfg.rabi_powers]
+    h = np.stack([pair_hamiltonian(frame_detuning(cfg.b_field_gauss, cfg.nv,
+                                                  replace(cfg.drive, f1_mhz=f1)) + deltas, f1)
+                  for f1 in f1s])
+    p0 = lindblad_trajectory(h, pair_collapse_ops(cfg.noise), cfg.init.density(), t_grid,
+                             observable=_P0)
+    counts = cfg.readout.counts(weights @ p0)
+    traces = [Trace(t_grid, y) for y in counts]
+    fits = fit_damped_cosines(t_grid, counts)
     return SweepResult(
         traces,
         fits,
@@ -227,14 +232,15 @@ def exp_field_sweep(cfg: ExperimentConfig, b_grid_gauss) -> SweepResult:
     Per field point the joint N-V + P1 model yields (i) the
     photoluminescence after an init-wait-readout cycle and (ii) an
     ensemble-averaged Rabi trace whose damped-cosine fit gives 1/T2'.
-    Each of the two is one ``_joint_p0`` stack over the whole field grid.
-    Both field profiles are then fit with Lorentzians.
+    Each of the two is one ``_joint_p0`` stack over the whole field grid,
+    and the Rabi traces take one stacked damped-cosine fit.  Both field
+    profiles are then fit with Lorentzians.
     """
     b_grid = np.asarray(b_grid_gauss, dtype=float)
     t_grid = RABI_WINDOW_US
     ipl = cfg.readout.counts(_joint_p0(cfg, b_grid, 0.0, [cfg.t_wait_us])[:, 0])
     rabi = cfg.readout.counts(_joint_p0(cfg, b_grid, cfg.drive.f1_mhz, t_grid))
-    rabi_fits = [fit_damped_cosine(Trace(t_grid, y)) for y in rabi]
+    rabi_fits = fit_damped_cosines(t_grid, rabi)
     t2p = np.array([fit["t2p_us"] for fit in rabi_fits])
     ipl_trace = Trace(b_grid, ipl)
     inv_trace = Trace(b_grid, 1.0 / t2p)
@@ -248,6 +254,7 @@ def exp_field_sweep(cfg: ExperimentConfig, b_grid_gauss) -> SweepResult:
             "inv_t2p_center_gauss": fits[1]["center"],
             "resonance_field_gauss": resonance_field(cfg.nv),
             "rabi_converged": np.array([f.converged for f in rabi_fits]),
+            "rabi_at_bound": np.array(["at_bound" in f.flags for f in rabi_fits]),
         },
     )
 

@@ -9,7 +9,11 @@ Three fit models cover everything the simulator produces:
 Each model is one residual function that returns its exact Jacobian too.
 The optimizer is a self-contained damped least-squares (Levenberg-Marquardt)
 loop that stops on MINPACK's named tests (``ftol``, ``xtol``, ``gtol``) or at
-``max_iter``; the name goes into ``FitResult.flags``.  Initial guesses are
+``max_iter``; the name goes into ``FitResult.flags``.  A stack of
+damped-cosine traces on one grid (the field sweep's and the Rabi powers')
+is fitted by ``fit_damped_cosines`` in one pass of the same loop over the
+stack, each trace with its own damping and stop test and the same result
+as its scalar fit, through the same model function.  Initial guesses are
 derived from the data (spectral peak, log-linear regression, extremum
 location) so fits are reproducible without hand-tuned starting points.
 """
@@ -135,6 +139,86 @@ def levenberg_marquardt(fun, p0) -> LMResult:
     return LMResult(p, history, math.sqrt(cost), stop != "max_iter", it, stop)
 
 
+def _rowdot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u[i] @ v[i] for each row i, as one dot product per row."""
+    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
+def _lm_stack(fun, p0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
+    """:func:`levenberg_marquardt` on a stack of independent problems at once.
+
+    ``fun(p, rows)`` maps parameter rows ``(k, m)`` of the problems numbered
+    ``rows`` to their residuals ``(k, n)`` and Jacobians ``(k, n, m)``.  Each
+    problem keeps its own lam, acceptance and stop test, and leaves the
+    stack when it stops.  Every product is numpy's matmul on a stack, which
+    makes the same gemv, syrk or dot call per problem as the scalar loop,
+    and the damped steps take one stacked solve; so each problem stops where
+    the scalar loop would, with the same parameters to the bit.  Returns the
+    parameters, residual norms, iterations and stop names of all problems.
+    """
+    p = np.array(p0, dtype=float)
+    params, norms = p.copy(), np.empty(len(p))
+    iterations, stops = np.full(len(p), LM_MAX_ITER), ["max_iter"] * len(p)
+    rows = np.arange(len(p))
+    r, jac = fun(p, rows)
+    cost = _rowdot(r, r)
+    lam = np.full(len(p), 1e-3)
+    for it in range(1, LM_MAX_ITER + 1):
+        jac_t = np.swapaxes(jac, -1, -2)
+        g, a = (jac_t @ r[..., None])[..., 0], jac_t @ jac
+        diag = a.diagonal(axis1=-2, axis2=-1)
+        d = np.sqrt(diag)
+        stop = np.where((np.abs(g) <= (LM_GTOL * np.sqrt(cost))[:, None] * d).all(axis=1),
+                        "gtol", "")
+        damping = lam[:, None] * np.maximum(diag, 1e-14)
+        a.reshape(len(a), -1)[:, ::a.shape[-1] + 1] += damping
+        try:
+            step = np.linalg.solve(a, -g[..., None])[..., 0]
+            solved = np.ones(len(a), dtype=bool)
+        except np.linalg.LinAlgError:
+            step, solved = np.zeros_like(g), np.zeros(len(a), dtype=bool)
+            for i in np.flatnonzero(stop == ""):
+                try:
+                    step[i] = np.linalg.solve(a[i], -g[i])
+                    solved[i] = True
+                except np.linalg.LinAlgError:
+                    pass
+        lam[(stop == "") & ~solved] *= 10.0
+        ds, dp = d * step, d * p
+        xtol = np.sqrt(_rowdot(ds, ds)) <= LM_XTOL * np.sqrt(_rowdot(dp, dp))
+        stop[(stop == "") & solved & xtol] = "xtol"
+        # every row takes a trial, and only those still stepping use it: the
+        # masked updates copy nothing, where taking the rows out would copy
+        # the Jacobians twice
+        go = (stop == "") & solved
+        trial = p + step
+        r_new, jac_new = fun(trial, rows)
+        cost_new = _rowdot(r_new, r_new)
+        js = (jac @ step[..., None])[..., 0]
+        predicted = _rowdot(js, js) + _rowdot(2.0 * step, damping * step)
+        small = go & (np.abs(cost - cost_new) <= LM_FTOL * cost) & (predicted <= LM_FTOL * cost)
+        better = go & (cost_new < cost)
+        np.copyto(p, trial, where=better[:, None])
+        np.copyto(r, r_new, where=better[:, None])
+        np.copyto(jac, jac_new, where=better[:, None, None])
+        np.copyto(cost, cost_new, where=better)
+        lam = np.where(better, np.maximum(lam / 3.0, 1e-12), np.where(go, lam * 4.0, lam))
+        stop[small] = "ftol"
+        ended = stop != ""
+        if ended.any():
+            done = rows[ended]
+            params[done], norms[done], iterations[done] = p[ended], np.sqrt(cost[ended]), it
+            for i, name in zip(done, stop[ended]):
+                stops[i] = str(name)
+            keep = ~ended
+            p, r, jac, cost = p[keep], r[keep], jac[keep], cost[keep]
+            lam, rows = lam[keep], rows[keep]
+            if not len(rows):
+                break
+    params[rows], norms[rows] = p, np.sqrt(cost)
+    return params, norms, iterations, stops
+
+
 def _wrap_phase(phi: float) -> float:
     """Wrap to (-pi, pi]."""
     out = (phi + np.pi) % (2 * np.pi) - np.pi
@@ -192,18 +276,82 @@ def _bounded_decay_time(rate: float, x: np.ndarray,
 
 
 def _damped_cosine(p, x, y):
-    """Residual and Jacobian of offset + A exp(-|rate| t) cos(2 pi f1 t + phase)."""
-    offset, amp, f1, rate, phase = p
+    """Residual and Jacobian of offset + A exp(-|rate| t) cos(2 pi f1 t + phase).
+
+    ``p`` is one parameter vector, with ``y`` one trace, or a stack of them
+    ``(k, 5)``, with ``y`` ``(k, n)``: residuals ``(k, n)`` and Jacobians
+    ``(k, n, 5)``, each row computed as for one vector.
+    """
+    p = np.asarray(p)
+    # a stack's columns broadcast against x as (k, 1); one vector's entries
+    # stay numpy scalars, whose arithmetic is the cheaper
+    offset, amp, f1, rate, phase = p.T[(...,) + (None,) * (p.ndim - 1)]
     envelope = np.exp(-abs(rate) * x)
     arg = 2 * np.pi * f1 * x + phase
     c, s = envelope * np.cos(arg), envelope * np.sin(arg)
-    jac = np.empty((len(x), 5))
-    jac[:, 0] = 1.0
-    jac[:, 1] = c
-    np.multiply(-2 * np.pi * amp * x, s, out=jac[:, 2])
-    np.multiply(-np.sign(rate) * amp * x, c, out=jac[:, 3])
-    np.multiply(-amp, s, out=jac[:, 4])
+    jac = np.empty(p.shape[:-1] + (len(x), 5))
+    jac[..., 0] = 1.0
+    jac[..., 1] = c
+    np.multiply(-2 * np.pi * amp * x, s, out=jac[..., 2])
+    np.multiply(-np.sign(rate) * amp * x, c, out=jac[..., 3])
+    np.multiply(-amp, s, out=jac[..., 4])
     return offset + amp * c - y, jac
+
+
+def _damped_cosine_starts(x: np.ndarray, dx: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Start points ``(k, 5)`` of damped-cosine fits to the rows of ``y``
+    ``(k, n)``, none of them flat, on the grid ``x``: the start of
+    :func:`fit_damped_cosine` for each row, to the bit, with its checks.
+
+    The frequency, amplitude and phase come from the peak of one discrete
+    Fourier transform over the stack.  The scalar fit keeps its own
+    one-trace form, which costs it fewer numpy calls.
+    """
+    if not _uniformly_spaced(dx):
+        raise ValueError("a damped-cosine fit needs uniformly spaced x values")
+    mean = np.mean(y, axis=1)
+    yc = y - mean[:, None]
+    spec = np.fft.rfft(yc)
+    k = 1 + np.argmax(np.abs(spec[:, 1:]), axis=1)
+    peak = spec[np.arange(len(y)), k]
+    f0 = np.fft.rfftfreq(len(x), d=np.mean(dx))[k]
+    span = x[-1] - x[0]
+    short = np.flatnonzero(f0 * span < 2.0)
+    if len(short):
+        raise ValueError(
+            f"trace spans {f0[short[0]] * span:.2f} oscillation periods; need >= 2 for a "
+            "damped-cosine fit"
+        )
+    half = len(x) // 2
+    p1 = np.sqrt(np.mean(yc[:, :half] ** 2, axis=1))
+    p2 = np.sqrt(np.mean(yc[:, half:] ** 2, axis=1))
+    rate0 = np.full(len(y), 2.0 / span)
+    falls = p2 > 0
+    decay = 2.0 * np.log(p1[falls] / p2[falls]) / span
+    rate0[falls] = np.where(decay > 0.0, decay, 0.0)
+    return np.stack([mean, 2 * np.abs(peak) / len(x), f0, rate0, np.angle(peak)], axis=1)
+
+
+def _damped_cosine_result(p: np.ndarray, residual_norm: float, iterations: int, stop: str,
+                          x: np.ndarray, dx: np.ndarray) -> FitResult:
+    offset, amp, f1, rate, phase = p
+    if amp < 0:
+        amp, phase = -amp, phase + np.pi
+    t2p, bound = _bounded_decay_time(abs(rate), x, dx)
+    params = {
+        "offset": float(offset),
+        "amplitude": float(amp),
+        "f1_mhz": float(abs(f1)),
+        "t2p_us": t2p,
+        "phase_rad": _wrap_phase(phase),
+    }
+    return FitResult("damped_cosine", params, float(residual_norm), stop != "max_iter",
+                     int(iterations), (stop, *bound))
+
+
+def _flat_cosine(trace: Trace) -> FitResult:
+    return _flat_result("damped_cosine", trace,
+                        {"f1_mhz": 0.0, "t2p_us": np.inf, "phase_rad": 0.0})
 
 
 def fit_damped_cosine(trace: Trace) -> FitResult:
@@ -219,8 +367,7 @@ def fit_damped_cosine(trace: Trace) -> FitResult:
     """
     x, y, dx = _check_trace(trace, 5)
     if np.ptp(y) == 0.0:
-        return _flat_result("damped_cosine", trace,
-                            {"f1_mhz": 0.0, "t2p_us": np.inf, "phase_rad": 0.0})
+        return _flat_cosine(trace)
     if not _uniformly_spaced(dx):
         raise ValueError("a damped-cosine fit needs uniformly spaced x values")
     mean = np.mean(y)
@@ -241,19 +388,32 @@ def fit_damped_cosine(trace: Trace) -> FitResult:
     offset0 = float(mean)
 
     lm = levenberg_marquardt(lambda p: _damped_cosine(p, x, y), [offset0, a0, f0, rate0, phi0])
-    offset, amp, f1, rate, phase = lm.params
-    if amp < 0:
-        amp, phase = -amp, phase + np.pi
-    t2p, bound = _bounded_decay_time(abs(rate), x, dx)
-    params = {
-        "offset": float(offset),
-        "amplitude": float(amp),
-        "f1_mhz": float(abs(f1)),
-        "t2p_us": t2p,
-        "phase_rad": _wrap_phase(phase),
-    }
-    return FitResult("damped_cosine", params, lm.residual_norm, lm.converged,
-                     lm.iterations, (lm.stop, *bound))
+    return _damped_cosine_result(lm.params, lm.residual_norm, lm.iterations, lm.stop, x, dx)
+
+
+def fit_damped_cosines(x, ys) -> list[FitResult]:
+    """:func:`fit_damped_cosine` of each row of ``ys`` against the shared
+    ``x``, with the same results to the bit.
+
+    Every fitted row goes through one Levenberg-Marquardt pass over the
+    stack (:func:`_lm_stack`), a single row too, with start points taken
+    together.  Flat rows are flagged and not fitted, as by the scalar fit,
+    and a row that :func:`fit_damped_cosine` would reject raises the same
+    error.  The single-trace entry point, as for ``nvspin fit``, is
+    :func:`fit_damped_cosine`.
+    """
+    traces = [Trace(x, y) for y in np.asarray(ys, dtype=float)]
+    if not traces:
+        raise ValueError("a stacked fit needs at least one trace")
+    x, _, dx = _check_trace(traces[0], 5)
+    fitted = [np.ptp(trace.y) > 0.0 for trace in traces]
+    fits = iter(())
+    if any(fitted):
+        y = np.array([trace.y for trace, fit in zip(traces, fitted) if fit])
+        lm = _lm_stack(lambda p, rows: _damped_cosine(p, x, y[rows]),
+                       _damped_cosine_starts(x, dx, y))
+        fits = (_damped_cosine_result(*row, x, dx) for row in zip(*lm))
+    return [next(fits) if fit else _flat_cosine(trace) for trace, fit in zip(traces, fitted)]
 
 
 def _exp_decay(p, x, y):

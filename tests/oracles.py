@@ -3,6 +3,8 @@
 None of these is on a production path: the library evolves every state
 through ``dynamics.evolve_lindblad`` and ``dynamics.lindblad_trajectory``
 and writes the static levels in closed form (``hamiltonian.nv_levels``).
+``stepped_trajectory`` is the per-step loop that ``lindblad_trajectory``
+ran before it advanced runs of equal steps by doubling.
 Each function here is an independent route to a quantity that those paths
 or the experiments also produce; the dense Hamiltonians are built from
 ladder-operator spin matrices and diagonalised numerically.  The
@@ -16,6 +18,7 @@ from math import isclose
 
 import numpy as np
 
+from nvspin import dynamics
 from nvspin.dynamics import CollapseOps
 from nvspin.fitting import LM_FTOL, LM_GTOL, LM_MAX_ITER, LM_XTOL, LMResult, Trace
 from nvspin.hamiltonian import DriveParams, NvParams
@@ -155,6 +158,45 @@ def rk4_lindblad(h: np.ndarray, collapse_ops: CollapseOps, rho: np.ndarray,
         k4 = rhs(rho + dt * k3)
         rho = rho + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     return rho
+
+
+def stepped_trajectory(h: np.ndarray, collapse_ops: CollapseOps, rho0: np.ndarray,
+                       times: np.ndarray, observable: np.ndarray | None = None) -> np.ndarray:
+    """``dynamics.lindblad_trajectory`` one step at a time: the same blocks,
+    sectors and exponential expm(L dt), rebuilt only when dt moves by more
+    than 1e-12 relative, applied to one state column per step."""
+    times = np.asarray(times, dtype=float)
+    rho0 = np.asarray(rho0, dtype=complex)
+    dim = rho0.shape[0]
+    x0 = dynamics._coordinates(rho0)
+    members = h.reshape((-1, dim, dim))
+    if observable is None:
+        out = np.zeros((len(members), len(times), dim * dim))
+    else:
+        basis, norm, _ = dynamics._hermitian_basis(dim)
+        trace_row = (np.asarray(observable).T.reshape(-1) @ basis).real / norm
+        out = np.empty((len(members), len(times)))
+    for lo in range(0, len(members), dynamics.TRAJECTORY_BLOCK):
+        block = slice(lo, lo + dynamics.TRAJECTORY_BLOCK)
+        liou = dynamics.build_liouvillian(members[block], collapse_ops)
+        sector = np.flatnonzero(dynamics._reachable(liou, x0 != 0))
+        liou = liou[..., sector[:, None], sector]
+        state = np.broadcast_to(x0[sector, None], liou.shape[:-1] + (1,))
+        prev = dt_prop = 0.0
+        for i, t in enumerate(times):
+            dt = t - prev
+            if dt > 0:
+                if abs(dt - dt_prop) > 1e-12 * dt_prop:
+                    prop, dt_prop = dynamics.expm(liou * dt), dt
+                state = prop @ state
+                prev = t
+            if observable is None:
+                out[block, i, sector] = state[..., 0]
+            else:
+                out[block, i] = state[..., 0] @ trace_row[sector]
+    if observable is not None:
+        return out.reshape(h.shape[:-2] + (len(times),))
+    return dynamics._matrices(out, dim).reshape(h.shape[:-2] + (len(times), dim, dim))
 
 
 def spectral_peak_count(trace: Trace) -> int:

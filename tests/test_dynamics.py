@@ -36,6 +36,7 @@ from oracles import (
     rabi_probability,
     ramsey_sequence,
     rk4_lindblad,
+    stepped_trajectory,
 )
 
 
@@ -376,6 +377,80 @@ class TestHamiltonianStacks:
         assert np.max(np.abs(full[-1, 0] - single)) <= 1e-12
 
 
+def relative_error(a, ref):
+    return np.max(np.abs(a - ref)) / np.max(np.abs(ref))
+
+
+class TestDoublingStepper:
+    """``lindblad_trajectory`` advances each run of equal steps by doubling;
+    the per-step loop it replaced (``oracles.stepped_trajectory``) is the
+    reference."""
+
+    GRIDS = {
+        "empty": np.array([]),
+        "one_point": np.array([0.7]),
+        "two_points": np.array([0.0, 0.4]),
+        "three_points": np.array([0.0, 0.4, 0.8]),
+        "17_points": np.linspace(0.0, 3.2, 17),
+        "rabi_window": RABI_WINDOW_US,
+        "starts_late": np.linspace(0.5, 2.5, 9),
+        "first_step_in_run": 0.25 * np.arange(1, 10),
+        "repeated_times": np.array([0.0, 0.0, 0.3, 0.3, 0.3, 0.6, 0.6, 1.0, 1.0]),
+        "runs_of_equal_steps": np.concatenate([
+            np.linspace(0.0, 1.0, 6), 1.0 + 0.35 * np.arange(1, 8), [3.7, 3.7],
+            3.7 + 0.2 * np.arange(1, 12), [6.1, 6.15, 7.0]]),
+    }
+
+    @pytest.mark.parametrize("times", GRIDS.values(), ids=GRIDS.keys())
+    def test_matches_per_step_loop(self, times):
+        # more members than two blocks, so both sides of each block
+        # boundary are checked
+        n = 2 * dynamics.TRAJECTORY_BLOCK + 5
+        rng = np.random.default_rng(11)
+        hs = pair_hamiltonian(rng.normal(0.0, 2.0, size=n), 5.0).reshape(n, 1, 2, 2)
+        collapse = pair_collapse_ops(NoiseModel(gamma_phi=0.4, gamma_1=0.1))
+        rho0 = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]], dtype=complex)
+        obs = np.array([[0.9, 0.3 + 0.4j], [0.3 - 0.4j, -0.2]])
+        full = lindblad_trajectory(hs, collapse, rho0, times)
+        traced = lindblad_trajectory(hs, collapse, rho0, times, observable=obs)
+        assert full.shape == (n, 1, len(times), 2, 2)
+        assert traced.shape == (n, 1, len(times))
+        for got, observable in ((full, None), (traced, obs)):
+            want = stepped_trajectory(hs, collapse, rho0, times, observable=observable)
+            assert got.shape == want.shape
+            assert not got.size or relative_error(got, want) <= 1e-12
+
+    @pytest.mark.parametrize("f1", [0.0, 5.0], ids=["dark_wait", "rabi"])
+    def test_joint_model_matches_per_step_loop(self, f1):
+        # the field sweep's stacks: 6 reachable coordinates in the dark, 16
+        # under the drive
+        cfg = standard_config()
+        b_res = resonance_field(cfg.nv)
+        nu0 = np.array([cfg.nv.gamma * b - nv_transition_mhz(cfg, b)
+                        for b in (b_res - 15.0, b_res, b_res + 15.0)])
+        deltas, _ = cfg.noise.ensemble()
+        hs = joint_frame_hamiltonian(deltas, nu0[:, None], f1, cfg.bath.coupling_mhz)
+        collapse = _joint_collapse(cfg.noise, cfg.bath)
+        rho0 = np.kron(cfg.init.density(), np.eye(2) / 2)
+        times = RABI_WINDOW_US if f1 else np.array([cfg.t_wait_us])
+        obs = experiments._MS0_OP
+        for observable in (None, obs):
+            got = lindblad_trajectory(hs, collapse, rho0, times, observable=observable)
+            want = stepped_trajectory(hs, collapse, rho0, times, observable=observable)
+            assert relative_error(got, want) <= 1e-12
+
+    def test_one_exponential_per_run_length(self, monkeypatch):
+        # a 161-point uniform grid takes one exponential per block, however
+        # long the run; repeated times take none
+        shapes = counted_expm(monkeypatch)
+        hs = pair_hamiltonian(np.linspace(-1.0, 1.0, 3), 5.0)
+        lindblad_trajectory(hs, [], basis_density(2, 0), RABI_WINDOW_US)
+        assert len(shapes) == 1
+        shapes.clear()
+        lindblad_trajectory(hs, [], basis_density(2, 0), np.zeros(4))
+        assert shapes == []
+
+
 def counted_expm(monkeypatch):
     """Record the shape of every matrix stack ``dynamics.expm`` is given."""
     shapes = []
@@ -433,10 +508,6 @@ class TestReachableSector:
         shapes.clear()
         _joint_p0(cfg, fields, cfg.drive.f1_mhz, RABI_WINDOW_US[:3])
         assert shapes and all(shape[-2:] == (16, 16) for shape in shapes)
-
-
-def relative_error(a, ref):
-    return np.max(np.abs(a - ref)) / np.max(np.abs(ref))
 
 
 class TestExpm:

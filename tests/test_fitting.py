@@ -1,11 +1,14 @@
 import itertools
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nvspin import fitting
+from nvspin import experiments, fitting
+from nvspin.cli import _default_grid
+from nvspin.config import build_experiment_config, resolve_values
 from nvspin.fitting import (
     Trace,
     _damped_cosine,
@@ -13,6 +16,7 @@ from nvspin.fitting import (
     _lorentzian,
     _wrap_phase,
     fit_damped_cosine,
+    fit_damped_cosines,
     fit_exp_decay,
     fit_lorentzian,
     levenberg_marquardt,
@@ -306,6 +310,103 @@ class TestMatchesReferenceLoop:
         for got, want in zip(library(np.array(p), x, y), reference(np.array(p), x, y)):
             assert got.tobytes() == want.tobytes()
             assert got.flags.c_contiguous == want.flags.c_contiguous
+
+
+def _fit_bits(fit):
+    """Everything a fit reports, floats as bytes."""
+    return (fit.model, tuple(fit.params), [np.float64(v).tobytes() for v in fit.params.values()],
+            np.float64(fit.residual_norm).tobytes(), fit.iterations, fit.flags, fit.converged)
+
+
+def _noisy_stack(count, seed):
+    """``count`` seeded damped cosines on one 161-point grid, from clean to
+    barely above the noise, as in ``_noisy_traces``."""
+    rng = np.random.default_rng(seed)
+    t = np.linspace(0.0, 4.0, 161)
+    ys = [damped_cosine(t, rng.uniform(-1, 1), rng.uniform(0.3, 1.5), rng.uniform(1.0, 8.0),
+                        rng.uniform(0.5, 6.0), rng.uniform(-3.0, 3.0))
+          + rng.normal(0.0, 10.0 ** rng.uniform(-4.0, 0.0), len(t)) for _ in range(count)]
+    return t, np.array(ys)
+
+
+class TestStackedFits:
+    """``fit_damped_cosines`` against ``fit_damped_cosine`` on each row: the
+    stacked pass reports every trace's parameters, residual, iterations and
+    stop exactly as the scalar loop does from the same start point."""
+
+    @staticmethod
+    def _matches_scalar(x, ys):
+        """The stacked fits, after checking each against its scalar fit."""
+        stacked = fit_damped_cosines(x, ys)
+        assert len(stacked) == len(ys)
+        for i, (fit, y) in enumerate(zip(stacked, ys)):
+            assert _fit_bits(fit) == _fit_bits(fit_damped_cosine(Trace(x, y))), i
+        return stacked
+
+    @pytest.mark.parametrize("seed", [12345, 1, 2, 3, 4, 5])
+    def test_default_field_sweep(self, monkeypatch, seed):
+        stacks = []
+
+        def spy(x, ys):
+            stacks.append((x, ys))
+            return fit_damped_cosines(x, ys)
+
+        monkeypatch.setattr(experiments, "fit_damped_cosines", spy)
+        cfg = build_experiment_config(resolve_values(f"seed = {seed}"))
+        experiments.exp_field_sweep(cfg, _default_grid("fieldsweep", cfg))
+        (x, ys), = stacks
+        assert ys.shape == (60, 161)
+        self._matches_scalar(x, ys)
+
+    def test_seeded_noisy_stack(self):
+        fits = self._matches_scalar(*_noisy_stack(120, 43))
+        assert {"ftol", "xtol"} <= {fit.flags[0] for fit in fits}
+
+    def test_max_iter_and_flat_rows(self, monkeypatch):
+        # at 6 trial steps some rows stop on ftol or xtol and the rest run out
+        monkeypatch.setattr(fitting, "LM_MAX_ITER", 6)
+        t, ys = _noisy_stack(40, 44)
+        ys[[3, 17]] = [[0.25], [-1.0]]
+        fits = self._matches_scalar(t, ys)
+        assert {"max_iter", "ftol", "unidentifiable"} <= {fit.flags[0] for fit in fits}
+        assert fits[3].flags == fits[17].flags == ("unidentifiable",)
+
+    def test_singular_solve_path(self, monkeypatch):
+        # a solve fails for a matrix chosen by its bytes, so a stacked solve
+        # and the scalar loop fail on the same trace at the same iteration
+        raised = []
+        solve = np.linalg.solve
+
+        def flaky(a, b):
+            failing = [zlib.crc32(m.tobytes()) % 5 == 0 for m in a.reshape((-1,) + a.shape[-2:])]
+            if any(failing):
+                raised.append(a.ndim)
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", flaky)
+        self._matches_scalar(*_noisy_stack(30, 45))
+        assert 2 in raised and 3 in raised
+
+    def test_rejects_what_the_scalar_fit_rejects(self):
+        t, ys = _noisy_stack(4, 46)
+        ys[2] = np.cos(2 * np.pi * 0.3 * t)
+        with pytest.raises(ValueError, match="oscillation periods") as stacked:
+            fit_damped_cosines(t, ys)
+        with pytest.raises(ValueError) as scalar:
+            fit_damped_cosine(Trace(t, ys[2]))
+        assert str(stacked.value) == str(scalar.value)
+        t[80:] += 1e-3
+        with pytest.raises(ValueError, match="uniformly spaced"):
+            fit_damped_cosines(t, ys)
+
+    def test_single_rows(self):
+        # a stack of one takes the same pass, and gives each trace its scalar fit
+        t, ys = _noisy_stack(12, 47)
+        for y in ys:
+            self._matches_scalar(t, y[None])
+        with pytest.raises(ValueError, match="at least one trace"):
+            fit_damped_cosines(t, ys[:0])
 
 
 class TestDampedCosineFit:
