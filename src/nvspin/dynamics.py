@@ -20,8 +20,11 @@ reachable from rho0 (an invariant block, Buca & Prosen, New J. Phys. 14,
 073007 (2012)), each run of equal steps by doubling (P^2m = (P^m)^2), and
 ``steady_state`` takes every member's null space in one batched solve.
 Both integrators reject a non-Hermitian Hamiltonian and a state whose
-size differs from it.  Their exponential is :func:`expm`, numpy only;
-scipy is imported by ``steady_state`` alone, for ``null_space``.
+size differs from it.  Their exponential is :func:`expm`, numpy only and
+free of linear solves: scaling and squaring with the degree-18 Taylor
+polynomial, whose threshold theta_18 = 1.0909 keeps the backward error
+below 2^-53, one squaring count for the whole stack.  scipy is imported by
+``steady_state`` alone, for ``null_space``.
 """
 
 import functools
@@ -212,21 +215,26 @@ def _check_evolution(h: np.ndarray, rho: np.ndarray) -> None:
         raise ValueError("Hamiltonian and state dimensions differ")
 
 
-# Padé-13 coefficients b_0..b_13 and the 1-norm up to which that approximant
-# reaches double precision without squaring (Higham 2005)
-_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-           1187353796428800.0, 129060195264000.0, 10559470521600.0,
-           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
-           960960.0, 16380.0, 182.0, 1.0)
-_THETA13 = 5.371920351148152
+# the 1-norm up to which the degree-18 Taylor polynomial's backward error is
+# at most 2^-53 (Bader, Blanes & Casas 2019), and its coefficients 1/k!: row j
+# holds those of I, A, A^2, A^3 in the coefficient block of A^(4j)
+_THETA18 = 1.090863719290036
+_TAYLOR18 = np.append(1.0 / np.cumprod([1.0, *range(1, 19)]), 0.0).reshape(5, 4)
 
 
 def expm(a: np.ndarray) -> np.ndarray:
     """Exponential of a matrix, or of each member of a stack ``(..., n, n)``.
 
-    Padé-13 scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26,
-    1179 (2005)).  The whole stack takes one squaring count, set by its
-    largest 1-norm, so smaller members are squared more often than they need.
+    Scaling and squaring with the degree-18 truncated Taylor polynomial
+    (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970 (2009)): A is
+    scaled by 2^-s until its 1-norm is at most theta_18 = 1.0909, where the
+    polynomial's backward error is at most 2^-53 (Bader, Blanes & Casas,
+    Mathematics 7, 1174 (2019)), and the result is squared s times.  The
+    polynomial is evaluated by Paterson-Stockmeyer, as a polynomial of
+    degree 4 in A^4 whose coefficients are combinations of I, A, A^2 and
+    A^3: 7 stacked products and no linear solve.  The whole stack takes one
+    squaring count, set by its largest 1-norm, so smaller members are
+    squared more often than they need.
     """
     a = np.asarray(a)
     if a.size == 0:
@@ -234,18 +242,19 @@ def expm(a: np.ndarray) -> np.ndarray:
     norm = float(np.max(np.sum(np.abs(a), axis=-2)))
     if not np.isfinite(norm):
         raise ValueError("expm needs finite entries")
-    s = int(np.ceil(np.log2(norm / _THETA13))) if norm > _THETA13 else 0
-    a = a / 2.0**s
-    b = _PADE13
-    ident = np.eye(a.shape[-1])
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a2 @ a4
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
-    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
-    r = np.linalg.solve(v - u, v + u)
+    s = int(np.ceil(np.log2(norm / _THETA18))) if norm > _THETA18 else 0
+    # I, A, A^2, A^3 in one buffer: the five blocks are one product, not 20 copies
+    powers = np.empty((4,) + a.shape, dtype=np.result_type(a, 1.0))
+    powers[0] = np.eye(a.shape[-1])
+    np.multiply(a, 2.0**-s, out=powers[1])
+    np.matmul(powers[1], powers[1], out=powers[2])
+    np.matmul(powers[2], powers[1], out=powers[3])
+    a4 = powers[2] @ powers[2]
+    blocks = (_TAYLOR18 @ powers.reshape(4, -1)).reshape((5,) + a.shape)
+    r = blocks[4]
+    for b in blocks[3::-1]:
+        r = a4 @ r
+        r += b
     for _ in range(s):
         r = r @ r
     return r
@@ -261,8 +270,8 @@ def evolve_lindblad(h: np.ndarray, collapse_ops: CollapseOps, rho0: np.ndarray,
     member's real generator is exponentiated exactly and the coordinates are
     mapped back to Hermitian matrices.
     """
-    if t < 0:
-        raise ValueError("evolution time must be >= 0")
+    if not (np.isfinite(t) and t >= 0):
+        raise ValueError(f"evolution time must be finite and >= 0, got {t}")
     rho = np.asarray(rho0, dtype=complex)
     _check_evolution(h, rho)
     liou = build_liouvillian(h, collapse_ops)
@@ -329,8 +338,8 @@ def lindblad_trajectory(h: np.ndarray, collapse_ops: CollapseOps, rho0: np.ndarr
     its 16 coordinates.  The grid from t = 0 splits into runs of equal
     steps, and each run is advanced by doubling: with P = expm(L dt) and
     the states at its first m points known, the next m are P^m times those,
-    one stacked product, and P^2m = (P^m)^2 (the squaring phase of scaling
-    and squaring, Higham 2005).  A uniform 161-point grid thus costs one
+    one stacked product, and P^2m = (P^m)^2 (the squaring phase of
+    :func:`expm`).  A uniform 161-point grid thus costs one
     exponential, 7 squarings and 8 products per block; a run whose step
     matches the previous run's to 1e-12 relative reuses its propagator.  The
     states T x are Hermitian by construction.

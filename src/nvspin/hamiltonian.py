@@ -74,8 +74,10 @@ class DriveParams:
     f_rf_mhz: float | None = None
 
     def __post_init__(self):
-        if self.f1_mhz < 0:
-            raise ValueError("Rabi frequency must be >= 0")
+        if not (np.isfinite(self.f1_mhz) and self.f1_mhz >= 0):
+            raise ValueError(f"Rabi frequency must be finite and >= 0, got {self.f1_mhz}")
+        if self.f_rf_mhz is not None and not np.isfinite(self.f_rf_mhz):
+            raise ValueError(f"drive frequency must be finite, got {self.f_rf_mhz}")
 
 
 def nv_levels(b_gauss, p: NvParams) -> np.ndarray:

@@ -78,14 +78,14 @@ Segment = RfPulse | Delay
 
 
 def _check_duration(value: float) -> None:
-    if value < 0:
-        raise ValueError("segment duration must be >= 0")
+    if not (np.isfinite(value) and value >= 0):
+        raise ValueError(f"segment duration must be finite and >= 0, got {value}")
 
 
 def pi_duration(f1_mhz: float) -> float:
     """Duration of a pi pulse at Rabi frequency f1: 1 / (2 f1)."""
-    if f1_mhz <= 0:
-        raise ValueError("pi pulse needs f1 > 0")
+    if not (np.isfinite(f1_mhz) and f1_mhz > 0):
+        raise ValueError(f"pi pulse needs f1 finite and > 0, got {f1_mhz}")
     return 1.0 / (2.0 * f1_mhz)
 
 

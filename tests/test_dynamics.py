@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 import nvspin
 from nvspin import dynamics, experiments, hamiltonian, pulseq, spinops
+from nvspin.cli import _default_grid
 from nvspin.config import standard_config
 from nvspin.dynamics import (
     DegenerateSteadyStateError,
@@ -167,6 +169,15 @@ class TestEvolveLindblad:
         with pytest.raises(ValueError):
             evolve_lindblad(np.array([[0, 1], [0, 0]], dtype=complex), [],
                             basis_density(2, 0), 1.0)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_non_finite_time_rejected(self, t):
+        # raised by the guard, before the exponential could warn or fail
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"finite and >= 0, got {t}"):
+                evolve_lindblad(rwa_hamiltonian(1.0, 0.0), [(SZ, 0.5)],
+                                basis_density(2, 0), t)
 
     def test_non_hermitian_rejected_at_zero_time(self):
         # a zero step returns rho0 unchanged, but still checks the Hamiltonian
@@ -560,6 +571,64 @@ class TestExpm:
         assert relative_error(dynamics.expm(zero), scipy.linalg.expm(zero)) <= 1e-12
         empty = np.zeros((0, 4, 4), dtype=complex)
         assert dynamics.expm(empty).shape == scipy.linalg.expm(empty).shape == (0, 4, 4)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("k", range(5))
+    def test_both_sides_of_each_squaring_step(self, k, dtype):
+        # 1-norms just below and just above theta_18 2^k, where the
+        # squaring count steps from k to k + 1; theta_18 as published by
+        # Bader, Blanes & Casas (2019)
+        rng = np.random.default_rng(k)
+        for factor in (1 - 1e-6, 1 + 1e-6):
+            a = rng.normal(size=(5, 6, 6)).astype(dtype)
+            if dtype is complex:
+                a += 1j * rng.normal(size=a.shape)
+            a *= 1.090863719290036 * 2**k * factor / np.max(np.sum(np.abs(a), axis=-2))
+            assert relative_error(dynamics.expm(a), scipy.linalg.expm(a)) <= 1e-12
+
+    def test_single_matrices(self):
+        rng = np.random.default_rng(3)
+        two_d = 3.0 * rng.normal(size=(5, 5))
+        integer = np.array([[0, 1], [-2, -3]])
+        for a in (two_d, np.array([[-2.5]]), integer):
+            got = dynamics.expm(a)
+            assert got.shape == a.shape and got.dtype == float
+            assert relative_error(got, scipy.linalg.expm(a)) <= 1e-12
+
+    def test_unitary_propagators(self):
+        # criterion 9's propagators expm(-2j pi h t) of random 6 x 6 Hermitian h
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+            h, t = (a + a.conj().T) / 2, rng.uniform(0.0, 3.0)
+            u = -2j * np.pi * h * t
+            assert relative_error(dynamics.expm(u), scipy.linalg.expm(u)) <= 1e-12
+
+    def test_no_linear_solve(self, monkeypatch):
+        # the default field sweep's first Rabi and dark-wait blocks,
+        # exponentiated with np.linalg.solve unavailable
+        cfg = standard_config()
+        fields = _default_grid("fieldsweep", cfg)[:4]
+        stacks = []
+
+        def record(a):
+            stacks.append(a)
+            return np.broadcast_to(np.eye(a.shape[-1]), a.shape)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(dynamics, "expm", record)
+            for f1, times in ((cfg.drive.f1_mhz, RABI_WINDOW_US), (0.0, [cfg.t_wait_us])):
+                _joint_p0(cfg, fields, f1, times)
+        stacks = [stacks[0], stacks[-1]]
+        assert [a.shape for a in stacks] == [(48, 16, 16), (96, 6, 6)]
+        refs = [scipy.linalg.expm(a) for a in stacks]
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("expm called np.linalg.solve")
+
+        monkeypatch.setattr(np.linalg, "solve", no_solve)
+        for a, ref in zip(stacks, refs):
+            assert relative_error(dynamics.expm(a), ref) <= 1e-12
 
 
 class TestSteadyState:

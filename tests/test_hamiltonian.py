@@ -181,3 +181,14 @@ class TestDriveParams:
     def test_negative_f1_rejected(self):
         with pytest.raises(ValueError):
             DriveParams(f1_mhz=-1.0)
+
+    @pytest.mark.parametrize("f1", [np.nan, np.inf, -np.inf])
+    def test_non_finite_f1_rejected(self, f1):
+        with pytest.raises(ValueError, match=f"finite and >= 0, got {f1}"):
+            DriveParams(f1_mhz=f1)
+
+    def test_non_finite_drive_frequency_rejected(self):
+        # a NaN frame detuning would otherwise surface as a non-Hermitian
+        # Hamiltonian in the first evolution step
+        with pytest.raises(ValueError, match="drive frequency must be finite, got nan"):
+            DriveParams(f1_mhz=1.0, f_rf_mhz=np.nan)

@@ -38,6 +38,12 @@ class TestDurations:
         with pytest.raises(ValueError):
             pi2_duration(0.0)
 
+    @pytest.mark.parametrize("f1", [np.nan, np.inf])
+    def test_non_finite_f1_rejected(self, f1):
+        # 1 / (2 inf) would be a zero-length pi pulse
+        with pytest.raises(ValueError, match=f"f1 finite and > 0, got {f1}"):
+            pi_duration(f1)
+
     def test_double_pi_returns_to_start(self):
         t_pi = pi_duration(DRIVE.f1_mhz)
         p0 = run_sequence((RfPulse(t_pi, DRIVE), RfPulse(t_pi, DRIVE)), RHO_0)
@@ -50,6 +56,13 @@ class TestSequenceValidation:
             Delay(-0.1)
         with pytest.raises(ValueError):
             RfPulse(-0.1, DRIVE)
+
+    @pytest.mark.parametrize("duration", [np.nan, np.inf, -np.inf])
+    def test_non_finite_duration_rejected(self, duration):
+        with pytest.raises(ValueError, match=f"finite and >= 0, got {duration}"):
+            Delay(duration)
+        with pytest.raises(ValueError, match=f"finite and >= 0, got {duration}"):
+            RfPulse(duration, DRIVE)
 
     def test_bad_polarization_and_contrast(self):
         with pytest.raises(ValueError):
