@@ -12,18 +12,24 @@ Phys. 44, 534 (2003)); ``build_liouvillian`` returns that real matrix, and
 every state mapped back as rho = T x is Hermitian by construction, with no
 re-Hermitisation.  Hamiltonians may be stacks ``(..., d, d)`` whose leading
 axes index the members of :meth:`NoiseModel.ensemble`.
-``evolve_lindblad`` exponentiates the generator over one step (the one
-evolution path of the pulse sequences, closed systems included; the tests
-check it against a fixed-step RK4), ``lindblad_trajectory`` advances a
-time grid with the same exponential, restricted to the coordinates
-reachable from rho0 (an invariant block, Buca & Prosen, New J. Phys. 14,
-073007 (2012)), each run of equal steps by doubling (P^2m = (P^m)^2), and
-``steady_state`` takes every member's null space in one batched solve.
-Both integrators reject a non-Hermitian Hamiltonian and a state whose
-size differs from it.  Their exponential is :func:`expm`, numpy only and
-free of linear solves: scaling and squaring with the degree-18 Taylor
-polynomial, whose threshold theta_18 = 1.0909 keeps the backward error
-below 2^-53, one squaring count for the whole stack.  scipy is imported by
+
+The generator is the Hamiltonian's coordinates times cached commutator
+generators plus a dissipator that does not depend on H (Lindblad, Commun.
+Math. Phys. 48, 119 (1976)).  ``evolve_lindblad`` exponentiates the
+generator over one step (the one evolution path of the pulse sequences,
+closed systems included; the tests check it against a fixed-step RK4),
+``lindblad_trajectory`` advances a time grid with the same exponential,
+restricted to the coordinates reachable from rho0 (an invariant block,
+Buca & Prosen, New J. Phys. 14, 073007 (2012)), each run of equal steps
+by doubling (P^2m = (P^m)^2); it builds the dissipator, checks
+Hermiticity and finds the sector once per call, for the whole stack, and
+forms each block's generators from them.  ``steady_state`` takes every
+member's null space in one batched solve.  Both integrators reject a
+non-Hermitian Hamiltonian and a state whose size differs from it.  Their
+exponential is :func:`expm`, numpy only and free of linear solves:
+scaling and squaring with the degree-18 Taylor polynomial, whose
+threshold theta_18 = 1.0909 keeps the backward error below 2^-53, one
+squaring count for the whole stack.  scipy is imported by
 ``steady_state`` alone, for ``null_space``.
 """
 
@@ -33,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .hamiltonian import _check_finite
 from .spinops import NonHermitianError, is_hermitian
 
 CollapseOps = Sequence[tuple[np.ndarray, float]]
@@ -65,14 +72,14 @@ class NoiseModel:
     nuclear_populations: tuple[float, float, float] | None = None
 
     def __post_init__(self):
-        if min(self.sigma_static_mhz, self.gamma_phi, self.gamma_1) < 0:
-            raise ValueError("noise rates must be >= 0")
+        _check_finite(self, "sigma_static_mhz", "gamma_phi", "gamma_1", bound=">= 0")
+        _check_finite(self, "nuclear_splitting_mhz")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
         if self.nuclear_populations is not None:
             pops = self.nuclear_populations
-            if len(pops) != 3 or min(pops) < 0 or sum(pops) <= 0:
-                raise ValueError("nuclear_populations must be 3 nonnegative weights")
+            if len(pops) != 3 or not np.all(np.isfinite(pops)) or min(pops) < 0 or sum(pops) <= 0:
+                raise ValueError(f"nuclear_populations must be 3 finite weights >= 0, got {pops}")
             if self.nuclear_splitting_mhz == 0.0:
                 raise ValueError("nuclear_populations need a nonzero nuclear_splitting_mhz")
 
@@ -165,7 +172,7 @@ def _coordinates(m: np.ndarray) -> np.ndarray:
     """Real coordinates tr(T_p m) of a Hermitian matrix or stack
     ``(..., d, d)``, shape ``(..., d*d)``."""
     basis, norm, _ = _hermitian_basis(m.shape[-1])
-    return (m.reshape(m.shape[:-2] + (-1,)) @ basis.conj()).real / norm
+    return (m.reshape(m.shape[:-2] + (len(norm),)) @ basis.conj()).real / norm
 
 
 def _matrices(x: np.ndarray, dim: int) -> np.ndarray:
@@ -173,6 +180,34 @@ def _matrices(x: np.ndarray, dim: int) -> np.ndarray:
     Hermitian to the last bit, since the B_p carry only 0, +-1 and +-i."""
     basis, norm, _ = _hermitian_basis(dim)
     return ((x / norm) @ basis.T).reshape(x.shape[:-1] + (dim, dim))
+
+
+def _hamiltonian_coordinates(h: np.ndarray) -> np.ndarray:
+    """Real coordinates of a Hamiltonian or stack ``(..., d, d)``, one row
+    ``(d*d,)`` per member, after the generators' one Hermiticity check:
+    raises :class:`NonHermitianError` if any member is not Hermitian."""
+    if not is_hermitian(h):
+        raise NonHermitianError("Lindblad Hamiltonian must be Hermitian")
+    return _coordinates(h).reshape(-1, h.shape[-1] ** 2)
+
+
+def _dissipator(collapse_ops: CollapseOps, dim: int) -> np.ndarray:
+    """Real matrix of the dissipator sum_k gamma_k (L rho L+ - {L+L, rho}/2)
+    in the Hermitian basis: the part of the generator that does not depend
+    on H, so one matrix serves every member of a stack."""
+    basis, norm, _ = _hermitian_basis(dim)
+    ident = np.eye(dim)
+    dissipator = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for op, rate in collapse_ops:
+        if rate < 0:
+            raise ValueError("collapse rates must be >= 0")
+        if rate == 0:
+            continue
+        opd = op.conj().T
+        opd_op = opd @ op
+        dissipator += rate * (_superop(op, opd)
+                              - 0.5 * (_superop(opd_op, ident) + _superop(ident, opd_op)))
+    return (basis.conj().T @ dissipator @ basis).real / np.outer(norm, norm)
 
 
 def build_liouvillian(h: np.ndarray, collapse_ops: CollapseOps) -> np.ndarray:
@@ -183,34 +218,19 @@ def build_liouvillian(h: np.ndarray, collapse_ops: CollapseOps) -> np.ndarray:
     the matching float stack ``(..., d*d, d*d)``.  Every Lindblad generator
     preserves Hermiticity, which is why it is real in this basis.  The
     Hamiltonian part is h's coordinates times the cached commutator
-    generators; the dissipator sum_k gamma_k (L rho L+ - {L+L, rho}/2) is the
-    same for the whole stack and built once.  Raises
-    :class:`NonHermitianError` for a non-Hermitian ``h``.
+    generators; the dissipator (:func:`_dissipator`) is the same for the
+    whole stack and built once.  Raises :class:`NonHermitianError` for a
+    non-Hermitian ``h``.
     """
-    if not is_hermitian(h):
-        raise NonHermitianError("Lindblad Hamiltonian must be Hermitian")
     dim = h.shape[-1]
-    n = dim * dim
-    basis, norm, commutators = _hermitian_basis(dim)
-    ident = np.eye(dim)
-    dissipator = np.zeros((n, n), dtype=complex)
-    for op, rate in collapse_ops:
-        if rate < 0:
-            raise ValueError("collapse rates must be >= 0")
-        if rate == 0:
-            continue
-        opd = op.conj().T
-        opd_op = opd @ op
-        dissipator += rate * (_superop(op, opd)
-                              - 0.5 * (_superop(opd_op, ident) + _superop(ident, opd_op)))
-    dissipator = (basis.conj().T @ dissipator @ basis).real / np.outer(norm, norm)
-    coords = _coordinates(h).reshape(-1, n)
-    return (coords @ commutators).reshape(h.shape[:-2] + (n, n)) + dissipator
+    liou = _hamiltonian_coordinates(h) @ _hermitian_basis(dim)[2]
+    return liou.reshape(h.shape[:-2] + (dim * dim,) * 2) + _dissipator(collapse_ops, dim)
 
 
 def _check_evolution(h: np.ndarray, rho: np.ndarray) -> None:
     """Guard shared by the Lindblad integrators: a state of the Hamiltonian's
-    size.  :func:`build_liouvillian`, which both call, checks Hermiticity."""
+    size.  :func:`_hamiltonian_coordinates`, which both reach, checks
+    Hermiticity."""
     if h.shape[-2:] != rho.shape[-2:]:
         raise ValueError("Hamiltonian and state dimensions differ")
 
@@ -294,10 +314,13 @@ TRAJECTORY_STATES = 48 * 162
 
 
 def _reachable(liou: np.ndarray, support: np.ndarray) -> np.ndarray:
-    """Mask of the coordinates reachable from ``support`` under a generator
-    stack: the closure of ``support`` under the union of the members'
-    nonzero patterns.  Every other coordinate of a state supported on
-    ``support`` stays exactly zero, so the stack may be restricted to it."""
+    """Mask of the coordinates reachable from ``support`` under a generator,
+    a generator stack or a boolean nonzero pattern ``(n, n)``: the closure
+    of ``support`` under the union of the members' nonzero patterns.  Every
+    other coordinate of a state supported on ``support`` stays exactly zero,
+    so the generators may be restricted to it.  The pattern alone decides
+    the sector, so :func:`lindblad_trajectory` finds one per call from a
+    pattern that covers every member, before it builds any generator."""
     coupled = np.any(liou != 0, axis=tuple(range(liou.ndim - 2)))
     sector = support
     while True:
@@ -330,18 +353,27 @@ def lindblad_trajectory(h: np.ndarray, collapse_ops: CollapseOps, rho0: np.ndarr
     ``rho0`` is one ``(d, d)`` state shared by every member; both pass
     ``evolve_lindblad``'s guards.  The result has shape
     ``(..., len(times), d, d)``, or ``(..., len(times))`` with an observable.
-    The stack steps in blocks of ``TRAJECTORY_BLOCK`` members, fewer on a
-    grid so long that a block would hold over ``TRAJECTORY_STATES`` states
-    (48 on the 161-point Rabi window), on the real coordinates of rho0,
-    restricted to the sector the block can reach from them
-    (:func:`_reachable`): a dark joint wait from a diagonal rho0 steps 6 of
-    its 16 coordinates.  The grid from t = 0 splits into runs of equal
-    steps, and each run is advanced by doubling: with P = expm(L dt) and
-    the states at its first m points known, the next m are P^m times those,
-    one stacked product, and P^2m = (P^m)^2 (the squaring phase of
-    :func:`expm`).  A uniform 161-point grid thus costs one
-    exponential, 7 squarings and 8 products per block; a run whose step
-    matches the previous run's to 1e-12 relative reuses its propagator.  The
+    The stack steps on the real coordinates of rho0, restricted to the
+    sector the whole stack can reach from them (:func:`_reachable`) under a
+    pattern that covers every member's generator: the dissipator's nonzeros
+    and those of the commutator generator of every coordinate that is
+    nonzero in some member.  A dark joint wait from a diagonal rho0 steps 6
+    of its 16 coordinates.  The Hermiticity check, the Hamiltonian
+    coordinates of every member, the dissipator, the sector and the
+    restriction of the commutator generators and the dissipator to it are
+    all done once per call; a member whose own sector is smaller steps the
+    union, its other coordinates staying exactly zero.  The members then
+    step in blocks of ``TRAJECTORY_BLOCK``, fewer on a grid so long that a
+    block would hold over ``TRAJECTORY_STATES`` states (48 on the 161-point
+    Rabi window), each block's generators being one product, coordinates
+    times restricted commutators, plus the restricted dissipator.  The grid
+    from t = 0 splits into runs of equal steps, and each run is advanced by
+    doubling: with P = expm(L dt) and the states at its first m points
+    known, the next m are P^m times those, one stacked product, and
+    P^2m = (P^m)^2 (the squaring phase of :func:`expm`).  A uniform
+    161-point grid thus costs one exponential, 7 squarings and 8 products
+    per block; a run whose step matches the previous run's to 1e-12
+    relative reuses its propagator.  The
     states T x are Hermitian by construction.
     """
     times = np.asarray(times, dtype=float)
@@ -352,26 +384,30 @@ def lindblad_trajectory(h: np.ndarray, collapse_ops: CollapseOps, rho0: np.ndarr
         raise ValueError(f"rho0 must be one (d, d) state, got shape {rho0.shape}")
     _check_evolution(h, rho0)
     dim = rho0.shape[0]
+    n = dim * dim
     x0 = _coordinates(rho0)
-    members = h.reshape((-1, dim, dim))
+    coords = _hamiltonian_coordinates(h)
+    basis, norm, commutators = _hermitian_basis(dim)
+    dissipator = _dissipator(collapse_ops, dim)
+    pattern = (dissipator != 0) | commutators[coords.any(axis=0)].any(axis=0).reshape(n, n)
+    sector = np.flatnonzero(_reachable(pattern, x0 != 0))
+    commutators = commutators.reshape(n, n, n)[:, sector[:, None], sector].reshape(n, -1)
+    dissipator = dissipator[sector[:, None], sector]
     runs = _equal_step_runs(times)
     if observable is None:
-        out = np.zeros((len(members), len(times), dim * dim))
+        out = np.zeros((len(coords), len(times), n))
     else:
         # tr(O rho) = sum_p x_p tr(O T_p)
-        basis, norm, _ = _hermitian_basis(dim)
         trace_row = (np.asarray(observable).T.reshape(-1) @ basis).real / norm
-        out = np.empty((len(members), len(times)))
+        out = np.empty((len(coords), len(times)))
     size = max(1, min(TRAJECTORY_BLOCK, TRAJECTORY_STATES // (len(times) + 1)))
     # time-major states, point 0 being t = 0, in one buffer for all blocks:
     # a buffer per block left the process's peak RSS 1 MiB higher after 130
     # default-size sweeps, as the heap fragmented around the freed buffers
-    buffer = np.empty(size * (len(times) + 1) * dim * dim)
-    for lo in range(0, len(members), size):
+    buffer = np.empty(size * (len(times) + 1) * n)
+    for lo in range(0, len(coords), size):
         block = slice(lo, lo + size)
-        liou = build_liouvillian(members[block], collapse_ops)
-        sector = np.flatnonzero(_reachable(liou, x0 != 0))
-        liou = liou[..., sector[:, None], sector]
+        liou = (coords[block] @ commutators).reshape(-1, len(sector), len(sector)) + dissipator
         states = buffer[:len(liou) * (len(times) + 1) * len(sector)].reshape(
             len(liou), len(times) + 1, len(sector))
         states[:, 0] = x0[sector]

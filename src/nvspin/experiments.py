@@ -284,11 +284,12 @@ def exp_t2p_vs_dip(cfgs: list[ExperimentConfig]) -> Trace:
 
 def trend_configs(cfg: ExperimentConfig) -> list[ExperimentConfig]:
     """Synthetic centers for the trend experiment: coupling strengths from
-    ``cfg.trend_couplings`` with the static noise scaled proportionally."""
+    ``cfg.trend_couplings`` with the static noise scaled by their magnitude
+    relative to ``cfg.bath.coupling_mhz``, whose sign is physical."""
     base_j = cfg.bath.coupling_mhz
     out = []
     for j in cfg.trend_couplings:
-        scale = j / base_j if base_j else 1.0
+        scale = abs(j / base_j) if base_j else 1.0
         out.append(
             replace(
                 cfg,

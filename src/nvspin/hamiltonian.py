@@ -15,6 +15,16 @@ import numpy as np
 from .constants import ELECTRON_G, gyromagnetic_ratio
 
 
+def _check_finite(params, *names: str, bound: str = "") -> None:
+    """Raise ValueError, naming the field and its value, for the first of
+    ``names`` whose value on ``params`` is not finite or, given ``bound``
+    (">= 0" or "> 0"), not within it."""
+    for name in names:
+        value = getattr(params, name)
+        if not (np.isfinite(value) and {"": True, ">= 0": value >= 0, "> 0": value > 0}[bound]):
+            raise ValueError(f"{name} must be finite{bound and ' and ' + bound}, got {value}")
+
+
 @dataclass(frozen=True)
 class NvParams:
     """Ground-state N-V parameters.
@@ -30,10 +40,8 @@ class NvParams:
     a_par_mhz: float = 2.2
 
     def __post_init__(self):
-        if self.d_mhz <= 0:
-            raise ValueError("zero-field splitting must be positive")
-        if self.g <= 0:
-            raise ValueError("g-factor must be positive")
+        _check_finite(self, "d_mhz", "g", bound="> 0")
+        _check_finite(self, "a_par_mhz")
 
     @property
     def gamma(self) -> float:
@@ -59,8 +67,8 @@ class BathParams:
     gamma_bath: float = 50.0
 
     def __post_init__(self):
-        if self.gamma_bath < 0:
-            raise ValueError("gamma_bath must be >= 0")
+        _check_finite(self, "coupling_mhz", "a_n_par_mhz")
+        _check_finite(self, "gamma_bath", bound=">= 0")
 
 
 @dataclass(frozen=True)
@@ -74,8 +82,7 @@ class DriveParams:
     f_rf_mhz: float | None = None
 
     def __post_init__(self):
-        if not (np.isfinite(self.f1_mhz) and self.f1_mhz >= 0):
-            raise ValueError(f"Rabi frequency must be finite and >= 0, got {self.f1_mhz}")
+        _check_finite(self, "f1_mhz", bound=">= 0")
         if self.f_rf_mhz is not None and not np.isfinite(self.f_rf_mhz):
             raise ValueError(f"drive frequency must be finite, got {self.f_rf_mhz}")
 

@@ -19,4 +19,4 @@ class NonHermitianError(ValueError):
 def is_hermitian(a: np.ndarray) -> bool:
     """True if every matrix of ``a`` (one matrix or a stack ``(..., n, n)``)
     is Hermitian to within 1e-9, entry by entry."""
-    return bool(np.max(np.abs(a - np.conj(np.swapaxes(a, -1, -2)))) < 1e-9)
+    return bool((np.abs(a - np.conj(np.swapaxes(a, -1, -2))) < 1e-9).all())

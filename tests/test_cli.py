@@ -202,6 +202,16 @@ class TestRunCommand:
             tmp_path, "trend", "noise.n_samples = 4\n", "trend.csv")
         assert outputs[0] == outputs[1]
 
+    def test_trend_with_negative_coupling(self, tmp_path):
+        # the sign of the secular coupling is physical; the synthetic centers'
+        # static noise scales with the coupling's magnitude alone
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("bath.coupling_mhz = -0.5\n")
+        negative, default = tmp_path / "negative", tmp_path / "default"
+        assert self.run_cli("run", "trend", "--config", str(cfg), "--out", str(negative)) == 0
+        assert self.run_cli("run", "trend", "--out", str(default)) == 0
+        assert (negative / "trend.csv").read_bytes() == (default / "trend.csv").read_bytes()
+
     @pytest.mark.parametrize("tau1", ["", "echo.tau1_us = 3\n"])
     def test_echo_byte_identical_across_thread_counts(self, tmp_path, tau1):
         # each delay evolves the whole ensemble as one stacked sequence

@@ -521,6 +521,82 @@ class TestReachableSector:
         assert shapes and all(shape[-2:] == (16, 16) for shape in shapes)
 
 
+class TestGeneratorsPerCall:
+    """``lindblad_trajectory`` checks Hermiticity, builds the dissipator and
+    finds the reachable sector once per call, before its block loop."""
+
+    def test_dark_block_among_driven_blocks(self, monkeypatch):
+        # one all-dark block (6 reachable coordinates on its own) between
+        # driven ones (16): every block steps the union, and the dark
+        # members' coordinates outside their own sector stay exactly zero
+        cfg = standard_config()
+        block = dynamics.TRAJECTORY_BLOCK
+        n = 3 * block + 7
+        rng = np.random.default_rng(5)
+        delta, nu = rng.normal(0.0, 0.5, n), rng.normal(0.0, 3.0, n)
+        hs = joint_frame_hamiltonian(delta, nu, cfg.drive.f1_mhz, cfg.bath.coupling_mhz)
+        dark = slice(block, 2 * block)
+        hs[dark] = joint_frame_hamiltonian(delta, nu, 0.0, cfg.bath.coupling_mhz)[dark]
+        collapse = _joint_collapse(cfg.noise, cfg.bath)
+        rho0 = np.kron(cfg.init.density(), np.eye(2) / 2)
+        times = np.linspace(0.0, 0.4, 9)
+        want_traced = stepped_trajectory(hs, collapse, rho0, times,
+                                         observable=experiments._MS0_OP)
+        want = stepped_trajectory(hs, collapse, rho0, times)
+        shapes = counted_expm(monkeypatch)
+        traced = lindblad_trajectory(hs, collapse, rho0, times, observable=experiments._MS0_OP)
+        assert relative_error(traced, want_traced) <= 1e-12
+        full = lindblad_trajectory(hs, collapse, rho0, times)
+        assert full.shape == want.shape == (n, len(times), 4, 4)
+        assert relative_error(full, want) <= 1e-12
+        assert len(shapes) == 8 and all(shape[-2:] == (16, 16) for shape in shapes)
+        outside = want[dark] == 0
+        assert np.all(np.count_nonzero(outside, axis=(-2, -1)) >= 10)
+        assert np.all(full[dark][outside] == 0)
+
+    @staticmethod
+    def pair_stack():
+        n = 2 * dynamics.TRAJECTORY_BLOCK + 5
+        rng = np.random.default_rng(11)
+        return pair_hamiltonian(rng.normal(0.0, 2.0, size=n), 5.0)
+
+    def test_non_hermitian_member_in_last_block(self, monkeypatch):
+        hs = self.pair_stack()
+        hs[-1, 0, 1] += 0.1j
+        shapes = counted_expm(monkeypatch)
+        with pytest.raises(NonHermitianError):
+            lindblad_trajectory(hs, [(SZ, 0.2)], basis_density(2, 0), [0.0, 1.0])
+        assert shapes == []
+
+    def test_negative_collapse_rate(self, monkeypatch):
+        shapes = counted_expm(monkeypatch)
+        with pytest.raises(ValueError, match="collapse rates must be >= 0"):
+            lindblad_trajectory(self.pair_stack(), [(SZ, 0.2), (SZ, -0.1)],
+                                basis_density(2, 0), [0.0, 1.0])
+        assert shapes == []
+
+    def test_dissipator_built_once(self, monkeypatch):
+        calls = []
+        dissipator = dynamics._dissipator
+
+        def counted(collapse_ops, dim):
+            calls.append(dim)
+            return dissipator(collapse_ops, dim)
+
+        monkeypatch.setattr(dynamics, "_dissipator", counted)
+        monkeypatch.setattr(dynamics, "build_liouvillian", None)
+        collapse = pair_collapse_ops(NoiseModel(gamma_phi=0.4, gamma_1=0.1))
+        traj = lindblad_trajectory(self.pair_stack(), collapse, basis_density(2, 0),
+                                   [0.0, 0.5, 1.0])
+        assert traj.shape == (2 * dynamics.TRAJECTORY_BLOCK + 5, 3, 2, 2)
+        assert calls == [2]
+
+    def test_empty_stack(self):
+        traj = lindblad_trajectory(np.zeros((0, 2, 2), dtype=complex), [(SZ, 0.2)],
+                                   basis_density(2, 0), [0.0, 1.0])
+        assert traj.shape == (0, 2, 2, 2)
+
+
 class TestExpm:
     """``dynamics.expm`` against ``scipy.linalg.expm`` on the stacks the
     experiments exponentiate."""
@@ -790,6 +866,15 @@ class TestEnsembleAverage:
             NoiseModel(n_samples=0)
         with pytest.raises(ValueError):
             NoiseModel(nuclear_populations=(1.0, 0.0), nuclear_splitting_mhz=2.2)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_fields_rejected(self, value):
+        # a NaN rate failed every "> 0" test and so switched its process off
+        for name in ("sigma_static_mhz", "gamma_phi", "gamma_1", "nuclear_splitting_mhz"):
+            with pytest.raises(ValueError, match=f"{name} must be finite.*, got {value}"):
+                NoiseModel(**{name: value})
+        with pytest.raises(ValueError, match=f"finite weights >= 0, got .*{value}"):
+            NoiseModel(nuclear_populations=(1.0, value, 1.0), nuclear_splitting_mhz=2.2)
 
     def test_nuclear_populations_need_a_splitting(self):
         # with A = 0 the three branches coincide and the weights do nothing

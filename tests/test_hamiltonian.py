@@ -10,6 +10,7 @@ from nvspin.config import standard_config
 from nvspin.constants import ELECTRON_G, MU_B_MHZ_PER_G
 from nvspin.experiments import exp_levels, nv_transition_mhz
 from nvspin.hamiltonian import (
+    BathParams,
     DriveParams,
     NvParams,
     frame_detuning,
@@ -83,6 +84,26 @@ class TestHNv:
             NvParams(d_mhz=-1.0)
         with pytest.raises(ValueError):
             NvParams(g=0.0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_params_rejected(self, value):
+        for name in ("d_mhz", "g", "a_par_mhz"):
+            with pytest.raises(ValueError, match=f"{name} must be finite.*, got {value}"):
+                NvParams(**{name: value})
+
+
+class TestBathParams:
+    def test_negative_dephasing_rejected(self):
+        with pytest.raises(ValueError, match="gamma_bath must be finite and >= 0, got -1.0"):
+            BathParams(gamma_bath=-1.0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_params_rejected(self, value):
+        # the coupling's sign is physical; only a non-finite value is refused
+        assert BathParams(coupling_mhz=-0.5).coupling_mhz == -0.5
+        for name in ("coupling_mhz", "a_n_par_mhz", "gamma_bath"):
+            with pytest.raises(ValueError, match=f"{name} must be finite.*, got {value}"):
+                BathParams(**{name: value})
 
 
 class TestHN:
