@@ -10,7 +10,6 @@ extract f1, T2', T2 and resonance line parameters.
 __version__ = "0.1.0"
 
 from .config import ExperimentConfig, standard_config
-from .constants import MU_B_MHZ_PER_G, gyromagnetic_ratio
 from .dynamics import (
     NoiseModel,
     evolve_lindblad,
@@ -35,10 +34,12 @@ from .fitting import (
     fit_lorentzian,
 )
 from .hamiltonian import (
+    MU_B_MHZ_PER_G,
     BathParams,
     DriveParams,
     NvParams,
     frame_detuning,
+    gyromagnetic_ratio,
     nv_levels,
     resonance_field,
 )

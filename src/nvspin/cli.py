@@ -7,8 +7,10 @@ Exit codes: 0 success, 1 configuration error, 2 runtime or fit error.
 import argparse
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,16 +35,6 @@ from .experiments import (
 )
 from .fitting import FIT_MODELS, FitResult, Trace, _uniformly_spaced
 from .hamiltonian import resonance_field
-
-EXPERIMENTS = ("esr", "rabi", "echo", "fieldsweep", "trend", "levels")
-# these drive on resonance (fieldsweep, trend) or sweep the drive frequency
-# (esr), so a fixed drive.f_rf_mhz would be ignored
-RESONANT_DRIVE = ("esr", "fieldsweep", "trend")
-# these pulse or nutate the spin, so they need a nonzero drive; esr and
-# levels still run without one
-DRIVEN = ("rabi", "echo", "fieldsweep", "trend")
-# these sweep a duration, so their grid must be >= 0
-DURATION_GRID = ("rabi", "echo")
 
 
 @dataclass(frozen=True)
@@ -72,6 +64,13 @@ def format_float(value: float) -> str:
 
 
 def write_csv(path: Path, columns: dict[str, np.ndarray]) -> None:
+    """Write ``columns`` as CSV; a non-finite value, which :func:`read_csv`
+    would reject, raises before the file is opened."""
+    for name, values in columns.items():
+        bad = np.flatnonzero(~np.isfinite(np.asarray(values, dtype=float)))
+        if len(bad):
+            raise ValueError(f"{path}: non-finite value {format_float(values[bad[0]])} "
+                             f"in column {name!r}, row {bad[0] + 1}")
     names = list(columns)
     rows = len(next(iter(columns.values())))
     with open(path, "w", newline="\n") as fh:
@@ -124,135 +123,145 @@ def format_fit(fit: FitResult) -> str:
     return "\n".join(lines)
 
 
-class OutputTracker:
-    """Collects written files so failures leave no partial results behind."""
+class Experiment(NamedTuple):
+    """One experiment as :func:`run` sees it.  ``grid(cfg)`` is its default
+    grid, None if it takes no grid; ``outputs(cfg, grid)`` runs its driver
+    and returns its CSVs as ``{file name: columns}``, its fits as ``(label
+    or None, FitResult)`` pairs and its report notes; the flags guard the
+    config."""
 
-    def __init__(self, out_dir: Path):
-        self.out_dir = out_dir
-        self.paths: list[Path] = []
-
-    def path(self, name: str) -> Path:
-        p = self.out_dir / name
-        self.paths.append(p)
-        return p
-
-    def cleanup(self) -> None:
-        for p in self.paths:
-            p.unlink(missing_ok=True)
+    grid: Callable | None
+    outputs: Callable
+    sets_drive: bool = False     # sets the drive frequency itself
+    needs_drive: bool = False    # nutates the spin and fits it: needs a drive and spin signal
+    duration_grid: bool = False  # sweeps a duration, so its grid is >= 0
+    uniform_grid: bool = False   # fits a damped cosine on its grid, so the grid is uniform
 
 
-def _default_grid(experiment: str, cfg) -> np.ndarray:
-    if experiment == "esr":
-        center = nv_transition_mhz(cfg)
-        return np.linspace(center - 40.0, center + 40.0, 161)
-    if experiment == "rabi":
-        return RABI_WINDOW_US
-    if experiment == "echo":
-        return np.linspace(0.25, 6.0, 24)
-    if experiment == "fieldsweep":
-        center = resonance_field(cfg.nv)
-        return np.linspace(center - 15.0, center + 15.0, 60)
-    if experiment == "levels":
-        return np.linspace(0.0, 1100.0, 111)
-    raise ValueError(f"experiment {experiment!r} takes no grid")
+def _centred(center: float, half_width: float, n: int) -> np.ndarray:
+    return np.linspace(center - half_width, center + half_width, n)
 
 
-def _grid(experiment: str, cfg) -> np.ndarray:
-    if cfg.sweep.grid:
-        return np.asarray(cfg.sweep.grid, dtype=float)
-    return _default_grid(experiment, cfg)
+def _esr(cfg, grid):
+    trace = exp_cw_esr(cfg, grid)
+    k = int(np.argmin(trace.y))
+    note = (f"esr dip at {format_float(trace.x[k])} MHz "
+            f"(transition {format_float(nv_transition_mhz(cfg))} MHz)")
+    return {"esr.csv": {"f_mhz": trace.x, "i_pl": trace.y}}, [], [note]
 
 
-def _run_experiment(experiment: str, cfg, out: OutputTracker) -> list[str]:
-    reports: list[str] = []
-    if experiment == "esr":
-        trace = exp_cw_esr(cfg, _grid("esr", cfg))
-        write_csv(out.path("esr.csv"), {"f_mhz": trace.x, "i_pl": trace.y})
-        k = int(np.argmin(trace.y))
-        reports.append(f"esr dip at {format_float(trace.x[k])} MHz "
-                       f"(transition {format_float(nv_transition_mhz(cfg))} MHz)")
-    elif experiment == "rabi":
-        result = exp_rabi(cfg, _grid("rabi", cfg))
-        for i, (trace, fit) in enumerate(zip(result.traces, result.fits)):
-            write_csv(out.path(f"rabi_{i}.csv"), {"t_us": trace.x, "i_pl": trace.y})
-            reports.append(f"rabi power {cfg.rabi_powers[i]}:\n{format_fit(fit)}")
-    elif experiment == "echo":
-        result = exp_hahn(cfg, _grid("echo", cfg))
-        trace = result.traces[0]
-        xname = "total_delay_us" if cfg.echo_tau1_us is None else "tau2_us"
-        write_csv(out.path("echo.csv"), {xname: trace.x, "i_pl": trace.y})
-        for fit in result.fits:
-            reports.append(format_fit(fit))
-        for key, value in result.derived.items():
-            reports.append(f"{key} = {format_float(value)}")
-    elif experiment == "fieldsweep":
-        result = exp_field_sweep(cfg, _grid("fieldsweep", cfg))
-        ipl, inv = result.traces
-        write_csv(out.path("fieldsweep.csv"), {
-            "b_gauss": ipl.x,
-            "i_pl": ipl.y,
-            "inv_t2p_per_us": inv.y,
-            "t2p_us": result.derived["t2p_us"],
-            # written as 1.0 and 0.0, so every column parses as a number
-            "rabi_converged": result.derived["rabi_converged"],
-            "rabi_at_bound": result.derived["rabi_at_bound"],
-        })
-        for fit, label in zip(result.fits, ("i_pl dip", "1/t2p peak")):
-            reports.append(f"{label}:\n{format_fit(fit)}")
-        reports.append("resonance_field_gauss = "
-                       + format_float(result.derived["resonance_field_gauss"]))
-    elif experiment == "trend":
-        trace = exp_t2p_vs_dip(trend_configs(cfg))
-        write_csv(out.path("trend.csv"),
-                  {"dip_amplitude": trace.x, "t2p_us": trace.y})
-        reports.append(f"trend over {len(cfg.trend_couplings)} centers "
-                       f"at {format_float(cfg.b_field_gauss)} G")
-    elif experiment == "levels":
-        cols = exp_levels(cfg, _grid("levels", cfg))
-        write_csv(out.path("levels.csv"), cols)
-        reports.append("levels: resonance_field_gauss = "
-                       + format_float(resonance_field(cfg.nv)))
-    else:
-        raise ConfigError(f"unknown experiment {experiment!r}; "
-                          f"choose from {', '.join(EXPERIMENTS)}")
-    return reports
+def _rabi(cfg, grid):
+    result = exp_rabi(cfg, grid)
+    csvs = {f"rabi_{i}.csv": {"t_us": trace.x, "i_pl": trace.y}
+            for i, trace in enumerate(result.traces)}
+    return csvs, [(f"rabi power {p}", fit) for p, fit in zip(cfg.rabi_powers, result.fits)], []
+
+
+def _echo(cfg, grid):
+    result = exp_hahn(cfg, grid)
+    (trace,) = result.traces
+    xname = "total_delay_us" if cfg.echo_tau1_us is None else "tau2_us"
+    notes = [f"{key} = {format_float(value)}" for key, value in result.derived.items()]
+    return {"echo.csv": {xname: trace.x, "i_pl": trace.y}}, [(None, f) for f in result.fits], notes
+
+
+def _fieldsweep(cfg, grid):
+    result = exp_field_sweep(cfg, grid)
+    ipl, inv = result.traces
+    # the per-field Rabi fits; their flags are written as 1.0 and 0.0, so
+    # every column parses as a number
+    rabi = ("t2p_us", "rabi_converged", "rabi_at_bound")
+    columns = {"b_gauss": ipl.x, "i_pl": ipl.y, "inv_t2p_per_us": inv.y,
+               **{key: result.derived[key] for key in rabi}}
+    note = "resonance_field_gauss = " + format_float(result.derived["resonance_field_gauss"])
+    return {"fieldsweep.csv": columns}, list(zip(("i_pl dip", "1/t2p peak"), result.fits)), [note]
+
+
+def _trend(cfg, grid):
+    result = exp_t2p_vs_dip(trend_configs(cfg))
+    (trace,) = result.traces
+    fits = [(f"center coupling {j} MHz", fit) for j, fit in zip(cfg.trend_couplings, result.fits)]
+    note = (f"trend over {len(cfg.trend_couplings)} centers "
+            f"at {format_float(cfg.b_field_gauss)} G")
+    return {"trend.csv": {"dip_amplitude": trace.x, "t2p_us": trace.y}}, fits, [note]
+
+
+def _levels(cfg, grid):
+    note = "levels: resonance_field_gauss = " + format_float(resonance_field(cfg.nv))
+    return {"levels.csv": exp_levels(cfg, grid)}, [], [note]
+
+
+EXPERIMENTS = {
+    "esr": Experiment(lambda cfg: _centred(nv_transition_mhz(cfg), 40.0, 161), _esr,
+                      sets_drive=True),
+    "rabi": Experiment(lambda cfg: RABI_WINDOW_US, _rabi, needs_drive=True, duration_grid=True,
+                       uniform_grid=True),
+    "echo": Experiment(lambda cfg: np.linspace(0.25, 6.0, 24), _echo, needs_drive=True,
+                       duration_grid=True),
+    "fieldsweep": Experiment(lambda cfg: _centred(resonance_field(cfg.nv), 15.0, 60),
+                             _fieldsweep, sets_drive=True, needs_drive=True),
+    # trend fits each center on the fixed Rabi window
+    "trend": Experiment(None, _trend, sets_drive=True, needs_drive=True),
+    "levels": Experiment(lambda cfg: np.linspace(0.0, 1100.0, 111), _levels),
+}
 
 
 def run(experiment: str, values: dict, out_dir: Path) -> RunManifest:
     """Run one experiment and write CSVs, fit report and manifest."""
+    record = EXPERIMENTS.get(experiment)
+    if record is None:
+        raise ConfigError(f"unknown experiment {experiment!r}; "
+                          f"choose from {', '.join(EXPERIMENTS)}")
     cfg = build_experiment_config(values)
-    if experiment in RESONANT_DRIVE and cfg.drive.f_rf_mhz is not None:
+    grid = cfg.sweep.grid
+    if record.sets_drive and cfg.drive.f_rf_mhz is not None:
         raise ConfigError(f"drive.f_rf_mhz: {experiment} sets the drive frequency itself")
-    if experiment in DRIVEN and cfg.drive.f1_mhz == 0:
-        raise ConfigError(f"drive.f1_mhz: {experiment} needs a nonzero drive")
-    if experiment in DURATION_GRID and cfg.sweep.grid and cfg.sweep.grid[0] < 0:
+    if record.needs_drive:
+        if cfg.drive.f1_mhz == 0:
+            raise ConfigError(f"drive.f1_mhz: {experiment} needs a nonzero drive")
+        for key, value in (("readout.contrast", cfg.readout.contrast),
+                           ("readout.photons", cfg.readout.photons),
+                           ("readout.polarization", cfg.init.polarization)):
+            if value == 0:
+                raise ConfigError(f"{key}: {experiment} fits the spin signal, "
+                                  f"which {key} = 0 removes")
+    if record.duration_grid and grid and grid[0] < 0:
         raise ConfigError(f"sweep.grid: {experiment} sweeps a duration, which must be >= 0")
-    if experiment == "trend" and cfg.sweep.grid:
-        # it fits each center on the fixed Rabi window
-        raise ConfigError("sweep.grid: trend takes no grid")
-    if (experiment == "rabi" and len(cfg.sweep.grid) > 2
-            and not _uniformly_spaced(np.diff(cfg.sweep.grid))):
-        raise ConfigError("sweep.grid: rabi fits a damped cosine, which needs "
+    if record.grid is None and grid:
+        raise ConfigError(f"sweep.grid: {experiment} takes no grid")
+    if record.uniform_grid and len(grid) > 2 and not _uniformly_spaced(np.diff(grid)):
+        raise ConfigError(f"sweep.grid: {experiment} fits a damped cosine, which needs "
                           "uniformly spaced times")
+    if grid:
+        grid = np.asarray(grid, dtype=float)
+    elif record.grid:
+        grid = record.grid(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
-    tracker = OutputTracker(out_dir)
+    written: list[Path] = []
     start = time.monotonic()
     try:
-        reports = _run_experiment(experiment, cfg, tracker)
-        report_path = tracker.path("fit_report.txt")
-        report_path.write_text("\n\n".join(reports) + "\n")
-        manifest_path = tracker.path("manifest.txt")
+        csvs, fits, notes = record.outputs(cfg, grid)
+        for name, columns in csvs.items():
+            written.append(out_dir / name)
+            write_csv(written[-1], columns)
+        reports = [format_fit(fit) if label is None else f"{label}:\n{format_fit(fit)}"
+                   for label, fit in fits]
+        written.append(out_dir / "fit_report.txt")
+        written[-1].write_text("\n\n".join(reports + notes) + "\n")
         manifest = RunManifest(
             experiment=experiment,
             config_sha256=config_checksum(values),
             seed=values["seed"],
             tool_version=__version__,
             duration_s=time.monotonic() - start,
-            outputs=tuple(p.name for p in tracker.paths if p != manifest_path),
+            outputs=tuple(path.name for path in written),
         )
-        manifest_path.write_text(manifest.render())
+        written.append(out_dir / "manifest.txt")
+        written[-1].write_text(manifest.render())
     except BaseException:
-        tracker.cleanup()
+        # a failed run leaves no partial outputs behind
+        for path in written:
+            path.unlink(missing_ok=True)
         raise
     return manifest
 

@@ -20,7 +20,6 @@ from .dynamics import NoiseModel, lindblad_trajectory, pair_collapse_ops, steady
 from .fitting import (
     FitResult,
     Trace,
-    fit_damped_cosine,
     fit_damped_cosines,
     fit_exp_decay,
     fit_lorentzian,
@@ -259,27 +258,28 @@ def exp_field_sweep(cfg: ExperimentConfig, b_grid_gauss) -> SweepResult:
     )
 
 
-def exp_t2p_vs_dip(cfgs: list[ExperimentConfig]) -> Trace:
+def exp_t2p_vs_dip(cfgs: list[ExperimentConfig]) -> SweepResult:
     """T2' at each center's ``b_field_gauss`` versus the normalized
     photoluminescence dip amplitude on resonance, one point per synthetic
     center.
 
-    Output is sorted by dip amplitude; the Rabi window is the field
-    sweep's.
+    The one trace is sorted by dip amplitude; the Rabi window is the field
+    sweep's.  The centers' Rabi traces take one stacked damped-cosine fit,
+    and the fits keep the order of ``cfgs``.
     """
     t_grid = RABI_WINDOW_US
-    amplitudes = []
-    t2ps = []
+    amplitudes, rabi = [], []
     for cfg in cfgs:
         b_res = resonance_field(cfg.nv)
         fields = [b_res, b_res + OFF_RESONANCE_OFFSET_GAUSS]
         i_res, i_off = cfg.readout.counts(_joint_p0(cfg, fields, 0.0, [cfg.t_wait_us])[:, 0])
         amplitudes.append((i_off - i_res) / i_off)
-        rabi = cfg.readout.counts(_joint_p0(cfg, cfg.b_field_gauss, cfg.drive.f1_mhz, t_grid))
-        fit = fit_damped_cosine(Trace(t_grid, rabi))
-        t2ps.append(fit["t2p_us"])
+        rabi.append(cfg.readout.counts(
+            _joint_p0(cfg, cfg.b_field_gauss, cfg.drive.f1_mhz, t_grid)))
+    fits = fit_damped_cosines(t_grid, rabi)
     order = np.argsort(amplitudes, kind="stable")
-    return Trace(np.asarray(amplitudes)[order], np.asarray(t2ps)[order])
+    t2ps = np.array([fit["t2p_us"] for fit in fits])
+    return SweepResult([Trace(np.asarray(amplitudes)[order], t2ps[order])], fits)
 
 
 def trend_configs(cfg: ExperimentConfig) -> list[ExperimentConfig]:

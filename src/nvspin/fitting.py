@@ -250,19 +250,6 @@ def _flat_result(model: str, trace: Trace, extra: dict[str, float]) -> FitResult
     return FitResult(model, params, resid, True, 0, flags=("unidentifiable",))
 
 
-def _spectral_peak(step: float, yc: np.ndarray) -> tuple[float, float, float]:
-    """Dominant nonzero frequency of a trace sampled every ``step``, with
-    its mean already subtracted.
-
-    Returns (frequency, amplitude, phase) from the discrete spectrum.
-    """
-    spec = np.fft.rfft(yc)
-    freqs = np.fft.rfftfreq(len(yc), d=step)
-    k = 1 + int(np.argmax(np.abs(spec[1:])))
-    amp = 2 * np.abs(spec[k]) / len(yc)
-    return float(freqs[k]), float(amp), float(np.angle(spec[k]))
-
-
 def _bounded_decay_time(rate: float, x: np.ndarray,
                         dx: np.ndarray) -> tuple[float, tuple[str, ...]]:
     lower = float(np.min(dx))
@@ -300,12 +287,12 @@ def _damped_cosine(p, x, y):
 
 def _damped_cosine_starts(x: np.ndarray, dx: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Start points ``(k, 5)`` of damped-cosine fits to the rows of ``y``
-    ``(k, n)``, none of them flat, on the grid ``x``: the start of
-    :func:`fit_damped_cosine` for each row, to the bit, with its checks.
+    ``(k, n)``, none of them flat, on the grid ``x``, with the checks of
+    :func:`fit_damped_cosine`, which takes its start from a one-row stack.
 
     The frequency, amplitude and phase come from the peak of one discrete
-    Fourier transform over the stack.  The scalar fit keeps its own
-    one-trace form, which costs it fewer numpy calls.
+    Fourier transform over the stack; the decay rate from the drop in
+    oscillation power between the first and second half of each row.
     """
     if not _uniformly_spaced(dx):
         raise ValueError("a damped-cosine fit needs uniformly spaced x values")
@@ -368,26 +355,8 @@ def fit_damped_cosine(trace: Trace) -> FitResult:
     x, y, dx = _check_trace(trace, 5)
     if np.ptp(y) == 0.0:
         return _flat_cosine(trace)
-    if not _uniformly_spaced(dx):
-        raise ValueError("a damped-cosine fit needs uniformly spaced x values")
-    mean = np.mean(y)
-    yc = y - mean
-    f0, a0, phi0 = _spectral_peak(np.mean(dx), yc)
-    span = x[-1] - x[0]
-    if f0 * span < 2.0:
-        raise ValueError(
-            f"trace spans {f0 * span:.2f} oscillation periods; need >= 2 for a "
-            "damped-cosine fit"
-        )
-    # crude decay estimate from the drop in oscillation power between the
-    # first and second half of the trace
-    half = len(y) // 2
-    p1 = np.sqrt(np.mean(yc[:half] ** 2))
-    p2 = np.sqrt(np.mean(yc[half:] ** 2))
-    rate0 = max(0.0, 2.0 * np.log(p1 / p2) / span) if p2 > 0 else 2.0 / span
-    offset0 = float(mean)
-
-    lm = levenberg_marquardt(lambda p: _damped_cosine(p, x, y), [offset0, a0, f0, rate0, phi0])
+    lm = levenberg_marquardt(lambda p: _damped_cosine(p, x, y),
+                             _damped_cosine_starts(x, dx, y[None])[0])
     return _damped_cosine_result(lm.params, lm.residual_norm, lm.iterations, lm.stop, x, dx)
 
 

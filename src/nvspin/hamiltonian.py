@@ -1,5 +1,6 @@
 """Static levels of the N-V center for a field along its symmetry axis,
-and the rotating frame of its driven transition.
+the rotating frame of its driven transition, and the physical constants
+they use.
 
 Levels and Hamiltonians are frequencies in MHz; the static magnetic field
 is taken along the N-V symmetry axis (z) and is given in gauss.  Along
@@ -12,7 +13,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import ELECTRON_G, gyromagnetic_ratio
+# Bohr magneton divided by the Planck constant, in MHz per gauss.
+# An electron with g-factor g has gyromagnetic ratio g * MU_B_MHZ_PER_G.
+MU_B_MHZ_PER_G = 1.3996245
+
+# Free-electron g-factor as used throughout (P1 centers and the N-V center).
+ELECTRON_G = 2.00
+
+
+def gyromagnetic_ratio(g: float) -> float:
+    """Gyromagnetic ratio in MHz/G for a spin with g-factor ``g``."""
+    return g * MU_B_MHZ_PER_G
 
 
 def _check_finite(params, *names: str, bound: str = "") -> None:

@@ -15,7 +15,8 @@ PACKAGE_ROOT = Path(nvspin.__file__).resolve().parents[1]
 
 
 def cli_env(threads: str) -> dict[str, str]:
-    """Minimal child environment: ``PATH``, ``PYTHONPATH`` and the BLAS thread variables.
+    """Minimal child environment: ``PATH``, ``PYTHONPATH``, the BLAS thread
+    variables and ``PYTHONDONTWRITEBYTECODE`` when it is set.
 
     ``PYTHONPATH`` starts with the directory holding the imported ``nvspin``
     package, followed by the parent's own ``PYTHONPATH`` if it has one.
@@ -23,6 +24,11 @@ def cli_env(threads: str) -> dict[str, str]:
     pythonpath = [str(PACKAGE_ROOT)]
     if os.environ.get("PYTHONPATH"):
         pythonpath.append(os.environ["PYTHONPATH"])
-    return {"PATH": "/usr/bin:/bin", "PYTHONPATH": os.pathsep.join(pythonpath),
-            "OMP_NUM_THREADS": threads, "OPENBLAS_NUM_THREADS": threads,
-            "MKL_NUM_THREADS": threads}
+    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": os.pathsep.join(pythonpath),
+           "OMP_NUM_THREADS": threads, "OPENBLAS_NUM_THREADS": threads,
+           "MKL_NUM_THREADS": threads}
+    # a child that compiles nvspin must not leave bytecode the parent was
+    # told not to write
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
+    return env

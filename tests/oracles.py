@@ -162,9 +162,12 @@ def rk4_lindblad(h: np.ndarray, collapse_ops: CollapseOps, rho: np.ndarray,
 
 def stepped_trajectory(h: np.ndarray, collapse_ops: CollapseOps, rho0: np.ndarray,
                        times: np.ndarray, observable: np.ndarray | None = None) -> np.ndarray:
-    """``dynamics.lindblad_trajectory`` one step at a time: the same blocks,
-    sectors and exponential expm(L dt), rebuilt only when dt moves by more
-    than 1e-12 relative, applied to one state column per step."""
+    """``dynamics.lindblad_trajectory`` one step at a time: the same blocks
+    and exponential expm(L dt), rebuilt only when dt moves by more than
+    1e-12 relative, applied to one state column per step.  Each block steps
+    only the coordinates it can reach from rho0, where the library steps
+    the sector of the whole stack; the two agree to rounding, and exactly
+    when every block reaches the same sector."""
     times = np.asarray(times, dtype=float)
     rho0 = np.asarray(rho0, dtype=complex)
     dim = rho0.shape[0]

@@ -159,7 +159,7 @@ def test_criterion_6_cross_relaxation_resonance():
 def test_criterion_7_t2p_vs_dip_trend():
     with criterion(7, "three synthetic centers: T2' strictly decreasing with "
                       "normalized dip amplitude", 120.0):
-        trace = exp_t2p_vs_dip(trend_configs(standard_config()))
+        (trace,) = exp_t2p_vs_dip(trend_configs(standard_config())).traces
         assert len(trace.x) == 3
         assert np.all(np.diff(trace.x) > 0)
         assert np.all(np.diff(trace.y) < 0)

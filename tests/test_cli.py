@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cli_env import cli_env
-from nvspin.cli import EXPERIMENTS, fit_file, main, read_csv, write_csv
+from nvspin.cli import EXPERIMENTS, fit_file, main, read_csv, run, write_csv
 from nvspin.config import (
     ConfigError,
     config_checksum,
@@ -138,6 +138,15 @@ class TestCsvIO:
         for model in ("lorentzian", "exp_decay", "damped_cosine"):
             assert main(["fit", model, str(path)]) == 2
             assert f":32: non-finite value '{value}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_not_written(self, tmp_path, value):
+        # read_csv rejects it, so a run must not emit it
+        path = tmp_path / "w.csv"
+        columns = {"x": np.arange(3.0), "y": np.array([1.0, 2.0, value])}
+        with pytest.raises(ValueError, match=f"non-finite value {value!r} in column 'y', row 3"):
+            write_csv(path, columns)
+        assert not path.exists()
 
 
 class TestRunCommand:
@@ -321,6 +330,15 @@ class TestRunCommand:
         assert self.run_cli("run", "esr", "--config", str(cfg), "--out", str(out)) == 0
         assert np.ptp(read_csv(out / "esr.csv")["i_pl"]) <= 1e-9
 
+    @pytest.mark.parametrize("key", ["readout.contrast", "readout.photons",
+                                     "readout.polarization"])
+    def test_no_spin_signal_esr_runs(self, tmp_path, key):
+        # esr fits nothing, so a readout blind to the spin still runs
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"{key} = 0\nsweep.grid = 2600:2620:5\nnoise.n_samples = 2\n")
+        out = tmp_path / "o"
+        assert self.run_cli("run", "esr", "--config", str(cfg), "--out", str(out)) == 0
+
     def test_degenerate_levels_exit_2(self, tmp_path, capsys):
         # at zero field m_S = +1 and -1 coincide, so the driven pair is ambiguous
         cfg = tmp_path / "c.cfg"
@@ -335,8 +353,8 @@ class TestRunCommand:
                             "--out", str(tmp_path / "o")) == 1
 
     def test_failure_removes_partial_outputs(self, tmp_path, monkeypatch):
-        # the rabi CSVs are written before the report is formatted, so a
-        # failure there must remove them
+        # all three rabi CSVs are written before the report is formatted, so
+        # a failure there must remove them
         import nvspin.cli as cli
 
         written = []
@@ -350,7 +368,7 @@ class TestRunCommand:
         cfg.write_text("sweep.grid = 0:2:41\nnoise.n_samples = 2\n")
         out = tmp_path / "o"
         assert self.run_cli("run", "rabi", "--config", str(cfg), "--out", str(out)) == 2
-        assert written == ["rabi_0.csv"]
+        assert sorted(written) == ["rabi_0.csv", "rabi_1.csv", "rabi_2.csv"]
         assert out.is_dir() and not any(out.iterdir())
 
     @pytest.mark.parametrize("experiment, text, key", [
@@ -373,6 +391,12 @@ class TestRunCommand:
         # 20 periods on a non-uniform grid; it failed at run time (exit 2),
         # saying the trace spanned 1.82 periods
         ("rabi", "sweep.grid = 0,0.05,0.1,0.5,1,1.5,2,2.5,3,3.5,4", "sweep.grid"),
+        # no spin signal: fieldsweep and trend wrote inf in every t2p_us row
+        # (exit 0), rabi blamed the oscillation count (exit 2) and echo
+        # reported a converged T2 fitted to rounding noise
+        *[(experiment, f"{key} = 0", key)
+          for experiment in ("rabi", "echo", "fieldsweep", "trend")
+          for key in ("readout.contrast", "readout.photons", "readout.polarization")],
     ])
     def test_config_the_model_cannot_honour(self, tmp_path, capsys, experiment, text, key):
         cfg = tmp_path / "c.cfg"
@@ -381,6 +405,33 @@ class TestRunCommand:
         assert self.run_cli("run", experiment, "--config", str(cfg), "--out", str(out)) == 1
         assert key in capsys.readouterr().err
         assert not out.exists()
+
+    def test_unknown_experiment_creates_nothing(self, tmp_path):
+        out = tmp_path / "o"
+        with pytest.raises(ConfigError, match="unknown experiment 'bogus'"):
+            run("bogus", resolve_values(""), out)
+        assert not out.exists()
+
+    def test_non_finite_output_fails_the_run(self, tmp_path, capsys):
+        # a contrast this small leaves the counts flat, so every Rabi fit
+        # gives T2' = inf; the run used to exit 0 with inf in each row
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("readout.contrast = 1e-300\nsweep.grid = 505:524:8\n"
+                       "noise.n_samples = 4\n")
+        out = tmp_path / "o"
+        assert self.run_cli("run", "fieldsweep", "--config", str(cfg), "--out", str(out)) == 2
+        assert "non-finite value inf in column 't2p_us', row 1" in capsys.readouterr().err
+        assert out.is_dir() and not any(out.iterdir())
+
+    def test_trend_report_holds_each_center_fit(self, tmp_path):
+        out = tmp_path / "o"
+        assert self.run_cli("run", "trend", "--out", str(out)) == 0
+        report = (out / "fit_report.txt").read_text()
+        labels = re.findall(r"^center coupling (\S+) MHz:\nmodel: damped_cosine$", report, re.M)
+        assert labels == ["0.1", "0.3", "1.0"]
+        t2p = [float(v) for v in re.findall(r"^  t2p_us = (\S+)$", report, re.M)]
+        assert sorted(t2p) == sorted(read_csv(out / "trend.csv")["t2p_us"])
+        assert report.split("\n\n")[-1].startswith("trend over 3 centers")
 
     @pytest.mark.parametrize("experiment", ["esr", "levels"])
     def test_negative_grid_runs_where_it_is_no_duration(self, tmp_path, experiment):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import nvspin
 from nvspin import dynamics, experiments, hamiltonian, pulseq, spinops
-from nvspin.cli import _default_grid
+from nvspin.cli import EXPERIMENTS
 from nvspin.config import standard_config
 from nvspin.dynamics import (
     DegenerateSteadyStateError,
@@ -684,7 +684,7 @@ class TestExpm:
         # the default field sweep's first Rabi and dark-wait blocks,
         # exponentiated with np.linalg.solve unavailable
         cfg = standard_config()
-        fields = _default_grid("fieldsweep", cfg)[:4]
+        fields = EXPERIMENTS["fieldsweep"].grid(cfg)[:4]
         stacks = []
 
         def record(a):

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nvspin.cli import _default_grid, run
+from nvspin.cli import EXPERIMENTS, run
 from nvspin.config import SweepSpec, resolve_values, standard_config
 from nvspin.dynamics import (
     NoiseModel,
@@ -380,7 +380,7 @@ class TestFieldSweep:
         exp_field_sweep(cfg, np.linspace(510.0, 520.0, 7))
         tracemalloc.start()
         try:
-            exp_field_sweep(cfg, _default_grid("fieldsweep", cfg))
+            exp_field_sweep(cfg, EXPERIMENTS["fieldsweep"].grid(cfg))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -394,7 +394,7 @@ class TestFieldSweep:
         # fixes T2' only to about 1e-8 (3e-8 seen at 2 of 60 fields), so T2'
         # is held to 1e-7 and the Lorentzian centres to 1e-10
         cfg = standard_config()
-        b_grid = _default_grid("fieldsweep", cfg)
+        b_grid = EXPERIMENTS["fieldsweep"].grid(cfg)
         sweep = exp_field_sweep(cfg, b_grid)
         stored = np.loadtxt(Path(__file__).parent / "data" / "fieldsweep_default.csv",
                             delimiter=",", skiprows=1)
@@ -419,14 +419,14 @@ class TestFieldSweep:
 
 class TestTrend:
     def test_strictly_decreasing(self):
-        trace = exp_t2p_vs_dip(trend_configs(standard_config()))
+        (trace,) = exp_t2p_vs_dip(trend_configs(standard_config())).traces
         assert np.all(np.diff(trace.x) > 0)
         assert np.all(np.diff(trace.y) < 0)
 
     def test_duplicated_center_identical_points(self):
         cfg = standard_config()
         cfgs = trend_configs(cfg)
-        trace = exp_t2p_vs_dip([cfgs[1], cfgs[1]])
+        (trace,) = exp_t2p_vs_dip([cfgs[1], cfgs[1]]).traces
         assert trace.x[0] == trace.x[1]
         assert trace.y[0] == trace.y[1]
 
@@ -435,7 +435,7 @@ class TestTrend:
         zero = replace(cfg, bath=replace(cfg.bath, coupling_mhz=0.0),
                        noise=replace(cfg.noise, sigma_static_mhz=0.0))
         strong = trend_configs(cfg)[-1]
-        trace = exp_t2p_vs_dip([zero, strong])
+        (trace,) = exp_t2p_vs_dip([zero, strong]).traces
         assert abs(trace.x[0]) < 1e-12
         assert trace.y[0] > trace.y[1]
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nvspin import experiments, fitting
-from nvspin.cli import _default_grid
+from nvspin.cli import EXPERIMENTS
 from nvspin.config import build_experiment_config, resolve_values
 from nvspin.fitting import (
     Trace,
@@ -353,7 +353,7 @@ class TestStackedFits:
 
         monkeypatch.setattr(experiments, "fit_damped_cosines", spy)
         cfg = build_experiment_config(resolve_values(f"seed = {seed}"))
-        experiments.exp_field_sweep(cfg, _default_grid("fieldsweep", cfg))
+        experiments.exp_field_sweep(cfg, EXPERIMENTS["fieldsweep"].grid(cfg))
         (x, ys), = stacks
         assert ys.shape == (60, 161)
         self._matches_scalar(x, ys)

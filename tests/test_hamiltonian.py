@@ -5,10 +5,10 @@ import pytest
 import scipy.constants as const
 import scipy.optimize
 
-from nvspin.cli import _default_grid
+from nvspin.cli import EXPERIMENTS
 from nvspin.config import standard_config
-from nvspin.constants import ELECTRON_G, MU_B_MHZ_PER_G
 from nvspin.experiments import exp_levels, nv_transition_mhz
+from nvspin.hamiltonian import ELECTRON_G, MU_B_MHZ_PER_G
 from nvspin.hamiltonian import (
     BathParams,
     DriveParams,
@@ -74,7 +74,7 @@ class TestHNv:
         p = NvParams(d_mhz=d_mhz, g=g)
         cfg = replace(standard_config(), nv=p)
         b = np.concatenate([np.linspace(-2000.0, 2000.0, 10_001), [0.0, p.d_mhz / p.gamma],
-                            _default_grid("fieldsweep", cfg), _default_grid("levels", cfg)])
+                            EXPERIMENTS["fieldsweep"].grid(cfg), EXPERIMENTS["levels"].grid(cfg)])
         w, _ = eigensystem(h_nv(b, p))
         assert np.array_equal(np.sort(nv_levels(b, p)), w)
         assert np.array_equal(nv_transition_mhz(cfg, b), w[:, 1] - w[:, 0])
@@ -121,7 +121,7 @@ class TestHN:
         # the old per-field route: eigenlevels of the dense Hamiltonians, N-V
         # levels labeled by dominant m_S character; repr compares signed zeros
         cfg = standard_config()
-        b_grid = np.concatenate([_default_grid("levels", cfg), [-300.0, 1028.9, 1500.0]])
+        b_grid = np.concatenate([EXPERIMENTS["levels"].grid(cfg), [-300.0, 1028.9, 1500.0]])
         cols = exp_levels(cfg, b_grid)
         labels = ("nv_msp1_mhz", "nv_ms0_mhz", "nv_msm1_mhz")
         for i, b in enumerate(b_grid):
