@@ -8,7 +8,6 @@ import argparse
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -33,30 +32,8 @@ from .experiments import (
     nv_transition_mhz,
     trend_configs,
 )
-from .fitting import FIT_MODELS, FitResult, Trace, _uniformly_spaced
+from .fitting import FIT_MODELS, FitResult, Trace, _is_flat, _uniformly_spaced
 from .hamiltonian import resonance_field
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """What one completed run produced, as written to manifest.txt."""
-
-    experiment: str
-    config_sha256: str
-    seed: int
-    tool_version: str
-    duration_s: float
-    outputs: tuple[str, ...]
-
-    def render(self) -> str:
-        return "\n".join([
-            f"experiment={self.experiment}",
-            f"config_sha256={self.config_sha256}",
-            f"seed={self.seed}",
-            f"tool_version={self.tool_version}",
-            f"duration_s={self.duration_s:.3f}",
-            f"outputs={','.join(self.outputs)}",
-        ]) + "\n"
 
 
 def format_float(value: float) -> str:
@@ -144,9 +121,11 @@ def _centred(center: float, half_width: float, n: int) -> np.ndarray:
 
 def _esr(cfg, grid):
     trace = exp_cw_esr(cfg, grid)
-    k = int(np.argmin(trace.y))
-    note = (f"esr dip at {format_float(trace.x[k])} MHz "
-            f"(transition {format_float(nv_transition_mhz(cfg))} MHz)")
+    transition = f"(transition {format_float(nv_transition_mhz(cfg))} MHz)"
+    if _is_flat(trace.y):
+        note = f"esr spectrum flat, no dip {transition}"
+    else:
+        note = f"esr dip at {format_float(trace.x[np.argmin(trace.y)])} MHz {transition}"
     return {"esr.csv": {"f_mhz": trace.x, "i_pl": trace.y}}, [], [note]
 
 
@@ -158,23 +137,24 @@ def _rabi(cfg, grid):
 
 
 def _echo(cfg, grid):
-    result = exp_hahn(cfg, grid)
-    (trace,) = result.traces
-    xname = "total_delay_us" if cfg.echo_tau1_us is None else "tau2_us"
-    notes = [f"{key} = {format_float(value)}" for key, value in result.derived.items()]
-    return {"echo.csv": {xname: trace.x, "i_pl": trace.y}}, [(None, f) for f in result.fits], notes
+    (trace,), fits = exp_hahn(cfg, grid)
+    if cfg.echo_tau1_us is None:
+        xname, note = "total_delay_us", "t2_us = " + format_float(fits[0]["t_us"])
+    else:
+        xname, note = "tau2_us", "tau2_at_max_us = " + format_float(trace.x[np.argmax(trace.y)])
+    return {"echo.csv": {xname: trace.x, "i_pl": trace.y}}, [(None, f) for f in fits], [note]
 
 
 def _fieldsweep(cfg, grid):
-    result = exp_field_sweep(cfg, grid)
-    ipl, inv = result.traces
+    (ipl, inv), (dip, peak, *rabi) = exp_field_sweep(cfg, grid)
     # the per-field Rabi fits; their flags are written as 1.0 and 0.0, so
     # every column parses as a number
-    rabi = ("t2p_us", "rabi_converged", "rabi_at_bound")
     columns = {"b_gauss": ipl.x, "i_pl": ipl.y, "inv_t2p_per_us": inv.y,
-               **{key: result.derived[key] for key in rabi}}
-    note = "resonance_field_gauss = " + format_float(result.derived["resonance_field_gauss"])
-    return {"fieldsweep.csv": columns}, list(zip(("i_pl dip", "1/t2p peak"), result.fits)), [note]
+               "t2p_us": [fit["t2p_us"] for fit in rabi],
+               "rabi_converged": [fit.converged for fit in rabi],
+               "rabi_at_bound": ["at_bound" in fit.flags for fit in rabi]}
+    note = "resonance_field_gauss = " + format_float(resonance_field(cfg.nv))
+    return {"fieldsweep.csv": columns}, [("i_pl dip", dip), ("1/t2p peak", peak)], [note]
 
 
 def _trend(cfg, grid):
@@ -206,14 +186,14 @@ EXPERIMENTS = {
 }
 
 
-def run(experiment: str, values: dict, out_dir: Path) -> RunManifest:
+def run(experiment: str, values: dict, out_dir: Path) -> None:
     """Run one experiment and write CSVs, fit report and manifest."""
     record = EXPERIMENTS.get(experiment)
     if record is None:
         raise ConfigError(f"unknown experiment {experiment!r}; "
                           f"choose from {', '.join(EXPERIMENTS)}")
     cfg = build_experiment_config(values)
-    grid = cfg.sweep.grid
+    grid = cfg.sweep_grid
     if record.sets_drive and cfg.drive.f_rf_mhz is not None:
         raise ConfigError(f"drive.f_rf_mhz: {experiment} sets the drive frequency itself")
     if record.needs_drive:
@@ -248,22 +228,21 @@ def run(experiment: str, values: dict, out_dir: Path) -> RunManifest:
                    for label, fit in fits]
         written.append(out_dir / "fit_report.txt")
         written[-1].write_text("\n\n".join(reports + notes) + "\n")
-        manifest = RunManifest(
-            experiment=experiment,
-            config_sha256=config_checksum(values),
-            seed=values["seed"],
-            tool_version=__version__,
-            duration_s=time.monotonic() - start,
-            outputs=tuple(path.name for path in written),
-        )
+        manifest = {
+            "experiment": experiment,
+            "config_sha256": config_checksum(values),
+            "seed": values["seed"],
+            "tool_version": __version__,
+            "duration_s": f"{time.monotonic() - start:.3f}",
+            "outputs": ",".join(path.name for path in written),
+        }
         written.append(out_dir / "manifest.txt")
-        written[-1].write_text(manifest.render())
+        written[-1].write_text("".join(f"{key}={value}\n" for key, value in manifest.items()))
     except BaseException:
         # a failed run leaves no partial outputs behind
         for path in written:
             path.unlink(missing_ok=True)
         raise
-    return manifest
 
 
 def fit_file(csv_path: Path, model: str) -> FitResult:

@@ -23,15 +23,6 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class SweepSpec:
-    grid: tuple = ()
-
-    def __post_init__(self):
-        if len(self.grid) and np.any(np.diff(np.asarray(self.grid)) <= 0):
-            raise ValueError("sweep grid must be strictly increasing")
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one simulated run depends on.
 
@@ -45,7 +36,8 @@ class ExperimentConfig:
     init: LaserInit
     readout: Readout
     drive: DriveParams
-    sweep: SweepSpec
+    # strictly increasing; empty takes the experiment's default grid
+    sweep_grid: tuple
     b_field_gauss: float
     # continuous-wave ESR only: optical pumping rate and laser-induced
     # dephasing, both in 1/us
@@ -112,7 +104,7 @@ SCHEMA: dict[str, SchemaEntry] = {
     "cw.pump_rate": SchemaEntry("float", 1.0, "optical pumping rate in CW ESR, 1/us"),
     "cw.laser_dephasing": SchemaEntry("float", 0.5, "laser-induced dephasing in CW ESR, 1/us"),
     "sweep.grid": SchemaEntry(
-        "grid", SweepSpec.grid, "sweep grid; empty uses the experiment default"),
+        "grid", (), "sweep grid; empty uses the experiment default"),
     "rabi.powers": SchemaEntry("floats", (1.0, 4.0, 9.0), "relative RF powers"),
     "echo.tau1_us": SchemaEntry("float", -1.0, "fixed tau1 for a tau2 sweep; < 0 sweeps both"),
     "fieldsweep.t_wait_us": SchemaEntry("float", 5.0, "dark interval of the init-wait-readout cycle"),
@@ -218,13 +210,13 @@ def config_checksum(values: dict) -> str:
 
 
 def build_experiment_config(values: dict) -> ExperimentConfig:
-    def section(name: str, factory, **derived):
+    def section(name: str, factory, **given):
         """``factory`` built from the ``name.<field>`` key of each field;
-        ``derived`` gives the fields that have no such key or convert it."""
+        ``given`` holds the fields that have no such key or convert it."""
         kwargs = {f.name: values[f"{name}.{f.name}"] for f in fields(factory)
-                  if f.name not in derived and f"{name}.{f.name}" in values}
+                  if f.name not in given and f"{name}.{f.name}" in values}
         try:
-            return factory(**kwargs, **derived)
+            return factory(**kwargs, **given)
         except (ValueError, IndexError) as exc:
             raise ConfigError(f"{name}: {exc}") from None
 
@@ -238,7 +230,8 @@ def build_experiment_config(values: dict) -> ExperimentConfig:
     init, readout = section("readout", LaserInit), section("readout", Readout)
     f_rf, tau1 = values["drive.f_rf_mhz"], values["echo.tau1_us"]
     drive = section("drive", DriveParams, f_rf_mhz=f_rf if f_rf > 0 else None)
-    sweep = section("sweep", SweepSpec)
+    if np.any(np.diff(values["sweep.grid"]) <= 0):
+        raise ConfigError("sweep.grid: must be strictly increasing")
     if values["fieldsweep.t_wait_us"] < 0:
         raise ConfigError("fieldsweep.t_wait_us: duration must be >= 0")
     if values["cw.pump_rate"] < 0 or values["cw.laser_dephasing"] < 0:
@@ -250,7 +243,7 @@ def build_experiment_config(values: dict) -> ExperimentConfig:
         raise ConfigError("trend.couplings_mhz: need at least one coupling, each >= 0")
     return ExperimentConfig(
         nv=nv, bath=bath, noise=noise, init=init, readout=readout, drive=drive,
-        sweep=sweep,
+        sweep_grid=tuple(values["sweep.grid"]),
         b_field_gauss=values["field.b_gauss"],
         pump_rate=values["cw.pump_rate"],
         laser_dephasing=values["cw.laser_dephasing"],

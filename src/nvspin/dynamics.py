@@ -372,9 +372,7 @@ def lindblad_trajectory(h: np.ndarray, collapse_ops: CollapseOps, rho0: np.ndarr
     known, the next m are P^m times those, one stacked product, and
     P^2m = (P^m)^2 (the squaring phase of :func:`expm`).  A uniform
     161-point grid thus costs one exponential, 7 squarings and 8 products
-    per block; a run whose step matches the previous run's to 1e-12
-    relative reuses its propagator.  The
-    states T x are Hermitian by construction.
+    per block.  The states T x are Hermitian by construction.
     """
     times = np.asarray(times, dtype=float)
     if not np.all(np.isfinite(times)) or np.any(times < 0) or np.any(np.diff(times) < 0):
@@ -411,17 +409,14 @@ def lindblad_trajectory(h: np.ndarray, collapse_ops: CollapseOps, rho0: np.ndarr
         states = buffer[:len(liou) * (len(times) + 1) * len(sector)].reshape(
             len(liou), len(times) + 1, len(sector))
         states[:, 0] = x0[sector]
-        dt_prop = 0.0
         for start, stop, dt in runs:
             if dt == 0.0:
                 states[:, start + 1:stop + 1] = states[:, start, None]
                 continue
-            if abs(dt - dt_prop) > 1e-12 * dt_prop:
-                # transposed, as the states are rows; a contiguous copy
-                # halves the cost of the products
-                prop = np.ascontiguousarray(np.swapaxes(expm(liou * dt), -1, -2))
-                dt_prop = dt
-            power, known = prop, 1
+            # transposed, as the states are rows; a contiguous copy halves
+            # the cost of the products
+            power = np.ascontiguousarray(np.swapaxes(expm(liou * dt), -1, -2))
+            known = 1
             while known <= stop - start:
                 if known > 1:
                     power = power @ power

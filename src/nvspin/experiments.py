@@ -11,7 +11,8 @@ adding decoherence during driving (peak in 1/T2').  Away from resonance
 only the dipolar z-shift and the stochastic NoiseModel survive.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,11 +36,9 @@ RABI_WINDOW_US.flags.writeable = False
 OFF_RESONANCE_OFFSET_GAUSS = 25.0
 
 
-@dataclass
-class SweepResult:
+class SweepResult(NamedTuple):
     traces: list[Trace]
     fits: list[FitResult]
-    derived: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -181,17 +180,7 @@ def exp_rabi(cfg: ExperimentConfig, t_grid_us) -> SweepResult:
     p0 = lindblad_trajectory(h, pair_collapse_ops(cfg.noise), cfg.init.density(), t_grid,
                              observable=_P0)
     counts = cfg.readout.counts(weights @ p0)
-    traces = [Trace(t_grid, y) for y in counts]
-    fits = fit_damped_cosines(t_grid, counts)
-    return SweepResult(
-        traces,
-        fits,
-        {
-            "power": np.array(cfg.rabi_powers),
-            "f1_fit_mhz": np.array([f["f1_mhz"] for f in fits]),
-            "t2p_us": np.array([f["t2p_us"] for f in fits]),
-        },
-    )
+    return SweepResult([Trace(t_grid, y) for y in counts], fit_damped_cosines(t_grid, counts))
 
 
 def exp_hahn(cfg: ExperimentConfig, tau_grid_us) -> SweepResult:
@@ -214,14 +203,7 @@ def exp_hahn(cfg: ExperimentConfig, tau_grid_us) -> SweepResult:
                                 detunings)
     x = 2 * tau_grid if tau1_us is None else tau_grid
     trace = Trace(x, cfg.readout.counts(weights @ p0))
-    fits = []
-    derived = {}
-    if tau1_us is None:
-        fits.append(fit_exp_decay(trace))
-        derived["t2_us"] = fits[0]["t_us"]
-    else:
-        derived["tau2_at_max_us"] = float(trace.x[np.argmax(trace.y)])
-    return SweepResult([trace], fits, derived)
+    return SweepResult([trace], [fit_exp_decay(trace)] if tau1_us is None else [])
 
 
 def exp_field_sweep(cfg: ExperimentConfig, b_grid_gauss) -> SweepResult:
@@ -233,29 +215,18 @@ def exp_field_sweep(cfg: ExperimentConfig, b_grid_gauss) -> SweepResult:
     ensemble-averaged Rabi trace whose damped-cosine fit gives 1/T2'.
     Each of the two is one ``_joint_p0`` stack over the whole field grid,
     and the Rabi traces take one stacked damped-cosine fit.  Both field
-    profiles are then fit with Lorentzians.
+    profiles are then fit with Lorentzians; the fits are those two, dip
+    first, followed by the Rabi fit of each field.
     """
     b_grid = np.asarray(b_grid_gauss, dtype=float)
     t_grid = RABI_WINDOW_US
     ipl = cfg.readout.counts(_joint_p0(cfg, b_grid, 0.0, [cfg.t_wait_us])[:, 0])
     rabi = cfg.readout.counts(_joint_p0(cfg, b_grid, cfg.drive.f1_mhz, t_grid))
     rabi_fits = fit_damped_cosines(t_grid, rabi)
-    t2p = np.array([fit["t2p_us"] for fit in rabi_fits])
     ipl_trace = Trace(b_grid, ipl)
-    inv_trace = Trace(b_grid, 1.0 / t2p)
-    fits = [fit_lorentzian(ipl_trace), fit_lorentzian(inv_trace)]
-    return SweepResult(
-        [ipl_trace, inv_trace],
-        fits,
-        {
-            "t2p_us": t2p,
-            "ipl_center_gauss": fits[0]["center"],
-            "inv_t2p_center_gauss": fits[1]["center"],
-            "resonance_field_gauss": resonance_field(cfg.nv),
-            "rabi_converged": np.array([f.converged for f in rabi_fits]),
-            "rabi_at_bound": np.array(["at_bound" in f.flags for f in rabi_fits]),
-        },
-    )
+    inv_trace = Trace(b_grid, [1.0 / fit["t2p_us"] for fit in rabi_fits])
+    return SweepResult([ipl_trace, inv_trace],
+                       [fit_lorentzian(ipl_trace), fit_lorentzian(inv_trace), *rabi_fits])
 
 
 def exp_t2p_vs_dip(cfgs: list[ExperimentConfig]) -> SweepResult:

@@ -14,7 +14,7 @@ damped-cosine traces on one grid (the field sweep's and the Rabi powers')
 is fitted by ``fit_damped_cosines`` in one pass of the same loop over the
 stack, each trace with its own damping and stop test and the same result
 as its scalar fit, through the same model function.  Initial guesses are
-derived from the data (spectral peak, log-linear regression, extremum
+taken from the data (spectral peak, log-linear regression, extremum
 location) so fits are reproducible without hand-tuned starting points.
 """
 
@@ -34,6 +34,11 @@ LM_MAX_ITER = 500
 # transform, so its x steps may differ by at most this fraction of their mean;
 # the rounding of linspace and decimal grids moves them by about 1e-13.
 SPACING_RTOL = 1e-6
+# A trace whose range is at most this fraction of its largest magnitude is
+# flat: no fit can identify a shape in it.  Every default trace spans at
+# least 5.7e-2 of its largest value, and the rounding noise of an undriven
+# ESR spectrum or of 1/T2' without a bath coupling at most 6.4e-15.
+FLAT_RTOL = 1e-9
 
 
 @dataclass
@@ -242,6 +247,11 @@ def _uniformly_spaced(dx: np.ndarray) -> bool:
     return bool(np.ptp(dx) <= SPACING_RTOL * np.mean(dx))
 
 
+def _is_flat(y: np.ndarray) -> bool:
+    """Whether ``y`` ranges over at most FLAT_RTOL of its largest magnitude."""
+    return bool(np.ptp(y) <= FLAT_RTOL * np.max(np.abs(y)))
+
+
 def _flat_result(model: str, trace: Trace, extra: dict[str, float]) -> FitResult:
     offset = float(np.mean(trace.y))
     params = {"amplitude": 0.0, "offset": offset}
@@ -353,7 +363,7 @@ def fit_damped_cosine(trace: Trace) -> FitResult:
     transform.
     """
     x, y, dx = _check_trace(trace, 5)
-    if np.ptp(y) == 0.0:
+    if _is_flat(y):
         return _flat_cosine(trace)
     lm = levenberg_marquardt(lambda p: _damped_cosine(p, x, y),
                              _damped_cosine_starts(x, dx, y[None])[0])
@@ -375,7 +385,7 @@ def fit_damped_cosines(x, ys) -> list[FitResult]:
     if not traces:
         raise ValueError("a stacked fit needs at least one trace")
     x, _, dx = _check_trace(traces[0], 5)
-    fitted = [np.ptp(trace.y) > 0.0 for trace in traces]
+    fitted = [not _is_flat(trace.y) for trace in traces]
     fits = iter(())
     if any(fitted):
         y = np.array([trace.y for trace, fit in zip(traces, fitted) if fit])
@@ -399,7 +409,7 @@ def _exp_decay(p, x, y):
 def fit_exp_decay(trace: Trace) -> FitResult:
     """Fit y = offset + A exp(-t/T); T is reported within the decay bounds."""
     x, y, dx = _check_trace(trace, 5)
-    if np.ptp(y) == 0.0:
+    if _is_flat(y):
         return _flat_result("exp_decay", trace, {"t_us": np.inf})
     offset0 = float(y[-1])
     a0 = float(y[0] - offset0)
@@ -443,7 +453,7 @@ def fit_lorentzian(trace: Trace) -> FitResult:
     center outside the data's span is flagged ``outside_span``.
     """
     x, y, dx = _check_trace(trace, 7)
-    if np.ptp(y) == 0.0:
+    if _is_flat(y):
         return _flat_result("lorentzian", trace,
                             {"center": float(np.mean(x)), "fwhm": 0.0})
     edge = 0.5 * (np.mean(y[:2]) + np.mean(y[-2:]))

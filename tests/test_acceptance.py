@@ -91,7 +91,7 @@ def test_criterion_3_sqrt_power_scaling():
         cfg = standard_config()
         cfg = replace(cfg, noise=replace(cfg.noise, sigma_static_mhz=0.0, n_samples=1))
         result = exp_rabi(replace(cfg, rabi_powers=(1.0, 4.0, 9.0)), np.linspace(0.0, 4.0, 161))
-        f1 = result.derived["f1_fit_mhz"]
+        f1 = np.array([fit["f1_mhz"] for fit in result.fits])
         ratios = f1 / f1[0]
         assert np.all(np.abs(ratios / np.array([1.0, 2.0, 3.0]) - 1.0) < 0.01)
 
@@ -101,9 +101,9 @@ def test_criterion_4_echo_vs_rabi_decay_ratio():
                    60.0):
         cfg = standard_config()
         rabi = exp_rabi(replace(cfg, rabi_powers=(1.0,)), np.linspace(0.0, 4.0, 161))
-        t2p = rabi.derived["t2p_us"][0]
+        t2p = rabi.fits[0]["t2p_us"]
         echo = exp_hahn(cfg, np.linspace(0.25, 6.0, 24))
-        t2 = echo.derived["t2_us"]
+        t2 = echo.fits[0]["t_us"]
         assert abs(t2 - 6.0) / 6.0 < 0.05
         assert 2.5 <= t2 / t2p <= 3.5
 
@@ -115,7 +115,8 @@ def test_criterion_5_echo_symmetry_and_refocusing():
         cfg = replace(cfg, noise=replace(cfg.noise, gamma_phi=0.0,
                                          sigma_static_mhz=0.5, n_samples=48))
         result = exp_hahn(replace(cfg, echo_tau1_us=2.0), np.linspace(1.0, 3.0, 41))
-        assert abs(result.derived["tau2_at_max_us"] - 2.0) <= 2.0 / 40
+        (trace,) = result.traces
+        assert abs(trace.x[np.argmax(trace.y)] - 2.0) <= 2.0 / 40
 
         sigma = 0.3
         tau = 3.0 / (2 * np.pi * sigma) / 2  # 2 pi sigma (2 tau) = 3
@@ -140,8 +141,8 @@ def test_criterion_6_cross_relaxation_resonance():
         cfg = standard_config()
         b_star = resonance_field(cfg.nv)
         result = exp_field_sweep(cfg, np.linspace(b_star - 15.0, b_star + 15.0, 60))
-        c_ipl = result.derived["ipl_center_gauss"]
-        c_inv = result.derived["inv_t2p_center_gauss"]
+        c_ipl = result.fits[0]["center"]
+        c_inv = result.fits[1]["center"]
         assert abs(c_ipl - 514.4) < 2.0
         assert abs(c_inv - 514.4) < 2.0
         assert abs(c_ipl - c_inv) < 1.0

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from cli_env import cli_env
+from nvspin import __version__
 from nvspin.cli import EXPERIMENTS, fit_file, main, read_csv, run, write_csv
 from nvspin.config import (
     ConfigError,
@@ -40,7 +41,7 @@ class TestParseConfig:
 
     def test_grid_shorthand(self):
         cfg = parse_config("sweep.grid = 0:1:5")
-        assert np.allclose(cfg.sweep.grid, [0.0, 0.25, 0.5, 0.75, 1.0])
+        assert np.allclose(cfg.sweep_grid, [0.0, 0.25, 0.5, 0.75, 1.0])
 
     def test_unknown_key_suggests(self):
         with pytest.raises(ConfigError, match="nv.g"):
@@ -166,6 +167,19 @@ class TestRunCommand:
         data = read_csv(out / "esr.csv")
         dip = data["f_mhz"][np.argmin(data["i_pl"])]
         assert abs(dip - 2600.0751) <= 0.5
+
+    def test_manifest_lines(self, tmp_path):
+        values = resolve_values("sweep.grid = 0:2:41\nnoise.n_samples = 2\n")
+        out = tmp_path / "o"
+        run("rabi", values, out)
+        text = (out / "manifest.txt").read_text()
+        assert text.endswith("\n")
+        lines = text.splitlines()
+        assert lines[:4] == ["experiment=rabi", f"config_sha256={config_checksum(values)}",
+                             "seed=12345", f"tool_version={__version__}"]
+        assert re.fullmatch(r"duration_s=\d+\.\d{3}", lines[4])
+        # outputs in write order
+        assert lines[5:] == ["outputs=rabi_0.csv,rabi_1.csv,rabi_2.csv,fit_report.txt"]
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = tmp_path / "c.cfg"
@@ -329,6 +343,9 @@ class TestRunCommand:
         out = tmp_path / "o"
         assert self.run_cli("run", "esr", "--config", str(cfg), "--out", str(out)) == 0
         assert np.ptp(read_csv(out / "esr.csv")["i_pl"]) <= 1e-9
+        # a flat spectrum has no dip; the note named the grid's last point
+        report = (out / "fit_report.txt").read_text()
+        assert report.startswith("esr spectrum flat, no dip (transition ")
 
     @pytest.mark.parametrize("key", ["readout.contrast", "readout.photons",
                                      "readout.polarization"])
@@ -338,6 +355,11 @@ class TestRunCommand:
         cfg.write_text(f"{key} = 0\nsweep.grid = 2600:2620:5\nnoise.n_samples = 2\n")
         out = tmp_path / "o"
         assert self.run_cli("run", "esr", "--config", str(cfg), "--out", str(out)) == 0
+        # the steady state never reads the initial polarization, so that key
+        # leaves a spectrum, whose lowest point is this grid's edge
+        flat = key != "readout.polarization"
+        report = (out / "fit_report.txt").read_text()
+        assert report.startswith("esr spectrum flat, no dip (transition ") == flat
 
     def test_degenerate_levels_exit_2(self, tmp_path, capsys):
         # at zero field m_S = +1 and -1 coincide, so the driven pair is ambiguous
@@ -381,6 +403,8 @@ class TestRunCommand:
         ("rabi", "rabi.powers = 1,-inf", "rabi.powers"),
         ("rabi", "sweep.grid = 0:nan:5", "sweep.grid"),
         ("rabi", "sweep.grid = 0,inf", "sweep.grid"),
+        ("esr", "sweep.grid = 1,1,2", "sweep.grid: must be strictly increasing"),
+        ("esr", "sweep.grid = 2640,2600,2560", "sweep.grid: must be strictly increasing"),
         ("rabi", "seed = -1", "seed"),
         # rabi and echo sweep a duration; both failed at run time (exit 2)
         ("rabi", "sweep.grid = -1,0.5,1,1.5,2,2.5,3", "sweep.grid"),

@@ -603,3 +603,20 @@ class TestPhaseWrap:
         assert -np.pi < out <= np.pi
         assert np.isclose(np.cos(out), np.cos(phi), atol=1e-9)
         assert np.isclose(np.sin(out), np.sin(phi), atol=1e-9)
+
+
+@pytest.mark.parametrize("fit", [
+    fit_damped_cosine,
+    fit_exp_decay,
+    fit_lorentzian,
+    lambda trace: fit_damped_cosines(trace.x, [trace.y])[0],
+], ids=["damped_cosine", "exp_decay", "lorentzian", "damped_cosines"])
+def test_rounding_noise_is_flat(fit):
+    # flat up to its last bits, as 1/T2' without a bath coupling is: an exact
+    # flatness test let such a trace through to a converged fit of its noise
+    x = np.linspace(0.0, 10.0, 41)
+    y = 0.5 + 1e-15 * np.sin(7.0 * x)
+    assert np.ptp(y) > 0.0
+    result = fit(Trace(x, y))
+    assert result.flags == ("unidentifiable",)
+    assert result.params["amplitude"] == 0.0
