@@ -343,7 +343,7 @@ class TestRunCommand:
         out = tmp_path / "o"
         assert self.run_cli("run", "esr", "--config", str(cfg), "--out", str(out)) == 0
         assert np.ptp(read_csv(out / "esr.csv")["i_pl"]) <= 1e-9
-        # a flat spectrum has no dip; the note named the grid's last point
+        # a flat spectrum has no dip, so the note names no grid point
         report = (out / "fit_report.txt").read_text()
         assert report.startswith("esr spectrum flat, no dip (transition ")
 

@@ -332,9 +332,8 @@ class TestFieldSweep:
         assert np.ptp(inv.y) / np.mean(inv.y) < 1e-3
 
     def test_decoupled_decoherence_rate_unidentifiable(self):
-        # without a bath coupling 1/T2' is flat to rounding, 6.4e-15 of its
-        # size on the default sweep; its Lorentzian was reported converged
-        # (xtol) with amplitude 1.8e-15, centred 13 G below the resonance
+        # without a bath coupling 1/T2' is flat to rounding (6.4e-15 of its
+        # size on the default sweep), which locates no peak
         cfg = standard_config()
         cfg = replace(cfg, bath=replace(cfg.bath, coupling_mhz=0.0))
         result = exp_field_sweep(cfg, EXPERIMENTS["fieldsweep"].grid(cfg))
