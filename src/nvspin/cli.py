@@ -1,6 +1,9 @@
 """Command-line interface: run a named experiment from a config file and
 write CSV data, a fit report and a run manifest.
 
+``nvspin fit`` imports only this module and ``fitting``.  ``config`` and the
+simulator are imported where ``run`` and the top-level ``--help`` use them.
+
 Exit codes: 0 success, 1 configuration error, 2 runtime or fit error.
 """
 
@@ -14,26 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .config import (
-    ConfigError,
-    build_experiment_config,
-    config_checksum,
-    resolve_values,
-    schema_help,
-)
-from .experiments import (
-    RABI_WINDOW_US,
-    exp_cw_esr,
-    exp_field_sweep,
-    exp_hahn,
-    exp_levels,
-    exp_rabi,
-    exp_t2p_vs_dip,
-    nv_transition_mhz,
-    trend_configs,
-)
 from .fitting import FIT_MODELS, FitResult, Trace, _is_flat, _uniformly_spaced
-from .hamiltonian import resonance_field
 
 
 def format_float(value: float) -> str:
@@ -119,7 +103,30 @@ def _centred(center: float, half_width: float, n: int) -> np.ndarray:
     return np.linspace(center - half_width, center + half_width, n)
 
 
+# The default grids and the drivers import the simulator when called, so that
+# nvspin fit does not load it.
+
+def _esr_grid(cfg):
+    from .experiments import nv_transition_mhz
+
+    return _centred(nv_transition_mhz(cfg), 40.0, 161)
+
+
+def _rabi_grid(cfg):
+    from .experiments import RABI_WINDOW_US
+
+    return RABI_WINDOW_US
+
+
+def _fieldsweep_grid(cfg):
+    from .hamiltonian import resonance_field
+
+    return _centred(resonance_field(cfg.nv), 15.0, 60)
+
+
 def _esr(cfg, grid):
+    from .experiments import exp_cw_esr, nv_transition_mhz
+
     trace = exp_cw_esr(cfg, grid)
     transition = f"(transition {format_float(nv_transition_mhz(cfg))} MHz)"
     if _is_flat(trace.y):
@@ -130,6 +137,8 @@ def _esr(cfg, grid):
 
 
 def _rabi(cfg, grid):
+    from .experiments import exp_rabi
+
     result = exp_rabi(cfg, grid)
     csvs = {f"rabi_{i}.csv": {"t_us": trace.x, "i_pl": trace.y}
             for i, trace in enumerate(result.traces)}
@@ -137,6 +146,8 @@ def _rabi(cfg, grid):
 
 
 def _echo(cfg, grid):
+    from .experiments import exp_hahn
+
     (trace,), fits = exp_hahn(cfg, grid)
     if cfg.echo_tau1_us is None:
         xname, note = "total_delay_us", "t2_us = " + format_float(fits[0]["t_us"])
@@ -146,6 +157,9 @@ def _echo(cfg, grid):
 
 
 def _fieldsweep(cfg, grid):
+    from .experiments import exp_field_sweep
+    from .hamiltonian import resonance_field
+
     (ipl, inv), (dip, peak, *rabi) = exp_field_sweep(cfg, grid)
     # the per-field Rabi fits; their flags are written as 1.0 and 0.0, so
     # every column parses as a number
@@ -158,6 +172,8 @@ def _fieldsweep(cfg, grid):
 
 
 def _trend(cfg, grid):
+    from .experiments import exp_t2p_vs_dip, trend_configs
+
     result = exp_t2p_vs_dip(trend_configs(cfg))
     (trace,) = result.traces
     fits = [(f"center coupling {j} MHz", fit) for j, fit in zip(cfg.trend_couplings, result.fits)]
@@ -167,19 +183,20 @@ def _trend(cfg, grid):
 
 
 def _levels(cfg, grid):
+    from .experiments import exp_levels
+    from .hamiltonian import resonance_field
+
     note = "levels: resonance_field_gauss = " + format_float(resonance_field(cfg.nv))
     return {"levels.csv": exp_levels(cfg, grid)}, [], [note]
 
 
 EXPERIMENTS = {
-    "esr": Experiment(lambda cfg: _centred(nv_transition_mhz(cfg), 40.0, 161), _esr,
-                      sets_drive=True),
-    "rabi": Experiment(lambda cfg: RABI_WINDOW_US, _rabi, needs_drive=True, duration_grid=True,
+    "esr": Experiment(_esr_grid, _esr, sets_drive=True),
+    "rabi": Experiment(_rabi_grid, _rabi, needs_drive=True, duration_grid=True,
                        uniform_grid=True),
     "echo": Experiment(lambda cfg: np.linspace(0.25, 6.0, 24), _echo, needs_drive=True,
                        duration_grid=True),
-    "fieldsweep": Experiment(lambda cfg: _centred(resonance_field(cfg.nv), 15.0, 60),
-                             _fieldsweep, sets_drive=True, needs_drive=True),
+    "fieldsweep": Experiment(_fieldsweep_grid, _fieldsweep, sets_drive=True, needs_drive=True),
     # trend fits each center on the fixed Rabi window
     "trend": Experiment(None, _trend, sets_drive=True, needs_drive=True),
     "levels": Experiment(lambda cfg: np.linspace(0.0, 1100.0, 111), _levels),
@@ -188,6 +205,8 @@ EXPERIMENTS = {
 
 def run(experiment: str, values: dict, out_dir: Path) -> None:
     """Run one experiment and write CSVs, fit report and manifest."""
+    from .config import ConfigError, build_experiment_config, config_checksum
+
     record = EXPERIMENTS.get(experiment)
     if record is None:
         raise ConfigError(f"unknown experiment {experiment!r}; "
@@ -258,15 +277,28 @@ def fit_file(csv_path: Path, model: str) -> FitResult:
     return FIT_MODELS[model](trace)
 
 
+class _Parser(argparse.ArgumentParser):
+    """The top-level parser; its ``--help`` ends with the config schema,
+    formatted only when help is printed, because the schema lives in
+    ``config``."""
+
+    def format_help(self) -> str:
+        from .config import schema_help
+
+        self.epilog = schema_help()
+        return super().format_help()
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nvspin",
         description="Simulate single N-V center spin experiments and fit the results.",
-        epilog=schema_help(),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    # run --help and fit --help carry no schema
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=argparse.ArgumentParser)
     runp = sub.add_parser("run", help="run a named experiment")
     runp.add_argument("experiment", choices=EXPERIMENTS)
     runp.add_argument("--config", type=Path, default=None,
@@ -281,32 +313,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run_command(args: argparse.Namespace) -> int:
+    """``nvspin run``; a config error exits 1."""
+    from .config import ConfigError, resolve_values
+
+    try:
+        if args.config:
+            try:
+                text = args.config.read_text()
+            except OSError as exc:
+                raise ConfigError(str(exc)) from None
+        else:
+            text = ""
+        values = resolve_values(text)
+        if args.seed is not None:
+            values["seed"] = args.seed
+        run(args.experiment, values, args.out)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    print(f"wrote {args.out}/manifest.txt")
+    return 0
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            if args.config:
-                try:
-                    text = args.config.read_text()
-                except OSError as exc:
-                    raise ConfigError(str(exc)) from None
-            else:
-                text = ""
-            values = resolve_values(text)
-            if args.seed is not None:
-                values["seed"] = args.seed
-            run(args.experiment, values, args.out)
-            print(f"wrote {args.out}/manifest.txt")
-            return 0
+            return _run_command(args)
         fit = fit_file(args.csv, args.model)
         print(format_fit(fit))
         if not fit.converged:
             print("fit did not converge", file=sys.stderr)
             return 2
         return 0
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:  # runtime/fit errors
         print(f"error: {exc}", file=sys.stderr)
         return 2

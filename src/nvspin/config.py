@@ -7,8 +7,6 @@ every default that is not traceable to a published value is marked as such
 in the schema listing (``nvspin --help``).
 """
 
-import difflib
-import hashlib
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -165,6 +163,8 @@ def _unknown_key_hint(key: str) -> str:
     else the closest schema key, or nothing."""
     if key in _REMOVED_KEYS:
         return f" (removed; use {_REMOVED_KEYS[key]!r} instead)"
+    import difflib  # only for this hint, so a valid config does not load it
+
     close = difflib.get_close_matches(key, SCHEMA.keys(), n=1, cutoff=0.5)
     if not close and "." in key:
         section = key.split(".", 1)[0] + "."
@@ -205,6 +205,8 @@ def resolve_values(text: str) -> dict:
 
 def config_checksum(values: dict) -> str:
     """SHA-256 over the canonical key-sorted value listing."""
+    import hashlib  # on first use: parsing and validating a config need no digest
+
     canonical = "\n".join(f"{key}={values[key]!r}" for key in sorted(values))
     return hashlib.sha256(canonical.encode()).hexdigest()
 

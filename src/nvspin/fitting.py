@@ -20,6 +20,7 @@ location) so fits are reproducible without hand-tuned starting points.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,8 +76,7 @@ class FitResult:
         return self.params[name]
 
 
-@dataclass
-class LMResult:
+class LMResult(NamedTuple):
     params: np.ndarray
     cost_history: list[float]
     residual_norm: float
@@ -454,8 +454,8 @@ def fit_lorentzian(trace: Trace) -> FitResult:
     """
     x, y, dx = _check_trace(trace, 7)
     if _is_flat(y):
-        return _flat_result("lorentzian", trace,
-                            {"center": float(np.mean(x)), "fwhm": 0.0})
+        # a flat trace has no extremum to locate
+        return _flat_result("lorentzian", trace, {"center": math.nan, "fwhm": math.nan})
     edge = 0.5 * (np.mean(y[:2]) + np.mean(y[-2:]))
     k = int(np.argmax(np.abs(y - edge)))
     if k in (0, len(y) - 1):

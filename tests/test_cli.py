@@ -12,6 +12,7 @@ from nvspin import __version__
 from nvspin.cli import EXPERIMENTS, fit_file, main, read_csv, run, write_csv
 from nvspin.config import (
     ConfigError,
+    SCHEMA,
     config_checksum,
     parse_config,
     resolve_values,
@@ -270,13 +271,10 @@ class TestRunCommand:
         assert not any(loaded.values()), loaded
 
     def test_import_graph_has_no_back_edges(self):
-        # the package __init__ imports every module, so the child imports
-        # the modules into a bare package object that skips it
+        # import nvspin loads no submodule, so each import below loads only
+        # the module and what it imports
         script = (
-            "import importlib, importlib.util, sys, types\n"
-            "pkg = types.ModuleType('nvspin')\n"
-            "pkg.__path__ = importlib.util.find_spec('nvspin').submodule_search_locations\n"
-            "sys.modules['nvspin'] = pkg\n"
+            "import importlib, sys\n"
             "importlib.import_module('nvspin.dynamics')\n"
             "print('nvspin.fitting' in sys.modules)\n"
             "importlib.import_module('nvspin.config')\n"
@@ -546,6 +544,61 @@ class TestFitCommand:
         captured = capsys.readouterr()
         assert "flags: max_iter" in captured.out
         assert "did not converge" in captured.err
+
+    def test_fit_loads_only_the_reader_and_the_fit(self, tmp_path):
+        # a fresh interpreter: import nvspin binds its names on first use,
+        # and nvspin fit needs neither config nor the simulator
+        t = np.linspace(0, 20, 101)
+        path = tmp_path / "d.csv"
+        write_csv(path, {"t_us": t, "y": 0.1 + np.exp(-t / 3.0)})
+        script = (
+            "import json, sys\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] in ('nvspin', 'difflib'))\n"
+            "import nvspin\n"
+            "bare = loaded()\n"
+            "import nvspin.cli\n"
+            "code = nvspin.cli.main(['fit', 'exp_decay', sys.argv[1]])\n"
+            "print(json.dumps([bare, code, loaded()]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script, str(path)],
+                              env=cli_env("1"), capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        bare, code, after_fit = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert bare == ["nvspin"]
+        assert code == 0
+        assert after_fit == ["nvspin", "nvspin.cli", "nvspin.fitting"]
+
+
+class TestHelp:
+    """``--help`` in a fresh interpreter, where ``config`` is not yet loaded."""
+
+    def cli(self, *args):
+        return subprocess.run([sys.executable, "-m", "nvspin.cli", *args],
+                              env=cli_env("1"), capture_output=True, text=True)
+
+    def test_top_level_help_lists_every_config_key(self):
+        proc = self.cli("--help")
+        assert proc.returncode == 0, proc.stderr
+        keys = [line.split()[0] for line in proc.stdout.splitlines()
+                if line.startswith("  ") and " default " in line]
+        assert keys == list(SCHEMA)
+
+    @pytest.mark.parametrize("command", ["run", "fit"])
+    def test_subcommand_help_has_no_schema(self, command):
+        proc = self.cli(command, "--help")
+        assert proc.returncode == 0, proc.stderr
+        assert "configuration keys" not in proc.stdout
+        assert not any(key in proc.stdout for key in SCHEMA if "." in key)
+
+    def test_bad_config_key_exits_1(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("nv.gfactor = 2\n")
+        out = tmp_path / "o"
+        proc = self.cli("run", "esr", "--config", str(cfg), "--out", str(out))
+        assert proc.returncode == 1
+        assert "config error: line 1: unknown key 'nv.gfactor' (did you mean 'nv.g'?)" in proc.stderr
+        assert not out.exists()
 
 
 def test_readme_lists_the_cli_surface():

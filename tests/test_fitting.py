@@ -583,6 +583,8 @@ class TestLorentzianFit:
         x = np.linspace(0.0, 10.0, 21)
         fit = fit_lorentzian(Trace(x, np.zeros(21)))
         assert "unidentifiable" in fit.flags
+        # a flat trace locates nothing, so it reports no centre or width
+        assert np.isnan(fit["center"]) and np.isnan(fit["fwhm"])
 
     def test_unbracketed_extremum_rejected(self):
         x = np.linspace(0.0, 10.0, 21)
@@ -620,3 +622,5 @@ def test_rounding_noise_is_flat(fit):
     result = fit(Trace(x, y))
     assert result.flags == ("unidentifiable",)
     assert result.params["amplitude"] == 0.0
+    if result.model == "lorentzian":
+        assert np.isnan(result["center"]) and np.isnan(result["fwhm"])
