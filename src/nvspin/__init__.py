@@ -23,9 +23,9 @@ _EXPORTS = {
                     "exp_rabi", "exp_t2p_vs_dip", "trend_configs"),
     "fitting": ("FitResult", "Trace", "fit_damped_cosine", "fit_exp_decay", "fit_lorentzian"),
     "hamiltonian": ("MU_B_MHZ_PER_G", "BathParams", "DriveParams", "NvParams", "frame_detuning",
-                    "gyromagnetic_ratio", "nv_levels", "resonance_field"),
-    "pulseq": ("Delay", "LaserInit", "Readout", "RfPulse", "hahn_sequence", "pi2_duration",
-               "pi_duration", "run_sequence"),
+                    "nv_levels", "resonance_field"),
+    "pulseq": ("Readout", "Segment", "hahn_sequence", "pi2_duration", "pi_duration",
+               "run_sequence"),
     "spinops": (),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

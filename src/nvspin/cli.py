@@ -220,7 +220,7 @@ def run(experiment: str, values: dict, out_dir: Path) -> None:
             raise ConfigError(f"drive.f1_mhz: {experiment} needs a nonzero drive")
         for key, value in (("readout.contrast", cfg.readout.contrast),
                            ("readout.photons", cfg.readout.photons),
-                           ("readout.polarization", cfg.init.polarization)):
+                           ("readout.polarization", cfg.readout.polarization)):
             if value == 0:
                 raise ConfigError(f"{key}: {experiment} fits the spin signal, "
                                   f"which {key} = 0 removes")

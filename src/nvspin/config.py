@@ -13,7 +13,7 @@ import numpy as np
 
 from .dynamics import NoiseModel
 from .hamiltonian import BathParams, DriveParams, NvParams
-from .pulseq import LaserInit, Readout
+from .pulseq import Readout
 
 
 class ConfigError(ValueError):
@@ -31,7 +31,6 @@ class ExperimentConfig:
     nv: NvParams
     bath: BathParams
     noise: NoiseModel
-    init: LaserInit
     readout: Readout
     drive: DriveParams
     # strictly increasing; empty takes the experiment's default grid
@@ -90,7 +89,7 @@ SCHEMA: dict[str, SchemaEntry] = {
         "floats", (), "weights of the -A/0/+A nuclear detunings (A = nv.a_par_mhz); "
         "empty disables"),
     "readout.polarization": SchemaEntry(
-        "float", LaserInit.polarization, "initialization fidelity into m_S=0"),
+        "float", Readout.polarization, "initialization fidelity into m_S=0"),
     "readout.contrast": SchemaEntry(
         "float", Readout.contrast, "relative photoluminescence contrast"),
     "readout.photons": SchemaEntry(
@@ -229,7 +228,7 @@ def build_experiment_config(values: dict) -> ExperimentConfig:
     pops = values["noise.nuclear_populations"]
     noise = section("noise", NoiseModel, seed=values["seed"], nuclear_splitting_mhz=nv.a_par_mhz,
                     nuclear_populations=tuple(pops) if pops else None)
-    init, readout = section("readout", LaserInit), section("readout", Readout)
+    readout = section("readout", Readout)
     f_rf, tau1 = values["drive.f_rf_mhz"], values["echo.tau1_us"]
     drive = section("drive", DriveParams, f_rf_mhz=f_rf if f_rf > 0 else None)
     if np.any(np.diff(values["sweep.grid"]) <= 0):
@@ -244,7 +243,7 @@ def build_experiment_config(values: dict) -> ExperimentConfig:
     if not couplings or min(couplings) < 0:
         raise ConfigError("trend.couplings_mhz: need at least one coupling, each >= 0")
     return ExperimentConfig(
-        nv=nv, bath=bath, noise=noise, init=init, readout=readout, drive=drive,
+        nv=nv, bath=bath, noise=noise, readout=readout, drive=drive,
         sweep_grid=tuple(values["sweep.grid"]),
         b_field_gauss=values["field.b_gauss"],
         pump_rate=values["cw.pump_rate"],

@@ -1,10 +1,14 @@
 """Experiment drivers producing synthetic datasets for each measurement:
 CW ESR spectra, Rabi nutations versus RF power, Hahn echo decay, magnetic
 field sweeps of photoluminescence and decoherence rate, and the trend of
-T2' against the cross-relaxation dip amplitude across centers.
+T2' against the cross-relaxation dip amplitude across centers.  The
+laser cycle is the one record ``cfg.readout``: the pulsed drivers start
+from its ``density()``, and every photoluminescence trace is read out
+once through its ``counts``.
 
 The explicitly simulated bath spin lives with the N-V center on a joint
-four-level rotating-frame space (addressed N-V pair x one P1 electron).
+four-level rotating-frame space (addressed N-V pair x one P1 electron),
+whose N-V factor is the driven pair of ``pair_hamiltonian``.
 Near B = D/(2 gamma) the energy-conserving exchange |0,up> <-> |-1,down>
 becomes resonant, draining N-V polarization (photoluminescence dip) and
 adding decoherence during driving (peak in 1/T2').  Away from resonance
@@ -57,8 +61,6 @@ def nv_transition_mhz(cfg: ExperimentConfig, b_gauss=None):
 # joint N-V + bath-spin model (rotating frame)
 
 _P0 = np.diag([1.0, 0.0]).astype(complex)          # projector on m_S = 0
-_P1 = np.diag([0.0, 1.0]).astype(complex)          # projector on the driven level
-_SX = np.array([[0, 1], [1, 0]], dtype=complex)
 _SZ_PAIR = np.diag([0.0, -1.0]).astype(complex)    # physical m_S values 0, -1
 _SZ_HALF = np.diag([0.5, -0.5]).astype(complex)
 _EYE2 = np.eye(2, dtype=complex)
@@ -66,8 +68,6 @@ _LOWER = np.array([[0, 1], [0, 0]], dtype=complex)
 _FLIP = np.diag([1.0, -1.0]).astype(complex)
 
 # joint-space operators, N-V factor first
-_DETUNING_OP = np.kron(_P1, _EYE2)
-_DRIVE_OP = np.kron(_SX, _EYE2)
 _BATH_OP = np.kron(_EYE2, _SZ_HALF)
 _ZZ_OP = np.kron(_SZ_PAIR, _SZ_HALF)
 _BATH_DEPHASING = np.kron(_EYE2, _FLIP)
@@ -78,20 +78,20 @@ def joint_frame_hamiltonian(delta_nv_mhz, nu_bath_mhz, f1_mhz: float,
                             coupling_mhz: float) -> np.ndarray:
     """Rotating-frame Hamiltonian of the N-V pair coupled to one P1 spin.
 
-    Basis order: |0,up>, |0,down>, |-1,up>, |-1,down>.  ``delta_nv_mhz`` is
-    the drive detuning from the N-V transition, ``nu_bath_mhz`` the P1
-    splitting minus the drive frequency (zero at the cross-relaxation
-    resonance).  The coupling J enters twice: a -2 J Sz Sz shift of the N-V
-    line by the P1 state, and the energy-conserving exchange
-    |0,up> <-> |-1,down> with matrix element J/sqrt(2).  Array-valued
-    detunings broadcast into a stack of Hamiltonians ``(..., 4, 4)``.
+    Basis order: |0,up>, |0,down>, |-1,up>, |-1,down>.  The N-V factor is
+    the driven pair ``pair_hamiltonian(delta_nv_mhz, f1_mhz)``, the drive
+    detuned by ``delta_nv_mhz`` from the N-V transition; ``nu_bath_mhz`` is
+    the P1 splitting minus the drive frequency (zero at the
+    cross-relaxation resonance).  The coupling J enters twice: a -2 J Sz Sz
+    shift of the N-V line by the P1 state, and the energy-conserving
+    exchange |0,up> <-> |-1,down> with matrix element J/sqrt(2).
+    Array-valued detunings broadcast into a stack of Hamiltonians
+    ``(..., 4, 4)``.
     """
-    delta = np.asarray(delta_nv_mhz, dtype=float)[..., None, None]
     nu = np.asarray(nu_bath_mhz, dtype=float)[..., None, None]
     j = coupling_mhz
     h = (
-        delta * _DETUNING_OP
-        + 0.5 * f1_mhz * _DRIVE_OP
+        np.kron(pair_hamiltonian(delta_nv_mhz, f1_mhz), _EYE2)
         + nu * _BATH_OP
         - 2.0 * j * _ZZ_OP
     )
@@ -137,7 +137,7 @@ def _joint_p0(cfg: ExperimentConfig, b_gauss, f1_mhz: float, times) -> np.ndarra
     deltas, weights = cfg.noise.ensemble()
     h = joint_frame_hamiltonian(deltas, (nu0[..., None] + shifts)[..., None], f1_mhz,
                                 cfg.bath.coupling_mhz)
-    rho0 = np.kron(cfg.init.density(), _EYE2 / 2)
+    rho0 = np.kron(cfg.readout.density(), _EYE2 / 2)
     collapse = _joint_collapse(cfg.noise, cfg.bath)
     p0 = lindblad_trajectory(h, collapse, rho0, times, observable=_MS0_OP)
     member_weights = bath_weights[:, None] * weights
@@ -177,7 +177,7 @@ def exp_rabi(cfg: ExperimentConfig, t_grid_us) -> SweepResult:
     h = np.stack([pair_hamiltonian(frame_detuning(cfg.b_field_gauss, cfg.nv,
                                                   replace(cfg.drive, f1_mhz=f1)) + deltas, f1)
                   for f1 in f1s])
-    p0 = lindblad_trajectory(h, pair_collapse_ops(cfg.noise), cfg.init.density(), t_grid,
+    p0 = lindblad_trajectory(h, pair_collapse_ops(cfg.noise), cfg.readout.density(), t_grid,
                              observable=_P0)
     counts = cfg.readout.counts(weights @ p0)
     return SweepResult([Trace(t_grid, y) for y in counts], fit_damped_cosines(t_grid, counts))
@@ -193,13 +193,13 @@ def exp_hahn(cfg: ExperimentConfig, tau_grid_us) -> SweepResult:
     """
     tau_grid = np.asarray(tau_grid_us, dtype=float)
     tau1_us = cfg.echo_tau1_us
-    rho0 = cfg.init.density()
+    rho0 = cfg.readout.density()
     deltas, weights = cfg.noise.ensemble()
     detunings = frame_detuning(cfg.b_field_gauss, cfg.nv, cfg.drive) + deltas
     p0 = np.empty((len(deltas), len(tau_grid)))
     for i, tau in enumerate(tau_grid):
         tau1, tau2 = (tau, tau) if tau1_us is None else (tau1_us, tau)
-        p0[:, i] = run_sequence(hahn_sequence(tau1, tau2, cfg.drive), rho0, cfg.noise,
+        p0[:, i] = run_sequence(hahn_sequence(tau1, tau2, cfg.drive.f1_mhz), rho0, cfg.noise,
                                 detunings)
     x = 2 * tau_grid if tau1_us is None else tau_grid
     trace = Trace(x, cfg.readout.counts(weights @ p0))

@@ -347,8 +347,9 @@ def _damped_cosine_result(p: np.ndarray, residual_norm: float, iterations: int, 
 
 
 def _flat_cosine(trace: Trace) -> FitResult:
+    # a flat trace has no oscillation to give a frequency or phase
     return _flat_result("damped_cosine", trace,
-                        {"f1_mhz": 0.0, "t2p_us": np.inf, "phase_rad": 0.0})
+                        {"f1_mhz": math.nan, "t2p_us": np.inf, "phase_rad": math.nan})
 
 
 def fit_damped_cosine(trace: Trace) -> FitResult:

@@ -8,6 +8,7 @@ that axis the ground-state Hamiltonian D Sz^2 + gamma B Sz is diagonal, so
 its levels D m^2 + gamma B m are written down rather than diagonalised.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -21,18 +22,13 @@ MU_B_MHZ_PER_G = 1.3996245
 ELECTRON_G = 2.00
 
 
-def gyromagnetic_ratio(g: float) -> float:
-    """Gyromagnetic ratio in MHz/G for a spin with g-factor ``g``."""
-    return g * MU_B_MHZ_PER_G
-
-
 def _check_finite(params, *names: str, bound: str = "") -> None:
     """Raise ValueError, naming the field and its value, for the first of
     ``names`` whose value on ``params`` is not finite or, given ``bound``
     (">= 0" or "> 0"), not within it."""
     for name in names:
         value = getattr(params, name)
-        if not (np.isfinite(value) and {"": True, ">= 0": value >= 0, "> 0": value > 0}[bound]):
+        if not (math.isfinite(value) and {"": True, ">= 0": value >= 0, "> 0": value > 0}[bound]):
             raise ValueError(f"{name} must be finite{bound and ' and ' + bound}, got {value}")
 
 
@@ -57,7 +53,7 @@ class NvParams:
     @property
     def gamma(self) -> float:
         """Electron gyromagnetic ratio in MHz/G."""
-        return gyromagnetic_ratio(self.g)
+        return self.g * MU_B_MHZ_PER_G
 
 
 @dataclass(frozen=True)

@@ -4,14 +4,16 @@ Every pulsed measurement follows the three-step experimental template: a
 laser pulse initializes the spin, manipulation happens in the dark, and a
 second laser pulse reads the state out through the spin-dependent
 photoluminescence.  Each experiment does both laser steps, once per trace:
-``LaserInit`` and ``Readout`` are the one definition of each.  A sequence
-is the manipulation in the dark alone, a tuple of ``RfPulse`` and ``Delay``
-segments.  ``run_sequence`` works in the rotating frame of the addressed
-pair (|0> = bright level, |1> = driven level); quasi-static detunings enter
-via the frame detuning, Markovian rates via the NoiseModel.  An array of
-frame detunings runs the whole ensemble at once: every segment is one
-stacked ``evolve_lindblad`` step over the members, which exponentiates
-their real 4 x 4 generators and returns Hermitian pair states.
+``Readout`` is the one definition of the laser cycle, its polarization
+setting the initial state and its contrast the counts.  A sequence is the
+manipulation in the dark alone, a tuple of ``Segment`` records: a pulse has
+a Rabi frequency ``f1_mhz > 0``, a free delay ``f1_mhz = 0``.
+``run_sequence`` works in the rotating frame of the addressed pair
+(|0> = bright level, |1> = driven level); quasi-static detunings enter via
+the frame detuning, Markovian rates via the NoiseModel.  An array of frame
+detunings runs the whole ensemble at once: every segment is one stacked
+``evolve_lindblad`` step over the members, which exponentiates their real
+4 x 4 generators and returns Hermitian pair states.
 """
 
 from dataclasses import dataclass
@@ -19,67 +21,47 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import NoiseModel, evolve_lindblad, pair_collapse_ops
-from .hamiltonian import DriveParams, pair_hamiltonian
+from .hamiltonian import _check_finite, pair_hamiltonian
 
 
 @dataclass(frozen=True)
-class LaserInit:
-    """Polarizing laser pulse: leaves the addressed pair in m_S = 0 with
-    probability p + (1 - p)/2, the rest in the driven level."""
+class Readout:
+    """The laser cycle: a polarizing pulse leaves the addressed pair in
+    m_S = 0 with probability p + (1 - p)/2, the rest in the driven level;
+    the readout pulse gives expected counts N * (1 - contrast * (1 - P0))."""
 
     polarization: float = 0.9
+    contrast: float = 0.3
+    photons: float = 1000.0
 
     def __post_init__(self):
         if not 0.0 <= self.polarization <= 1.0:
             raise ValueError("polarization must lie in [0, 1]")
+        if not 0.0 <= self.contrast <= 1.0:
+            raise ValueError("contrast must lie in [0, 1]")
+        _check_finite(self, "photons", bound=">= 0")
 
     def density(self) -> np.ndarray:
         """Pair density matrix p |0><0| + (1 - p) * identity / 2."""
         p = self.polarization
         return np.diag([p + (1 - p) / 2, (1 - p) / 2]).astype(complex)
 
-
-@dataclass(frozen=True)
-class RfPulse:
-    duration_us: float
-    drive: DriveParams
-
-    def __post_init__(self):
-        _check_duration(self.duration_us)
-
-
-@dataclass(frozen=True)
-class Delay:
-    duration_us: float
-
-    def __post_init__(self):
-        _check_duration(self.duration_us)
-
-
-@dataclass(frozen=True)
-class Readout:
-    """Laser readout: expected counts N * (1 - contrast * (1 - P0))."""
-
-    contrast: float = 0.3
-    photons: float = 1000.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.contrast <= 1.0:
-            raise ValueError("contrast must lie in [0, 1]")
-        if self.photons < 0:
-            raise ValueError("photon budget must be >= 0")
-
     def counts(self, p0):
         """Expected counts for the m_S = 0 population ``p0`` (broadcasts)."""
         return self.photons * (1.0 - self.contrast * (1.0 - np.asarray(p0)))
 
 
-Segment = RfPulse | Delay
+@dataclass(frozen=True)
+class Segment:
+    """``duration_us`` in the drive's rotating frame at Rabi frequency
+    ``f1_mhz``; ``f1_mhz = 0`` is a free delay.  The drive frequency enters
+    only through ``run_sequence``'s frame detuning."""
 
+    duration_us: float
+    f1_mhz: float = 0.0
 
-def _check_duration(value: float) -> None:
-    if not (np.isfinite(value) and value >= 0):
-        raise ValueError(f"segment duration must be finite and >= 0, got {value}")
+    def __post_init__(self):
+        _check_finite(self, "duration_us", "f1_mhz", bound=">= 0")
 
 
 def pi_duration(f1_mhz: float) -> float:
@@ -94,17 +76,16 @@ def pi2_duration(f1_mhz: float) -> float:
     return pi_duration(f1_mhz) / 2
 
 
-def hahn_sequence(tau1_us: float, tau2_us: float,
-                  drive: DriveParams) -> tuple[Segment, ...]:
+def hahn_sequence(tau1_us: float, tau2_us: float, f1_mhz: float) -> tuple[Segment, ...]:
     """Hahn echo: pi/2 - tau1 - pi - tau2 - pi/2.
 
     The final pi/2 pulse maps the echo amplitude back onto the populations
     seen by the photoluminescence readout.
     """
-    t_pi2 = pi2_duration(drive.f1_mhz)
-    t_pi = pi_duration(drive.f1_mhz)
-    return (RfPulse(t_pi2, drive), Delay(tau1_us), RfPulse(t_pi, drive),
-            Delay(tau2_us), RfPulse(t_pi2, drive))
+    t_pi2 = pi2_duration(f1_mhz)
+    t_pi = pi_duration(f1_mhz)
+    return (Segment(t_pi2, f1_mhz), Segment(tau1_us), Segment(t_pi, f1_mhz),
+            Segment(tau2_us), Segment(t_pi2, f1_mhz))
 
 
 def run_sequence(seq: tuple[Segment, ...], rho0: np.ndarray,
@@ -122,7 +103,6 @@ def run_sequence(seq: tuple[Segment, ...], rho0: np.ndarray,
     rho = np.asarray(rho0, dtype=complex)
     collapse = pair_collapse_ops(noise)
     for segment in seq:
-        f1 = segment.drive.f1_mhz if isinstance(segment, RfPulse) else 0.0
-        rho = evolve_lindblad(pair_hamiltonian(detuning, f1), collapse, rho,
+        rho = evolve_lindblad(pair_hamiltonian(detuning, segment.f1_mhz), collapse, rho,
                               segment.duration_us)
     return np.broadcast_to(rho[..., 0, 0].real, detuning.shape).copy()[()]

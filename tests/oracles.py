@@ -21,8 +21,8 @@ import numpy as np
 from nvspin import dynamics
 from nvspin.dynamics import CollapseOps
 from nvspin.fitting import LM_FTOL, LM_GTOL, LM_MAX_ITER, LM_XTOL, LMResult, Trace
-from nvspin.hamiltonian import DriveParams, NvParams
-from nvspin.pulseq import Delay, RfPulse, Segment, pi2_duration
+from nvspin.hamiltonian import NvParams
+from nvspin.pulseq import Segment, pi2_duration
 from nvspin.spinops import NonHermitianError, is_hermitian
 
 SUPPORTED_SPINS = (0.5, 1.0)
@@ -223,10 +223,10 @@ def spectral_peak_count(trace: Trace) -> int:
     return count
 
 
-def ramsey_sequence(tau_us: float, drive: DriveParams) -> tuple[Segment, ...]:
+def ramsey_sequence(tau_us: float, f1_mhz: float) -> tuple[Segment, ...]:
     """Unrefocused pi/2 - tau - pi/2 reference for the echo comparison."""
-    t_pi2 = pi2_duration(drive.f1_mhz)
-    return (RfPulse(t_pi2, drive), Delay(tau_us), RfPulse(t_pi2, drive))
+    t_pi2 = pi2_duration(f1_mhz)
+    return (Segment(t_pi2, f1_mhz), Segment(tau_us), Segment(t_pi2, f1_mhz))
 
 
 def levenberg_marquardt(fun, p0) -> LMResult:

@@ -29,8 +29,8 @@ from nvspin.experiments import (
     nv_transition_mhz,
 )
 from nvspin.fitting import Trace, fit_exp_decay
-from nvspin.hamiltonian import DriveParams, pair_hamiltonian, resonance_field
-from nvspin.pulseq import LaserInit, hahn_sequence, run_sequence
+from nvspin.hamiltonian import pair_hamiltonian, resonance_field
+from nvspin.pulseq import Readout, hahn_sequence, run_sequence
 from nvspin.spinops import NonHermitianError
 from oracles import (
     basis_density,
@@ -442,7 +442,7 @@ class TestDoublingStepper:
         deltas, _ = cfg.noise.ensemble()
         hs = joint_frame_hamiltonian(deltas, nu0[:, None], f1, cfg.bath.coupling_mhz)
         collapse = _joint_collapse(cfg.noise, cfg.bath)
-        rho0 = np.kron(cfg.init.density(), np.eye(2) / 2)
+        rho0 = np.kron(cfg.readout.density(), np.eye(2) / 2)
         times = RABI_WINDOW_US if f1 else np.array([cfg.t_wait_us])
         obs = experiments._MS0_OP
         for observable in (None, obs):
@@ -498,7 +498,7 @@ class TestReachableSector:
         assert cfg.bath.gamma_bath > 0
         collapse = _joint_collapse(noise, cfg.bath)
         hs = self.joint_stack(cfg, f1s)
-        rho0 = np.kron(cfg.init.density(), np.eye(2) / 2)
+        rho0 = np.kron(cfg.readout.density(), np.eye(2) / 2)
         times = np.array([0.0, 0.7, 2.5, cfg.t_wait_us])
         shapes = counted_expm(monkeypatch)
         traj = lindblad_trajectory(hs, collapse, rho0, times)
@@ -538,7 +538,7 @@ class TestGeneratorsPerCall:
         dark = slice(block, 2 * block)
         hs[dark] = joint_frame_hamiltonian(delta, nu, 0.0, cfg.bath.coupling_mhz)[dark]
         collapse = _joint_collapse(cfg.noise, cfg.bath)
-        rho0 = np.kron(cfg.init.density(), np.eye(2) / 2)
+        rho0 = np.kron(cfg.readout.density(), np.eye(2) / 2)
         times = np.linspace(0.0, 0.4, 9)
         want_traced = stepped_trajectory(hs, collapse, rho0, times,
                                          observable=experiments._MS0_OP)
@@ -885,8 +885,8 @@ class TestEnsembleAverage:
 class TestEchoRefocusing:
     """The dynamics-level coherence claims behind the Hahn echo."""
 
-    DRIVE = DriveParams(f1_mhz=25.0)
-    RHO_0 = LaserInit(polarization=1.0).density()
+    F1_MHZ = 25.0
+    RHO_0 = Readout(polarization=1.0).density()
 
     def signal(self, seq, noise, markov=None):
         deltas, weights = noise.ensemble()
@@ -896,8 +896,8 @@ class TestEchoRefocusing:
         sigma = 0.3
         tau = 3.0 / (2 * np.pi * sigma) / 2  # 2 pi sigma (2 tau) = 3
         noise = NoiseModel(sigma_static_mhz=sigma, n_samples=400, seed=7)
-        echo = self.signal(hahn_sequence(tau, tau, self.DRIVE), noise)
-        ramsey = self.signal(ramsey_sequence(2 * tau, self.DRIVE), noise)
+        echo = self.signal(hahn_sequence(tau, tau, self.F1_MHZ), noise)
+        ramsey = self.signal(ramsey_sequence(2 * tau, self.F1_MHZ), noise)
         echo_deficit = 1.0 - echo
         ramsey_deficit = 1.0 - ramsey
         assert echo_deficit < 1e-3
@@ -909,7 +909,7 @@ class TestEchoRefocusing:
         taus = np.linspace(0.5, 5.0, 16)
         ys = []
         for tau in taus:
-            ys.append(run_sequence(hahn_sequence(tau, tau, self.DRIVE), self.RHO_0, noise, 0.0))
+            ys.append(run_sequence(hahn_sequence(tau, tau, self.F1_MHZ), self.RHO_0, noise, 0.0))
         fit = fit_exp_decay(Trace(2 * taus, np.array(ys)))
         assert fit.converged
         assert abs(fit["t_us"] - 1.0 / gamma_phi) / (1.0 / gamma_phi) < 0.02

@@ -29,7 +29,7 @@ from nvspin.experiments import (
 )
 from nvspin.fitting import fit_lorentzian
 from nvspin.hamiltonian import frame_detuning, pair_hamiltonian, resonance_field
-from nvspin.pulseq import LaserInit, Readout, hahn_sequence, run_sequence
+from nvspin.pulseq import Readout, hahn_sequence, run_sequence
 from oracles import spectral_peak_count
 
 
@@ -177,7 +177,7 @@ class TestHahn:
                 return method(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(LaserInit, "density", counting("density", LaserInit.density))
+        monkeypatch.setattr(Readout, "density", counting("density", Readout.density))
         monkeypatch.setattr(Readout, "counts", counting("counts", Readout.counts))
         exp_hahn(replace(standard_config(), echo_tau1_us=tau1_us), np.linspace(0.25, 6.0, 24))
         assert calls == {"density": 1, "counts": 1}
@@ -187,7 +187,7 @@ def looped_joint_p0(cfg, b_gauss, f1_mhz, times):
     """Reference for the stacked joint model: one trajectory per P1 branch
     and ensemble member, averaged in a loop."""
     nu0 = cfg.nv.gamma * b_gauss - nv_transition_mhz(cfg, b_gauss)
-    rho0 = np.kron(cfg.init.density(), np.eye(2) / 2)
+    rho0 = np.kron(cfg.readout.density(), np.eye(2) / 2)
     collapse = _joint_collapse(cfg.noise, cfg.bath)
     total = np.zeros(len(times))
     for shift, bath_weight in zip(*_bath_branches(cfg.bath)):
@@ -199,6 +199,26 @@ def looped_joint_p0(cfg, b_gauss, f1_mhz, times):
 
 
 class TestJointModel:
+    @pytest.mark.parametrize("f1", [0.0, 5.0])
+    def test_contains_the_driven_pair(self, f1):
+        # the N-V factor is the pair model itself; the P1 spin adds its
+        # splitting, the -2 J Sz Sz shift and the J/sqrt(2) exchange
+        cfg = standard_config()
+        fields = resonance_field(cfg.nv) + np.array([-15.0, 0.0, 2.5])
+        nu = cfg.nv.gamma * fields - nv_transition_mhz(cfg, fields)
+        deltas, _ = cfg.noise.ensemble()
+        j = cfg.bath.coupling_mhz
+        eye, sz_half = np.eye(2), np.diag([0.5, -0.5])
+        exchange = np.zeros((4, 4))
+        exchange[0, 3] = exchange[3, 0] = j / np.sqrt(2.0)
+        expected = (np.kron(pair_hamiltonian(deltas, f1), eye)
+                    + nu[:, None, None, None] * np.kron(eye, sz_half)
+                    - 2.0 * j * np.kron(np.diag([0.0, -1.0]), sz_half)
+                    + exchange)
+        h = joint_frame_hamiltonian(deltas, nu[:, None], f1, j)
+        assert h.shape == (len(fields), len(deltas), 4, 4)
+        assert np.array_equal(h, expected)
+
     @pytest.mark.parametrize("hyperfine", [False, True])
     @pytest.mark.parametrize("b_gauss", [514.0, 530.0])
     def test_stack_matches_single_member_loop(self, b_gauss, hyperfine):
@@ -260,7 +280,7 @@ def looped_rabi(cfg, t_grid, power):
     def member(delta):
         h = h_base.copy()
         h[1, 1] += delta
-        rhos = lindblad_trajectory(h, pair_collapse_ops(cfg.noise), cfg.init.density(), t_grid)
+        rhos = lindblad_trajectory(h, pair_collapse_ops(cfg.noise), cfg.readout.density(), t_grid)
         return cfg.readout.counts(rhos[:, 0, 0].real)
 
     return member_average(cfg, member)
@@ -274,7 +294,7 @@ def looped_hahn(cfg, tau_grid, tau1_us):
         y = []
         for tau in tau_grid:
             tau1 = tau if tau1_us is None else tau1_us
-            p0 = run_sequence(hahn_sequence(tau1, tau, cfg.drive), cfg.init.density(),
+            p0 = run_sequence(hahn_sequence(tau1, tau, cfg.drive.f1_mhz), cfg.readout.density(),
                               cfg.noise, base + delta)
             y.append(cfg.readout.counts(p0))
         return np.array(y)

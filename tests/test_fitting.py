@@ -370,6 +370,8 @@ class TestStackedFits:
         fits = self._matches_scalar(t, ys)
         assert {"max_iter", "ftol", "unidentifiable"} <= {fit.flags[0] for fit in fits}
         assert fits[3].flags == fits[17].flags == ("unidentifiable",)
+        for fit in (fits[3], fits[17]):
+            assert np.isnan(fit["f1_mhz"]) and np.isnan(fit["phase_rad"])
 
     def test_singular_solve_path(self, monkeypatch):
         # a solve fails for a matrix chosen by its bytes, so a stacked solve
@@ -455,6 +457,9 @@ class TestDampedCosineFit:
         fit = fit_damped_cosine(Trace(t, np.full(51, 0.7)))
         assert fit.params["amplitude"] == 0.0
         assert "unidentifiable" in fit.flags
+        # a flat trace has no oscillation, so it reports no frequency or phase
+        assert np.isnan(fit["f1_mhz"]) and np.isnan(fit["phase_rad"])
+        assert fit["t2p_us"] == np.inf
 
     def test_undamped_trace_hits_upper_bound_with_tiny_residual(self):
         t = np.linspace(0.0, 4.0, 161)

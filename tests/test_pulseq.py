@@ -6,12 +6,10 @@ import pytest
 import nvspin
 from nvspin import pulseq
 from nvspin.dynamics import NoiseModel
-from nvspin.hamiltonian import DriveParams, pair_hamiltonian
+from nvspin.hamiltonian import pair_hamiltonian
 from nvspin.pulseq import (
-    Delay,
-    LaserInit,
     Readout,
-    RfPulse,
+    Segment,
     hahn_sequence,
     pi2_duration,
     pi_duration,
@@ -19,10 +17,9 @@ from nvspin.pulseq import (
 )
 from oracles import basis_density, propagate, rabi_probability
 
-DRIVE = DriveParams(f1_mhz=5.0)
-PERFECT_INIT = LaserInit(polarization=1.0)
-PERFECT_READ = Readout(contrast=1.0, photons=1.0)
-RHO_0 = PERFECT_INIT.density()
+F1 = 5.0
+PERFECT_READ = Readout(polarization=1.0, contrast=1.0, photons=1.0)
+RHO_0 = PERFECT_READ.density()
 
 
 class TestDurations:
@@ -45,35 +42,46 @@ class TestDurations:
             pi_duration(f1)
 
     def test_double_pi_returns_to_start(self):
-        t_pi = pi_duration(DRIVE.f1_mhz)
-        p0 = run_sequence((RfPulse(t_pi, DRIVE), RfPulse(t_pi, DRIVE)), RHO_0)
+        t_pi = pi_duration(F1)
+        p0 = run_sequence((Segment(t_pi, F1), Segment(t_pi, F1)), RHO_0)
         assert abs(p0 - 1.0) < 1e-9
 
 
 class TestSequenceValidation:
     def test_negative_duration_rejected(self):
         with pytest.raises(ValueError):
-            Delay(-0.1)
+            Segment(-0.1)
         with pytest.raises(ValueError):
-            RfPulse(-0.1, DRIVE)
+            Segment(-0.1, F1)
 
     @pytest.mark.parametrize("duration", [np.nan, np.inf, -np.inf])
     def test_non_finite_duration_rejected(self, duration):
         with pytest.raises(ValueError, match=f"finite and >= 0, got {duration}"):
-            Delay(duration)
+            Segment(duration)
         with pytest.raises(ValueError, match=f"finite and >= 0, got {duration}"):
-            RfPulse(duration, DRIVE)
+            Segment(duration, F1)
+
+    @pytest.mark.parametrize("f1", [-1.0, np.nan, np.inf])
+    def test_bad_rabi_frequency_rejected(self, f1):
+        with pytest.raises(ValueError, match=f"f1_mhz must be finite and >= 0, got {f1}"):
+            Segment(0.1, f1)
 
     def test_bad_polarization_and_contrast(self):
         with pytest.raises(ValueError):
-            LaserInit(polarization=1.5)
+            Readout(polarization=1.5)
         with pytest.raises(ValueError):
             Readout(contrast=-0.1)
+
+    @pytest.mark.parametrize("photons", [np.nan, np.inf])
+    def test_non_finite_photon_budget_rejected(self, photons):
+        # nan or inf photons would give nan or inf counts
+        with pytest.raises(ValueError, match=f"photons must be finite and >= 0, got {photons}"):
+            Readout(photons=photons)
 
 
 class TestInitAndReadout:
     def test_init_density(self):
-        rho = LaserInit(polarization=0.9).density()
+        rho = Readout(polarization=0.9).density()
         assert np.allclose(rho, 0.9 * np.diag([1.0, 0.0]) + 0.1 * np.eye(2) / 2)
 
     def test_counts_broadcast_over_populations(self):
@@ -89,42 +97,41 @@ class TestRunSequence:
         assert i_pl == 800.0
 
     def test_pi_pulse_full_contrast(self):
-        p0 = run_sequence((RfPulse(pi_duration(DRIVE.f1_mhz), DRIVE),), RHO_0)
+        p0 = run_sequence((Segment(pi_duration(F1), F1),), RHO_0)
         i_pl = Readout(contrast=0.3, photons=1000.0).counts(p0)
         assert abs(p0) < 1e-9
         assert abs(i_pl - 700.0) < 1e-6
 
     def test_starts_from_the_given_state(self):
         # no implicit |0><0|: an empty sequence returns rho0's P0, and a
-        # sequence from a LaserInit state equals one from |0><0|
+        # sequence from a polarized state equals one from |0><0|
         # mixed with identity / 2 by the same weights
-        init = LaserInit(polarization=0.6)
+        init = Readout(polarization=0.6)
         assert run_sequence((), init.density()) == 0.8
-        seq = hahn_sequence(0.4, 0.7, DRIVE)
+        seq = hahn_sequence(0.4, 0.7, F1)
         pure = run_sequence(seq, basis_density(2, 0), detuning_mhz=0.9)
         mixed = run_sequence(seq, np.eye(2) / 2, detuning_mhz=0.9)
         assert abs(run_sequence(seq, init.density(), detuning_mhz=0.9)
                    - (0.6 * pure + 0.4 * mixed)) < 1e-12
 
     def test_returns_p0_only(self):
-        assert isinstance(run_sequence(hahn_sequence(0.6, 0.9, DRIVE), RHO_0), float)
-        p0 = run_sequence(hahn_sequence(0.6, 0.9, DRIVE), RHO_0,
+        assert isinstance(run_sequence(hahn_sequence(0.6, 0.9, F1), RHO_0), float)
+        p0 = run_sequence(hahn_sequence(0.6, 0.9, F1), RHO_0,
                           detuning_mhz=np.array([0.0, 0.5]))
         assert isinstance(p0, np.ndarray) and p0.shape == (2,)
 
     def test_rabi_sweep_matches_formula(self):
         for t in np.linspace(0.0, 1.0, 23):
-            p0 = run_sequence((RfPulse(t, DRIVE),), RHO_0, detuning_mhz=1.3)
-            assert abs(p0 - rabi_probability(DRIVE.f1_mhz, 1.3, t)) < 1e-9
+            p0 = run_sequence((Segment(t, F1),), RHO_0, detuning_mhz=1.3)
+            assert abs(p0 - rabi_probability(F1, 1.3, t)) < 1e-9
 
     def test_interpreter_equals_concatenated_propagate(self):
         # pure RF segments == one closed-system propagation
         detuning = 0.8
-        segs = [RfPulse(0.07, DRIVE), RfPulse(0.11, DriveParams(f1_mhz=2.0)),
-                RfPulse(0.05, DRIVE)]
+        segs = [Segment(0.07, F1), Segment(0.11, 2.0), Segment(0.05, F1)]
         p0 = run_sequence(tuple(segs), basis_density(2, 0), detuning_mhz=detuning)
         rho = propagate(
-            [(pair_hamiltonian(detuning, s.drive.f1_mhz), s.duration_us) for s in segs],
+            [(pair_hamiltonian(detuning, s.f1_mhz), s.duration_us) for s in segs],
             basis_density(2, 0),
         )
         assert abs(p0 - rho[0, 0].real) < 1e-9
@@ -135,7 +142,7 @@ class TestRunSequence:
             readout = Readout(contrast=eps, photons=1000.0)
             values = []
             for t in np.linspace(0.0, 0.4, 41):
-                values.append(readout.counts(run_sequence((RfPulse(t, DRIVE),), RHO_0)))
+                values.append(readout.counts(run_sequence((Segment(t, F1),), RHO_0)))
             return max(values) - min(values)
 
         assert np.isclose(contrast_span(0.3), 2 * contrast_span(0.15), rtol=1e-12)
@@ -143,11 +150,12 @@ class TestRunSequence:
 
 class TestHahnSequence:
     def test_structure(self):
-        seq = hahn_sequence(1.0, 2.0, DRIVE)
-        kinds = [type(s).__name__ for s in seq]
-        assert kinds == ["RfPulse", "Delay", "RfPulse", "Delay", "RfPulse"]
-        assert seq[0].duration_us == pi2_duration(DRIVE.f1_mhz)
-        assert seq[2].duration_us == pi_duration(DRIVE.f1_mhz)
+        seq = hahn_sequence(1.0, 2.0, F1)
+        assert all(type(s) is Segment for s in seq)
+        # pulse, delay, pulse, delay, pulse
+        assert [s.f1_mhz for s in seq] == [F1, 0.0, F1, 0.0, F1]
+        assert seq[0].duration_us == pi2_duration(F1)
+        assert seq[2].duration_us == pi_duration(F1)
         assert seq[1].duration_us == 1.0
         assert seq[3].duration_us == 2.0
 
@@ -155,20 +163,20 @@ class TestHahnSequence:
         # the experiment initialises and reads out; a sequence is the dark part,
         # a plain tuple of pulses and delays
         assert list(inspect.signature(hahn_sequence).parameters) == [
-            "tau1_us", "tau2_us", "drive"]
-        assert type(hahn_sequence(1.0, 2.0, DRIVE)) is tuple
+            "tau1_us", "tau2_us", "f1_mhz"]
+        assert type(hahn_sequence(1.0, 2.0, F1)) is tuple
         assert not hasattr(pulseq, "PulseSequence")
         assert "PulseSequence" not in nvspin.__all__
 
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
-            hahn_sequence(-1.0, 1.0, DRIVE)
+            hahn_sequence(-1.0, 1.0, F1)
 
     def test_zero_delay_equals_concatenated_pulses(self):
         # tau1 = tau2 = 0: three back-to-back pulses, check against propagate
-        p0 = run_sequence(hahn_sequence(0.0, 0.0, DRIVE), RHO_0)
-        h = np.array([[0.0, DRIVE.f1_mhz / 2], [DRIVE.f1_mhz / 2, 0.0]], dtype=complex)
-        total = 2 * pi2_duration(DRIVE.f1_mhz) + pi_duration(DRIVE.f1_mhz)
+        p0 = run_sequence(hahn_sequence(0.0, 0.0, F1), RHO_0)
+        h = np.array([[0.0, F1 / 2], [F1 / 2, 0.0]], dtype=complex)
+        total = 2 * pi2_duration(F1) + pi_duration(F1)
         rho = propagate([(h, total)], basis_density(2, 0))
         assert abs(p0 - rho[0, 0].real) < 1e-9
         # 2 pi total rotation restores the population
@@ -179,13 +187,13 @@ class TestHahnSequence:
         # exact refocusing of the free-evolution phase; residual deficit is
         # the finite-pulse tilt ~ (delta / f1)^2, negligible here
         tau = 2.0
-        seq = hahn_sequence(tau, tau, DriveParams(f1_mhz=40.0))
+        seq = hahn_sequence(tau, tau, 40.0)
         p_ref = run_sequence(seq, RHO_0, detuning_mhz=0.0)
         p_det = run_sequence(seq, RHO_0, detuning_mhz=delta)
         assert abs(p_det - p_ref) < 1e-6
 
     def test_echo_robust_at_larger_detuning(self):
-        seq = hahn_sequence(2.0, 2.0, DriveParams(f1_mhz=40.0))
+        seq = hahn_sequence(2.0, 2.0, 40.0)
         p_det = run_sequence(seq, RHO_0, detuning_mhz=0.6)
         assert abs(p_det - 1.0) < 1e-3
 
@@ -195,7 +203,7 @@ class TestHahnSequence:
         taus2 = np.linspace(0.5, 2.5, 41)
         signal = []
         for tau2 in taus2:
-            seq = hahn_sequence(tau1, tau2, DRIVE)
+            seq = hahn_sequence(tau1, tau2, F1)
             signal.append(run_sequence(seq, RHO_0, detuning_mhz=delta))
         assert abs(taus2[np.argmax(signal)] - tau1) <= (taus2[1] - taus2[0])
 
@@ -207,8 +215,9 @@ class TestEnsembleStack:
 
     @pytest.mark.parametrize("noise", [None, NoiseModel(gamma_phi=0.4, gamma_1=0.1)])
     def test_stack_matches_scalar_loop(self, noise):
-        seq = hahn_sequence(0.6, 0.9, DRIVE)
-        rho0, readout = LaserInit().density(), Readout()
+        seq = hahn_sequence(0.6, 0.9, F1)
+        readout = Readout()
+        rho0 = readout.density()
         p0 = run_sequence(seq, rho0, noise, self.DETUNINGS)
         i_pl = readout.counts(p0)
         assert p0.shape == i_pl.shape == self.DETUNINGS.shape
@@ -219,13 +228,12 @@ class TestEnsembleStack:
             assert abs(i_pl[k] - i_ref) <= 1e-12 * i_ref
 
     def test_closed_system_matches_propagate_per_member(self):
-        segs = [RfPulse(0.07, DRIVE), Delay(0.3), RfPulse(0.11, DriveParams(f1_mhz=2.0)),
-                Delay(0.0), RfPulse(pi_duration(DRIVE.f1_mhz), DRIVE)]
+        segs = [Segment(0.07, F1), Segment(0.3), Segment(0.11, 2.0), Segment(0.0),
+                Segment(pi_duration(F1), F1)]
         p0 = run_sequence(tuple(segs), RHO_0, detuning_mhz=self.DETUNINGS)
         for k, delta in enumerate(self.DETUNINGS):
             rho = propagate(
-                [(pair_hamiltonian(delta, s.drive.f1_mhz if isinstance(s, RfPulse) else 0.0),
-                  s.duration_us) for s in segs],
+                [(pair_hamiltonian(delta, s.f1_mhz), s.duration_us) for s in segs],
                 basis_density(2, 0),
             )
             assert abs(p0[k] - rho[0, 0].real) <= 1e-12
@@ -237,6 +245,7 @@ class TestEnsembleStack:
         assert np.array_equal(i_pl, np.ones((2, 2)))
 
     def test_scalar_detuning_returns_floats(self):
-        p0 = run_sequence(hahn_sequence(0.6, 0.9, DRIVE), LaserInit().density(), None, 0.3)
-        i_pl = Readout().counts(p0)
+        readout = Readout()
+        p0 = run_sequence(hahn_sequence(0.6, 0.9, F1), readout.density(), None, 0.3)
+        i_pl = readout.counts(p0)
         assert type(p0) is np.float64 and type(i_pl) is np.float64
