@@ -40,7 +40,30 @@ def write_csv(path: Path, columns: dict[str, np.ndarray]) -> None:
             fh.write(",".join(format_float(columns[name][i]) for name in names) + "\n")
 
 
+def _parse(rows: list[str]) -> np.ndarray:
+    """numpy's C parse of comma-separated rows into a (rows, columns)
+    float64 table.  It skips an empty row, so a caller compares the row
+    count; it raises ValueError on a bad cell or a change of column count."""
+    return np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+
+
+def _numeric(cell: str) -> bool:
+    """Whether :func:`_parse` reads ``cell`` as a number."""
+    try:
+        return cell != "" and _parse([cell]).size == 1
+    except ValueError:
+        return False
+
+
 def read_csv(path: Path) -> dict[str, np.ndarray]:
+    """Columns of a CSV in header order, each a C-contiguous float64 array.
+
+    One numpy parse reads every data row.  Only when it fails, or skips a
+    line, does a line-by-line scan name the first bad line: a wrong column
+    count, then a cell that the same parser rejects.  A non-finite value is
+    named once every cell has parsed.  Numbers are ASCII decimal, ``nan``
+    or ``inf``; an underscore or a non-ASCII digit is non-numeric.
+    """
     text = Path(path).read_text()
     lines = text.strip().splitlines()
     if not lines:
@@ -51,23 +74,28 @@ def read_csv(path: Path) -> dict[str, np.ndarray]:
     duplicate = next((name for i, name in enumerate(names) if name in names[:i]), None)
     if duplicate is not None:
         raise ValueError(f"{path}:{header}: duplicate column name {duplicate!r}")
-    data = [[] for _ in names]
-    for lineno, line in enumerate(lines[1:], start=header + 1):
-        parts = line.split(",")
-        if len(parts) != len(names):
-            raise ValueError(f"{path}:{lineno}: expected {len(names)} columns")
-        for store, part in zip(data, parts):
-            try:
-                store.append(float(part))
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-numeric value {part!r}") from None
-    table = np.array(data)
+    rows = lines[1:]
+    if not rows:  # numpy warns on no data
+        return {name: np.empty(0) for name in names}
+    try:
+        table = _parse(rows)
+    except ValueError:
+        table = None
+    if table is None or table.shape != (len(rows), len(names)):
+        for lineno, line in enumerate(rows, start=header + 1):
+            parts = line.split(",")
+            if len(parts) != len(names):
+                raise ValueError(f"{path}:{lineno}: expected {len(names)} columns")
+            bad = next((part for part in parts if not _numeric(part)), None)
+            if bad is not None:
+                raise ValueError(f"{path}:{lineno}: non-numeric value {bad!r}")
+        raise AssertionError(f"{path}: the parse failed, yet every line scans clean")
     finite = np.isfinite(table)
     if not finite.all():
-        row, col = np.argwhere(~finite.T)[0]
-        part = lines[row + 1].split(",")[col]
+        row, col = np.argwhere(~finite)[0]
+        part = rows[row].split(",")[col]
         raise ValueError(f"{path}:{header + 1 + row}: non-finite value {part!r}")
-    return dict(zip(names, table))
+    return dict(zip(names, np.ascontiguousarray(table.T)))
 
 
 def format_fit(fit: FitResult) -> str:

@@ -11,10 +11,14 @@ ladder-operator spin matrices and diagonalised numerically.  The
 Levenberg-Marquardt loop and the three fit models (each building its
 Jacobian with ``np.column_stack``) are the plain forms of the library's,
 which must give the same floating-point results bit for bit.
+``read_csv_per_cell`` is the reader ``nvspin.cli.read_csv`` replaced: it
+converts each cell with ``float()``, where the library parses every row in
+one numpy call; columns and error messages must agree.
 """
 
 from collections.abc import Sequence
 from math import isclose
+from pathlib import Path
 
 import numpy as np
 
@@ -312,3 +316,35 @@ def lorentzian_model(p, x, y):
     jac = np.column_stack([np.ones_like(x), shape, 2 * amp * shape * u / q,
                            amp * h * u ** 2 / q ** 2])
     return offset + amp * shape - y, jac
+
+
+def read_csv_per_cell(path: Path) -> dict[str, np.ndarray]:
+    """``nvspin.cli.read_csv`` with one ``float()`` per cell, which also
+    takes an underscore (``1_0``) and non-ASCII digits."""
+    text = Path(path).read_text()
+    lines = text.strip().splitlines()
+    if not lines:
+        raise ValueError(f"{path}: empty CSV")
+    # messages give line numbers in the file, counting blank lines above the header
+    header = text[:len(text) - len(text.lstrip())].count("\n") + 1
+    names = lines[0].split(",")
+    duplicate = next((name for i, name in enumerate(names) if name in names[:i]), None)
+    if duplicate is not None:
+        raise ValueError(f"{path}:{header}: duplicate column name {duplicate!r}")
+    data = [[] for _ in names]
+    for lineno, line in enumerate(lines[1:], start=header + 1):
+        parts = line.split(",")
+        if len(parts) != len(names):
+            raise ValueError(f"{path}:{lineno}: expected {len(names)} columns")
+        for store, part in zip(data, parts):
+            try:
+                store.append(float(part))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: non-numeric value {part!r}") from None
+    table = np.array(data)
+    finite = np.isfinite(table)
+    if not finite.all():
+        row, col = np.argwhere(~finite.T)[0]
+        part = lines[row + 1].split(",")[col]
+        raise ValueError(f"{path}:{header + 1 + row}: non-finite value {part!r}")
+    return dict(zip(names, table))

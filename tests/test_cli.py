@@ -2,22 +2,27 @@ import json
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cli_env import cli_env
 from nvspin import __version__
-from nvspin.cli import EXPERIMENTS, fit_file, main, read_csv, run, write_csv
+from nvspin.cli import EXPERIMENTS, fit_file, format_fit, main, read_csv, run, write_csv
 from nvspin.config import (
     ConfigError,
     SCHEMA,
+    build_experiment_config,
     config_checksum,
     parse_config,
     resolve_values,
 )
-from nvspin.fitting import FIT_MODELS
+from nvspin.fitting import FIT_MODELS, Trace
+from oracles import read_csv_per_cell
 
 
 class TestParseConfig:
@@ -88,6 +93,39 @@ class TestChecksum:
         assert config_checksum(a) != config_checksum(b)
 
 
+def _finite_tables(min_rows: int):
+    """1-4 columns of min_rows-50 random finite float64 values each, -0.0
+    and subnormals included."""
+    cell = st.floats(allow_nan=False, allow_infinity=False)
+    return st.integers(1, 4).flatmap(lambda ncols: st.integers(min_rows, 50).flatmap(
+        lambda nrows: st.lists(st.lists(cell, min_size=nrows, max_size=nrows),
+                               min_size=ncols, max_size=ncols)))
+
+
+def _corrupt(line: str, kind: str, col: int) -> str:
+    cells = line.split(",")
+    if kind == "short row":
+        return ",".join(cells[:-1])
+    if kind == "long row":
+        return line + ",0.5"
+    if kind == "trailing comma":
+        return line + ","
+    cells[col % len(cells)] = "" if kind == "empty cell" else kind
+    return ",".join(cells)
+
+
+CORRUPTIONS = ("short row", "long row", "trailing comma", "empty cell", "abc", "nan", "inf")
+
+
+def _read_outcome(reader, path):
+    """The error text, or each column's name and bit patterns."""
+    try:
+        columns = reader(path)
+    except ValueError as exc:
+        return str(exc)
+    return [(name, values.view(np.uint64).tolist()) for name, values in columns.items()]
+
+
 class TestCsvIO:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -98,15 +136,62 @@ class TestCsvIO:
         assert np.array_equal(back["x_us"], cols["x_us"])
         assert np.array_equal(back["y"], cols["y"])
 
+    def test_header_only_reads_empty_columns(self, tmp_path, capsys):
+        # without numpy's no-data warning; the fit then finds too few points
+        path = tmp_path / "t.csv"
+        write_csv(path, {"b_gauss": np.array([]), "i_pl": np.array([])})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            back = read_csv(path)
+        assert [(name, len(values)) for name, values in back.items()] == [("b_gauss", 0),
+                                                                          ("i_pl", 0)]
+        assert main(["fit", "lorentzian", str(path)]) == 2
+        assert "at least 7 points" in capsys.readouterr().err
+
     def test_schema_mismatch(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n3\n")
         with pytest.raises(ValueError, match="columns"):
             read_csv(path)
 
+    @pytest.mark.parametrize("line", ["", "  \t"])
+    def test_blank_line_is_a_short_row(self, tmp_path, line):
+        # numpy's parse skips a blank line; the reader names it
+        path = tmp_path / "bad.csv"
+        path.write_text(f"a,b\n1,2\n3,4\n{line}\n5,6\n")
+        with pytest.raises(ValueError, match=f"{path.name}:4: expected 2 columns"):
+            read_csv(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(table=_finite_tables(min_rows=0))
+    def test_reads_what_the_per_cell_reader_read(self, tmp_path_factory, table):
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        write_csv(path, {f"c{i}": np.array(col, dtype=float) for i, col in enumerate(table)})
+        assert _read_outcome(read_csv, path) == _read_outcome(read_csv_per_cell, path)
+        assert all(v.dtype == np.float64 and v.flags.c_contiguous
+                   for v in read_csv(path).values())
+
+    @settings(max_examples=300, deadline=None)
+    @given(table=_finite_tables(min_rows=1), blank=st.integers(0, 2), data=st.data())
+    def test_corrupt_lines_give_the_per_cell_readers_error(self, tmp_path_factory,
+                                                            table, blank, data):
+        # one or two corrupted lines: the first bad line wins, a wrong column
+        # count beats a bad cell on its line, and a non-finite value is named
+        # only when every cell parses
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        write_csv(path, {f"c{i}": np.array(col, dtype=float) for i, col in enumerate(table)})
+        lines = path.read_text().splitlines()
+        corruption = st.tuples(st.integers(1, len(lines) - 1), st.sampled_from(CORRUPTIONS),
+                               st.integers(0, len(table) - 1))
+        for row, kind, col in data.draw(st.lists(corruption, min_size=1, max_size=2)):
+            lines[row] = _corrupt(lines[row], kind, col)
+        path.write_text("\n" * blank + "\n".join(lines) + "\n")
+        assert _read_outcome(read_csv, path) == _read_outcome(read_csv_per_cell, path)
 
     @pytest.mark.parametrize("value, message", [
-        ("abc", "non-numeric value 'abc'"), ("inf", "non-finite value 'inf'")])
+        ("abc", "non-numeric value 'abc'"), ("inf", "non-finite value 'inf'"),
+        # float() took these two; numpy's parse does not
+        ("1_0", "non-numeric value '1_0'"), ("\u0661\u0662", "non-numeric value '\u0661\u0662'")])
     def test_line_numbers_count_blank_lines_above_the_header(self, tmp_path, value, message):
         path = tmp_path / "blank.csv"
         path.write_text(f"\n\nx,y\n1,2\n2,{value}\n")
@@ -508,6 +593,20 @@ class TestFitCommand:
         path.write_text("x,y\n1,2\n2,3\n3,4\n")
         assert main(["fit", "exp_decay", str(path)]) == 2
         assert "at least" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment, grid, model", [
+        ("esr", "480.6:520.6:41", "lorentzian"), ("echo", "0.25:6:12", "exp_decay")])
+    def test_fit_of_the_emitted_csv_is_the_fit_of_the_trace(self, tmp_path, experiment,
+                                                             grid, model):
+        # the CSV round trip loses no bit, so the report is the in-memory one
+        values = resolve_values(f"sweep.grid = {grid}\n")
+        run(experiment, values, tmp_path)
+        cfg = build_experiment_config(values)
+        csvs, _, _ = EXPERIMENTS[experiment].outputs(cfg, np.asarray(cfg.sweep_grid))
+        ((name, columns),) = csvs.items()
+        x, y = columns.values()
+        in_memory = FIT_MODELS[model](Trace(x, y))
+        assert format_fit(fit_file(tmp_path / name, model)) == format_fit(in_memory)
 
     def test_unknown_model_rejected(self, tmp_path):
         path = tmp_path / "t.csv"
