@@ -124,7 +124,7 @@ class Experiment(NamedTuple):
     sets_drive: bool = False     # sets the drive frequency itself
     needs_drive: bool = False    # nutates the spin and fits it: needs a drive and spin signal
     duration_grid: bool = False  # sweeps a duration, so its grid is >= 0
-    uniform_grid: bool = False   # fits a damped cosine on its grid, so the grid is uniform
+    rabi_fits: bool = False      # fits Rabi nutations: on its duration grid, else on the window
 
 
 def _centred(center: float, half_width: float, n: int) -> np.ndarray:
@@ -221,14 +221,39 @@ def _levels(cfg, grid):
 EXPERIMENTS = {
     "esr": Experiment(_esr_grid, _esr, sets_drive=True),
     "rabi": Experiment(_rabi_grid, _rabi, needs_drive=True, duration_grid=True,
-                       uniform_grid=True),
+                       rabi_fits=True),
     "echo": Experiment(lambda cfg: np.linspace(0.25, 6.0, 24), _echo, needs_drive=True,
                        duration_grid=True),
-    "fieldsweep": Experiment(_fieldsweep_grid, _fieldsweep, sets_drive=True, needs_drive=True),
-    # trend fits each center on the fixed Rabi window
-    "trend": Experiment(None, _trend, sets_drive=True, needs_drive=True),
+    "fieldsweep": Experiment(_fieldsweep_grid, _fieldsweep, sets_drive=True, needs_drive=True,
+                             rabi_fits=True),
+    "trend": Experiment(None, _trend, sets_drive=True, needs_drive=True, rabi_fits=True),
     "levels": Experiment(lambda cfg: np.linspace(0.0, 1100.0, 111), _levels),
 }
+
+
+def _check_rabi_sampling(experiment: str, cfg, grid: tuple | None) -> None:
+    """Raise ConfigError unless the damped-cosine fits resolve the Rabi
+    nutations.  ``grid`` is rabi's duration grid, which must be uniform, and
+    rabi nutates at f1 * sqrt(power) on it, or on the fixed window when it is
+    empty; None means f1 alone on the window.  The top frequency must lie
+    below the Nyquist frequency 1/(2 dt) of the times fitted."""
+    from .config import ConfigError
+    from .experiments import RABI_WINDOW_US
+
+    times, top, keys = RABI_WINDOW_US, cfg.drive.f1_mhz, ["drive.f1_mhz"]
+    if grid is not None:
+        if len(grid) > 2 and not _uniformly_spaced(np.diff(grid)):
+            raise ConfigError(f"sweep.grid: {experiment} fits a damped cosine, which needs "
+                              "uniformly spaced times")
+        top *= np.sqrt(max(cfg.rabi_powers))
+        keys += ["rabi.powers"] if max(cfg.rabi_powers) != 1 else []
+        if grid:
+            times, keys = grid, keys + ["sweep.grid"]
+    step = (times[-1] - times[0]) / max(len(times) - 1, 1)
+    if step > 0 and top >= 1 / (2 * step):
+        raise ConfigError(f"{', '.join(keys)}: {experiment} nutates at up to {top:.6g} MHz, "
+                          f"at or above the {1 / (2 * step):.6g} MHz that its {step:.6g} us "
+                          "Rabi grid resolves")
 
 
 def run(experiment: str, values: dict, out_dir: Path) -> None:
@@ -252,13 +277,20 @@ def run(experiment: str, values: dict, out_dir: Path) -> None:
             if value == 0:
                 raise ConfigError(f"{key}: {experiment} fits the spin signal, "
                                   f"which {key} = 0 removes")
+    if record.needs_drive and not record.sets_drive:
+        from .hamiltonian import _distinct_levels
+
+        try:
+            _distinct_levels(cfg.b_field_gauss, cfg.nv)
+        except ValueError as exc:
+            raise ConfigError(f"field.b_gauss: {experiment} drives the lowest N-V pair; "
+                              f"{exc}") from None
     if record.duration_grid and grid and grid[0] < 0:
         raise ConfigError(f"sweep.grid: {experiment} sweeps a duration, which must be >= 0")
     if record.grid is None and grid:
         raise ConfigError(f"sweep.grid: {experiment} takes no grid")
-    if record.uniform_grid and len(grid) > 2 and not _uniformly_spaced(np.diff(grid)):
-        raise ConfigError(f"sweep.grid: {experiment} fits a damped cosine, which needs "
-                          "uniformly spaced times")
+    if record.rabi_fits:
+        _check_rabi_sampling(experiment, cfg, grid if record.duration_grid else None)
     if grid:
         grid = np.asarray(grid, dtype=float)
     elif record.grid:

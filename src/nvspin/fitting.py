@@ -315,10 +315,11 @@ def _damped_cosine_starts(x: np.ndarray, dx: np.ndarray, y: np.ndarray) -> np.nd
     span = x[-1] - x[0]
     short = np.flatnonzero(f0 * span < 2.0)
     if len(short):
-        raise ValueError(
-            f"trace spans {f0[short[0]] * span:.2f} oscillation periods; need >= 2 for a "
-            "damped-cosine fit"
-        )
+        # a peak in the lowest bin has no frequency to count periods with
+        shows = ("shows no resolved oscillation; need >= 2 oscillation periods"
+                 if k[short[0]] == 1
+                 else f"spans {f0[short[0]] * span:.2f} oscillation periods; need >= 2")
+        raise ValueError(f"trace {shows} for a damped-cosine fit")
     half = len(x) // 2
     p1 = np.sqrt(np.mean(yc[:, :half] ** 2, axis=1))
     p2 = np.sqrt(np.mean(yc[:, half:] ** 2, axis=1))
@@ -451,7 +452,10 @@ def fit_lorentzian(trace: Trace) -> FitResult:
 
     A is signed, so dips and peaks use the same model.  The extremum must
     be bracketed by the data (not sit at either end of the trace); a fitted
-    center outside the data's span is flagged ``outside_span``.
+    center outside the data's span is flagged ``outside_span``.  A fwhm
+    below the grid step around the center is flagged ``unresolved``, and
+    its center and fwhm are ``nan``, as for a flat trace: the samples do
+    not determine them.
     """
     x, y, dx = _check_trace(trace, 7)
     if _is_flat(y):
@@ -475,9 +479,11 @@ def fit_lorentzian(trace: Trace) -> FitResult:
         "center": float(c),
         "fwhm": float(abs(w)),
     }
-    outside = () if x[0] <= c <= x[-1] else ("outside_span",)
-    return FitResult("lorentzian", params, lm.residual_norm, lm.converged,
-                     lm.iterations, (lm.stop, *outside))
+    flags = (lm.stop,) if x[0] <= c <= x[-1] else (lm.stop, "outside_span")
+    if abs(w) < dx[min(max(int(np.searchsorted(x, c)) - 1, 0), len(dx) - 1)]:
+        params.update(center=math.nan, fwhm=math.nan)
+        flags += ("unresolved",)
+    return FitResult("lorentzian", params, lm.residual_norm, lm.converged, lm.iterations, flags)
 
 
 FIT_MODELS = {

@@ -18,9 +18,6 @@ import numpy as np
 # An electron with g-factor g has gyromagnetic ratio g * MU_B_MHZ_PER_G.
 MU_B_MHZ_PER_G = 1.3996245
 
-# Free-electron g-factor as used throughout (P1 centers and the N-V center).
-ELECTRON_G = 2.00
-
 
 def _check_finite(params, *names: str, bound: str = "") -> None:
     """Raise ValueError, naming the field and its value, for the first of
@@ -42,9 +39,9 @@ class NvParams:
     (``NoiseModel.nuclear_splitting_mhz``).
     """
 
-    d_mhz: float = 2880.0
-    g: float = ELECTRON_G
-    a_par_mhz: float = 2.2
+    d_mhz: float
+    g: float
+    a_par_mhz: float
 
     def __post_init__(self):
         _check_finite(self, "d_mhz", "g", bound="> 0")
@@ -68,10 +65,10 @@ class BathParams:
     it sets the width of the cross-relaxation resonance.
     """
 
-    coupling_mhz: float = 0.5
-    a_n_par_mhz: float = 100.0
-    include_n_nucleus: bool = False
-    gamma_bath: float = 50.0
+    coupling_mhz: float
+    a_n_par_mhz: float
+    include_n_nucleus: bool
+    gamma_bath: float
 
     def __post_init__(self):
         _check_finite(self, "coupling_mhz", "a_n_par_mhz")
@@ -85,7 +82,7 @@ class DriveParams:
     ``f_rf_mhz=None`` means "on resonance with the addressed transition".
     """
 
-    f1_mhz: float = 5.0
+    f1_mhz: float
     f_rf_mhz: float | None = None
 
     def __post_init__(self):
@@ -123,6 +120,17 @@ def pair_hamiltonian(detuning_mhz, f1_mhz: float) -> np.ndarray:
     return h
 
 
+def _distinct_levels(b_gauss: float, p: NvParams) -> np.ndarray:
+    """The N-V levels in ascending order; raises ValueError where two
+    coincide, as the driven pair, the lowest two, is then ambiguous."""
+    w = np.sort(nv_levels(b_gauss, p))
+    if np.any(np.diff(w) < 1e-6):
+        raise ValueError(
+            f"N-V levels are degenerate at {b_gauss} G; addressed transition is ambiguous"
+        )
+    return w
+
+
 def frame_detuning(b_gauss: float, p: NvParams, drive: DriveParams) -> float:
     """Detuning of the drive from the transition between the two lowest N-V
     levels, the pair every driven experiment addresses; the rotating-frame
@@ -132,11 +140,7 @@ def frame_detuning(b_gauss: float, p: NvParams, drive: DriveParams) -> float:
     would be ambiguous) and warns when a spectator transition to the third
     level lies within ``SELECTIVITY_FACTOR * f1`` of the drive.
     """
-    w = np.sort(nv_levels(b_gauss, p))
-    if np.any(np.diff(w) < 1e-6):
-        raise ValueError(
-            f"N-V levels are degenerate at {b_gauss} G; addressed transition is ambiguous"
-        )
+    w = _distinct_levels(b_gauss, p)
     f_t = w[1] - w[0]
     f_rf = drive.f_rf_mhz if drive.f_rf_mhz is not None else f_t
     if drive.f1_mhz > 0:

@@ -30,9 +30,9 @@ class Readout:
     m_S = 0 with probability p + (1 - p)/2, the rest in the driven level;
     the readout pulse gives expected counts N * (1 - contrast * (1 - P0))."""
 
-    polarization: float = 0.9
-    contrast: float = 0.3
-    photons: float = 1000.0
+    polarization: float
+    contrast: float
+    photons: float
 
     def __post_init__(self):
         if not 0.0 <= self.polarization <= 1.0:

@@ -33,7 +33,7 @@ from nvspin.experiments import (
 )
 from nvspin.fitting import Trace, fit_damped_cosine, fit_exp_decay, fit_lorentzian
 from nvspin.hamiltonian import DriveParams, pair_hamiltonian, resonance_field
-from nvspin.pulseq import Readout, hahn_sequence, run_sequence
+from nvspin.pulseq import hahn_sequence, run_sequence
 from oracles import (
     basis_density,
     eigensystem,
@@ -122,7 +122,7 @@ def test_criterion_5_echo_symmetry_and_refocusing():
         tau = 3.0 / (2 * np.pi * sigma) / 2  # 2 pi sigma (2 tau) = 3
         noise = NoiseModel(sigma_static_mhz=sigma, n_samples=400, seed=7)
         drive = DriveParams(f1_mhz=25.0)
-        rho0 = Readout(polarization=1.0).density()
+        rho0 = replace(cfg.readout, polarization=1.0).density()
 
         def averaged(seq):
             deltas, weights = noise.ensemble()

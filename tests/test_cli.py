@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cli_env import cli_env
-from nvspin import __version__
+from nvspin import __version__, standard_config
 from nvspin.cli import EXPERIMENTS, fit_file, format_fit, main, read_csv, run, write_csv
 from nvspin.config import (
     ConfigError,
@@ -255,7 +255,7 @@ class TestRunCommand:
         assert abs(dip - 2600.0751) <= 0.5
 
     def test_manifest_lines(self, tmp_path):
-        values = resolve_values("sweep.grid = 0:2:41\nnoise.n_samples = 2\n")
+        values = resolve_values("sweep.grid = 0:2:81\nnoise.n_samples = 2\n")
         out = tmp_path / "o"
         run("rabi", values, out)
         text = (out / "manifest.txt").read_text()
@@ -295,7 +295,7 @@ class TestRunCommand:
 
     def test_byte_identical_across_thread_counts(self, tmp_path):
         outputs = self.csv_at_thread_counts(
-            tmp_path, "rabi", "sweep.grid = 0:2:41\nnoise.n_samples = 8\n", "rabi_0.csv")
+            tmp_path, "rabi", "sweep.grid = 0:2:81\nnoise.n_samples = 8\n", "rabi_0.csv")
         assert outputs[0] == outputs[1]
 
     def test_fieldsweep_byte_identical_across_thread_counts(self, tmp_path):
@@ -444,14 +444,25 @@ class TestRunCommand:
         report = (out / "fit_report.txt").read_text()
         assert report.startswith("esr spectrum flat, no dip (transition ") == flat
 
-    def test_degenerate_levels_exit_2(self, tmp_path, capsys):
-        # at zero field m_S = +1 and -1 coincide, so the driven pair is ambiguous
+    def test_zero_field_is_a_config_error(self, tmp_path, capsys):
+        # at zero field m_S = +1 and -1 coincide, and at the level crossing
+        # 0 and -1, so the pair that rabi and echo drive is ambiguous; both
+        # exited 2 at run time.  ESR sets its own drive, and at zero field
+        # both transitions dip at D
         cfg = tmp_path / "c.cfg"
-        cfg.write_text("field.b_gauss = 0\n")
-        out = tmp_path / "o"
-        assert self.run_cli("run", "echo", "--config", str(cfg), "--out", str(out)) == 2
-        assert "degenerate" in capsys.readouterr().err
-        assert not any(out.iterdir())
+        p = standard_config().nv
+        for experiment, b in [("rabi", 0.0), ("echo", 0.0), ("rabi", p.d_mhz / p.gamma)]:
+            cfg.write_text(f"field.b_gauss = {b!r}\nnoise.n_samples = 2\n")
+            out = tmp_path / experiment
+            assert self.run_cli("run", experiment, "--config", str(cfg), "--out", str(out)) == 1
+            err = capsys.readouterr().err
+            assert "field.b_gauss" in err and "degenerate" in err
+            assert not out.exists()
+        cfg.write_text("field.b_gauss = 0\nsweep.grid = 2860:2900:41\nnoise.n_samples = 2\n")
+        out = tmp_path / "esr"
+        assert self.run_cli("run", "esr", "--config", str(cfg), "--out", str(out)) == 0
+        report = (out / "fit_report.txt").read_text()
+        assert report == "esr dip at 2880.0 MHz (transition 2880.0 MHz)\n"
 
     def test_missing_config_file(self, tmp_path):
         assert self.run_cli("run", "esr", "--config", str(tmp_path / "nope.cfg"),
@@ -470,7 +481,7 @@ class TestRunCommand:
 
         monkeypatch.setattr(cli, "format_fit", fail)
         cfg = tmp_path / "c.cfg"
-        cfg.write_text("sweep.grid = 0:2:41\nnoise.n_samples = 2\n")
+        cfg.write_text("sweep.grid = 0:2:81\nnoise.n_samples = 2\n")
         out = tmp_path / "o"
         assert self.run_cli("run", "rabi", "--config", str(cfg), "--out", str(out)) == 2
         assert sorted(written) == ["rabi_0.csv", "rabi_1.csv", "rabi_2.csv"]
@@ -504,6 +515,14 @@ class TestRunCommand:
         *[(experiment, f"{key} = 0", key)
           for experiment in ("rabi", "echo", "fieldsweep", "trend")
           for key in ("readout.contrast", "readout.photons", "readout.polarization")],
+        # a top Rabi frequency at or above the Nyquist frequency of the
+        # times fitted: each ran (exit 0) and reported an aliased f1, for
+        # example 18.97 MHz for a 21 MHz drive at f1 = 7
+        ("rabi", "drive.f1_mhz = 7", "drive.f1_mhz, rabi.powers:"),
+        ("rabi", "drive.f1_mhz = 50", "drive.f1_mhz, rabi.powers:"),
+        ("fieldsweep", "drive.f1_mhz = 21", "drive.f1_mhz:"),
+        ("trend", "drive.f1_mhz = 21", "drive.f1_mhz:"),
+        ("rabi", "sweep.grid = 0:2:21\nrabi.powers = 1", "drive.f1_mhz, sweep.grid:"),
     ])
     def test_config_the_model_cannot_honour(self, tmp_path, capsys, experiment, text, key):
         cfg = tmp_path / "c.cfg"
@@ -548,14 +567,39 @@ class TestRunCommand:
         assert self.run_cli("run", experiment, "--config", str(cfg), "--out", str(out)) == 0
 
     @pytest.mark.parametrize("grid", [
-        "0:2:41",
-        ",".join(f"{0.05 * k:.2f}" for k in range(41)),
+        "0:2:81",
+        ",".join(f"{0.025 * k:.3f}" for k in range(81)),
     ], ids=["start_stop_count", "decimal"])
     def test_uniform_rabi_grids_run(self, tmp_path, grid):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(f"sweep.grid = {grid}\nnoise.n_samples = 2\n")
         out = tmp_path / "o"
         assert self.run_cli("run", "rabi", "--config", str(cfg), "--out", str(out)) == 0
+
+    def test_rabi_below_the_nyquist_frequency_runs(self, tmp_path):
+        # f1 = 6.6 MHz drives power 9 at 19.8 MHz, below the 20 MHz that
+        # the Rabi window's 0.025 us step resolves
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("drive.f1_mhz = 6.6\nnoise.n_samples = 2\n")
+        out = tmp_path / "o"
+        assert self.run_cli("run", "rabi", "--config", str(cfg), "--out", str(out)) == 0
+        report = (out / "fit_report.txt").read_text()
+        f1s = [float(v) for v in re.findall(r"^  f1_mhz = (\S+)$", report, re.M)]
+        assert len(f1s) == 3 and abs(f1s[2] - 19.8) < 0.2
+
+    def test_lorentzian_below_the_grid_step_is_unresolved(self, tmp_path):
+        # at this bath dephasing both resonances are narrower than the
+        # 0.508 G field step; their fits reported fwhm 0.355 and 0.415 G and
+        # a centre 0.68 G off, flagged only ftol
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("bath.gamma_bath = 0.1\n")
+        out = tmp_path / "o"
+        assert self.run_cli("run", "fieldsweep", "--config", str(cfg), "--out", str(out)) == 0
+        report = (out / "fit_report.txt").read_text()
+        for label in ("i_pl dip", "1/t2p peak"):
+            block = report.split(f"{label}:\n", 1)[1].split("\n\n", 1)[0]
+            assert "unresolved" in re.search(r"^flags: (\S+)$", block, re.M).group(1).split(",")
+            assert "  center = nan\n" in block and block.endswith("  fwhm = nan")
 
     def test_run_fit_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -682,6 +726,35 @@ class TestHelp:
         keys = [line.split()[0] for line in proc.stdout.splitlines()
                 if line.startswith("  ") and " default " in line]
         assert keys == list(SCHEMA)
+
+    def test_config_and_help_load_no_simulator(self):
+        # the schema holds every default, so neither reading it nor printing
+        # it imports the simulator
+        script = (
+            "import contextlib, io, json, sys\n"
+            "def simulator():\n"
+            "    return sorted(m for m in sys.modules if m in (\n"
+            "        'nvspin.dynamics', 'nvspin.experiments', 'nvspin.hamiltonian',\n"
+            "        'nvspin.pulseq', 'nvspin.spinops'))\n"
+            "import nvspin.config\n"
+            "after_import = simulator()\n"
+            "import nvspin.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as text:\n"
+            "    try:\n"
+            "        nvspin.cli.main(['--help'])\n"
+            "    except SystemExit as exc:\n"
+            "        code = exc.code\n"
+            "print(json.dumps([after_import, code, 'configuration keys' in text.getvalue(),\n"
+            "                  simulator()]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script],
+                              env=cli_env("1"), capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        after_import, code, has_schema, after_help = json.loads(
+            proc.stdout.strip().splitlines()[-1])
+        assert after_import == []
+        assert code == 0 and has_schema
+        assert after_help == []
 
     @pytest.mark.parametrize("command", ["run", "fit"])
     def test_subcommand_help_has_no_schema(self, command):

@@ -30,7 +30,7 @@ from nvspin.experiments import (
 )
 from nvspin.fitting import Trace, fit_exp_decay
 from nvspin.hamiltonian import pair_hamiltonian, resonance_field
-from nvspin.pulseq import Readout, hahn_sequence, run_sequence
+from nvspin.pulseq import hahn_sequence, run_sequence
 from nvspin.spinops import NonHermitianError
 from oracles import (
     basis_density,
@@ -886,7 +886,7 @@ class TestEchoRefocusing:
     """The dynamics-level coherence claims behind the Hahn echo."""
 
     F1_MHZ = 25.0
-    RHO_0 = Readout(polarization=1.0).density()
+    RHO_0 = replace(standard_config().readout, polarization=1.0).density()
 
     def signal(self, seq, noise, markov=None):
         deltas, weights = noise.ensemble()

@@ -479,6 +479,23 @@ class TestDampedCosineFit:
         with pytest.raises(ValueError, match="at least"):
             fit_damped_cosine(Trace([0.0, 1.0, 2.0], [0.0, 1.0, 0.0]))
 
+    def test_overdamped_trace_shows_no_resolved_oscillation(self):
+        # rate 100/us at 5 MHz: the spectral peak falls in the lowest bin,
+        # where the message read "spans 0.99 oscillation periods"
+        t = np.linspace(0.0, 4.0, 161)
+        with pytest.raises(ValueError) as err:
+            fit_damped_cosine(Trace(t, damped_cosine(t, 0.0, 1.0, 5.0, 0.01, 0.0)))
+        assert str(err.value) == ("trace shows no resolved oscillation; need >= 2 "
+                                  "oscillation periods for a damped-cosine fit")
+
+    def test_short_trace_counts_its_periods(self):
+        # 1.6 MHz over 1 us peaks in the second bin, whose periods are counted
+        t = np.linspace(0.0, 1.0, 51)
+        with pytest.raises(ValueError) as err:
+            fit_damped_cosine(Trace(t, damped_cosine(t, 0.0, 1.0, 1.6, 50.0, 0.0)))
+        assert str(err.value) == ("trace spans 1.96 oscillation periods; need >= 2 for a "
+                                  "damped-cosine fit")
+
     def test_non_uniform_grid_rejected(self):
         # 20 periods of 5 MHz; an FFT on this grid's mean spacing saw 1.82
         t = np.array([0.0, 0.05, 0.1, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0])
@@ -590,6 +607,26 @@ class TestLorentzianFit:
         assert "unidentifiable" in fit.flags
         # a flat trace locates nothing, so it reports no centre or width
         assert np.isnan(fit["center"]) and np.isnan(fit["fwhm"])
+
+    @pytest.mark.parametrize("w", [0.3, 0.45, 0.6, 4.5])
+    def test_width_below_the_grid_step_is_unresolved(self, w):
+        # the field sweep's grid: a 0.508 G step
+        x = np.linspace(499.4, 529.4, 60)
+        fit = fit_lorentzian(Trace(x, lorentzian(x, 985.0, -80.0, 514.61, w)))
+        if w < x[1] - x[0]:
+            assert "unresolved" in fit.flags
+            assert np.isnan(fit["center"]) and np.isnan(fit["fwhm"])
+        else:
+            assert "unresolved" not in fit.flags
+            assert abs(fit["fwhm"] - w) < 1e-6 * w
+
+    def test_width_is_compared_with_the_step_around_the_center(self):
+        # 2 G steps away from the line, 0.1 G steps across it
+        x = np.concatenate([np.arange(490.0, 510.0, 2.0), np.arange(510.0, 518.0, 0.1),
+                            np.arange(518.0, 531.0, 2.0)])
+        fit = fit_lorentzian(Trace(x, lorentzian(x, 985.0, -80.0, 514.0, 0.5)))
+        assert "unresolved" not in fit.flags
+        assert abs(fit["fwhm"] - 0.5) < 1e-6
 
     def test_unbracketed_extremum_rejected(self):
         x = np.linspace(0.0, 10.0, 21)

@@ -8,17 +8,18 @@ import scipy.optimize
 from nvspin.cli import EXPERIMENTS
 from nvspin.config import standard_config
 from nvspin.experiments import exp_levels, nv_transition_mhz
-from nvspin.hamiltonian import ELECTRON_G, MU_B_MHZ_PER_G
+from nvspin.hamiltonian import MU_B_MHZ_PER_G
 from nvspin.hamiltonian import (
-    BathParams,
     DriveParams,
-    NvParams,
     frame_detuning,
     nv_levels,
     pair_hamiltonian,
     resonance_field,
 )
 from oracles import eigensystem, h_n, h_nv
+
+# the default scenario's records; variants are made with replace
+NV, BATH = standard_config().nv, standard_config().bath
 
 
 def max_abs(a):
@@ -36,17 +37,17 @@ class TestHNv:
     """The closed-form N-V levels, ``nv_levels``, and the dense oracle."""
 
     def test_zero_field_eigenvalues(self):
-        p = NvParams()
+        p = NV
         w = np.sort(nv_levels(0.0, p))
         assert np.allclose(w, [0.0, 2880.0, 2880.0])
 
     def test_transition_at_100_gauss(self):
-        p = NvParams()
+        p = NV
         w = np.sort(nv_levels(100.0, p))
         assert np.isclose(w[1] - w[0], 2600.0751, atol=1e-4)
 
     def test_level_crossing_field(self):
-        p = NvParams()
+        p = NV
         b_cross = p.d_mhz / p.gamma
         assert np.isclose(b_cross, 1028.9, atol=0.1)
         w = np.sort(nv_levels(b_cross, p))
@@ -56,7 +57,7 @@ class TestHNv:
     @pytest.mark.parametrize("b", [37.0, 100.0, 514.4, 850.0])
     def test_transitions_match_formula(self, b):
         # oracle: the eigenvalues of the dense Hamiltonian
-        p = NvParams()
+        p = NV
         w, _ = eigensystem(h_nv(b, p))
         f_minus = w[1] - w[0]
         f_plus = w[2] - w[0]
@@ -64,14 +65,14 @@ class TestHNv:
         assert abs(f_plus - (p.d_mhz + p.gamma * b)) < 1e-9 * p.d_mhz
 
     def test_hermitian(self):
-        h = h_nv(321.0, NvParams())
+        h = h_nv(321.0, NV)
         assert max_abs(h - h.conj().T) < 1e-12
 
-    @pytest.mark.parametrize("d_mhz, g", [(2880.0, ELECTRON_G), (2870.0, 2.0), (1420.0, 2.01)])
+    @pytest.mark.parametrize("d_mhz, g", [(2880.0, 2.0), (2870.0, 2.0), (1420.0, 2.01)])
     def test_sorted_levels_and_gap_equal_the_eigensolver(self, d_mhz, g):
         # 10,001 fields in [-2000, 2000] G plus zero field, the level
         # crossing and the default fieldsweep and levels grids
-        p = NvParams(d_mhz=d_mhz, g=g)
+        p = replace(NV, d_mhz=d_mhz, g=g)
         cfg = replace(standard_config(), nv=p)
         b = np.concatenate([np.linspace(-2000.0, 2000.0, 10_001), [0.0, p.d_mhz / p.gamma],
                             EXPERIMENTS["fieldsweep"].grid(cfg), EXPERIMENTS["levels"].grid(cfg)])
@@ -81,29 +82,29 @@ class TestHNv:
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
-            NvParams(d_mhz=-1.0)
+            replace(NV, d_mhz=-1.0)
         with pytest.raises(ValueError):
-            NvParams(g=0.0)
+            replace(NV, g=0.0)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_params_rejected(self, value):
         for name in ("d_mhz", "g", "a_par_mhz"):
             with pytest.raises(ValueError, match=f"{name} must be finite.*, got {value}"):
-                NvParams(**{name: value})
+                replace(NV, **{name: value})
 
 
 class TestBathParams:
     def test_negative_dephasing_rejected(self):
         with pytest.raises(ValueError, match="gamma_bath must be finite and >= 0, got -1.0"):
-            BathParams(gamma_bath=-1.0)
+            replace(BATH, gamma_bath=-1.0)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_params_rejected(self, value):
         # the coupling's sign is physical; only a non-finite value is refused
-        assert BathParams(coupling_mhz=-0.5).coupling_mhz == -0.5
+        assert replace(BATH, coupling_mhz=-0.5).coupling_mhz == -0.5
         for name in ("coupling_mhz", "a_n_par_mhz", "gamma_bath"):
             with pytest.raises(ValueError, match=f"{name} must be finite.*, got {value}"):
-                BathParams(**{name: value})
+                replace(BATH, **{name: value})
 
 
 class TestHN:
@@ -137,11 +138,11 @@ class TestHN:
 
 class TestResonanceField:
     def test_known_resonance_value(self):
-        assert np.isclose(resonance_field(NvParams()), 514.4, atol=0.05)
+        assert np.isclose(resonance_field(NV), 514.4, atol=0.05)
 
     def test_bracketed_root_oracle(self):
         # independent route: root of [E_-1(B) - E_0(B)] - gamma B on eigensolver output
-        p = NvParams()
+        p = NV
 
         def mismatch(b):
             w, _ = eigensystem(h_nv(b, p))
@@ -151,11 +152,11 @@ class TestResonanceField:
         assert abs(root - resonance_field(p)) < 0.01
 
     def test_small_d_limit(self):
-        assert resonance_field(NvParams(d_mhz=1e-9)) < 1e-6
+        assert resonance_field(replace(NV, d_mhz=1e-9)) < 1e-6
 
     def test_g_scaling(self):
-        b1 = resonance_field(NvParams(g=2.0))
-        b2 = resonance_field(NvParams(g=4.0))
+        b1 = resonance_field(replace(NV, g=2.0))
+        b2 = resonance_field(replace(NV, g=4.0))
         assert np.isclose(b1, 2 * b2)
 
 
@@ -163,31 +164,31 @@ class TestRotatingFrame:
     """``frame_detuning``: the drive's detuning from the lowest N-V pair."""
 
     def frame(self, b, drive):
-        return pair_hamiltonian(frame_detuning(b, NvParams(), drive), drive.f1_mhz)
+        return pair_hamiltonian(frame_detuning(b, NV, drive), drive.f1_mhz)
 
     def test_on_resonance_gap(self):
         drive = DriveParams(f1_mhz=1.0)
-        assert frame_detuning(850.0, NvParams(), drive) == 0.0
+        assert frame_detuning(850.0, NV, drive) == 0.0
         w, _ = eigensystem(self.frame(850.0, drive))
         assert np.isclose(w[1] - w[0], 1.0, atol=1e-9)
 
     def test_generalized_rabi_gap(self):
-        w = np.sort(nv_levels(850.0, NvParams()))
+        w = np.sort(nv_levels(850.0, NV))
         f_t = w[1] - w[0]
         drive = DriveParams(f1_mhz=1.0, f_rf_mhz=f_t - 1.0)
-        assert frame_detuning(850.0, NvParams(), drive) == 1.0
+        assert frame_detuning(850.0, NV, drive) == 1.0
         w, _ = eigensystem(self.frame(850.0, drive))
         assert np.isclose(w[1] - w[0], np.sqrt(2.0), atol=1e-9)
 
     def test_no_drive_is_diagonal(self):
-        w = np.sort(nv_levels(850.0, NvParams()))
+        w = np.sort(nv_levels(850.0, NV))
         f_t = w[1] - w[0]
         frame = self.frame(850.0, DriveParams(f1_mhz=0.0, f_rf_mhz=f_t - 2.5))
         assert max_abs(frame - np.diag([0.0, 2.5])) < 1e-9
 
     def test_degenerate_pair_rejected(self):
         # m_S = +/-1 degenerate at zero field, 0 and -1 at the level crossing
-        p = NvParams()
+        p = NV
         for b in (0.0, p.d_mhz / p.gamma):
             with pytest.raises(ValueError, match="degenerate"):
                 frame_detuning(b, p, DriveParams(f1_mhz=1.0))
@@ -195,7 +196,7 @@ class TestRotatingFrame:
     def test_poor_selectivity_warns(self):
         # at low field the m_S = +1 transition sits within 20 f1 of the drive
         with pytest.warns(UserWarning, match="selective"):
-            frame_detuning(10.0, NvParams(), DriveParams(f1_mhz=5.0))
+            frame_detuning(10.0, NV, DriveParams(f1_mhz=5.0))
 
 
 class TestDriveParams:

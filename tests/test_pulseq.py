@@ -1,10 +1,11 @@
 import inspect
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import nvspin
-from nvspin import pulseq
+from nvspin import pulseq, standard_config
 from nvspin.dynamics import NoiseModel
 from nvspin.hamiltonian import pair_hamiltonian
 from nvspin.pulseq import (
@@ -19,6 +20,7 @@ from oracles import basis_density, propagate, rabi_probability
 
 F1 = 5.0
 PERFECT_READ = Readout(polarization=1.0, contrast=1.0, photons=1.0)
+READOUT = standard_config().readout
 RHO_0 = PERFECT_READ.density()
 
 
@@ -68,37 +70,37 @@ class TestSequenceValidation:
 
     def test_bad_polarization_and_contrast(self):
         with pytest.raises(ValueError):
-            Readout(polarization=1.5)
+            replace(READOUT, polarization=1.5)
         with pytest.raises(ValueError):
-            Readout(contrast=-0.1)
+            replace(READOUT, contrast=-0.1)
 
     @pytest.mark.parametrize("photons", [np.nan, np.inf])
     def test_non_finite_photon_budget_rejected(self, photons):
         # nan or inf photons would give nan or inf counts
         with pytest.raises(ValueError, match=f"photons must be finite and >= 0, got {photons}"):
-            Readout(photons=photons)
+            replace(READOUT, photons=photons)
 
 
 class TestInitAndReadout:
     def test_init_density(self):
-        rho = Readout(polarization=0.9).density()
+        rho = replace(READOUT, polarization=0.9).density()
         assert np.allclose(rho, 0.9 * np.diag([1.0, 0.0]) + 0.1 * np.eye(2) / 2)
 
     def test_counts_broadcast_over_populations(self):
-        readout = Readout(contrast=0.3, photons=1000.0)
+        readout = replace(READOUT, contrast=0.3, photons=1000.0)
         assert np.allclose(readout.counts([1.0, 0.5, 0.0]), [1000.0, 850.0, 700.0])
 
 
 class TestRunSequence:
     def test_init_then_readout_max_counts(self):
         p0 = run_sequence((), RHO_0)
-        i_pl = Readout(contrast=0.3, photons=800.0).counts(p0)
+        i_pl = replace(READOUT, contrast=0.3, photons=800.0).counts(p0)
         assert p0 == 1.0
         assert i_pl == 800.0
 
     def test_pi_pulse_full_contrast(self):
         p0 = run_sequence((Segment(pi_duration(F1), F1),), RHO_0)
-        i_pl = Readout(contrast=0.3, photons=1000.0).counts(p0)
+        i_pl = replace(READOUT, contrast=0.3, photons=1000.0).counts(p0)
         assert abs(p0) < 1e-9
         assert abs(i_pl - 700.0) < 1e-6
 
@@ -106,7 +108,7 @@ class TestRunSequence:
         # no implicit |0><0|: an empty sequence returns rho0's P0, and a
         # sequence from a polarized state equals one from |0><0|
         # mixed with identity / 2 by the same weights
-        init = Readout(polarization=0.6)
+        init = replace(READOUT, polarization=0.6)
         assert run_sequence((), init.density()) == 0.8
         seq = hahn_sequence(0.4, 0.7, F1)
         pure = run_sequence(seq, basis_density(2, 0), detuning_mhz=0.9)
@@ -139,7 +141,7 @@ class TestRunSequence:
     def test_ipl_affine_in_contrast(self):
         # doubling the contrast doubles the Rabi contrast exactly
         def contrast_span(eps):
-            readout = Readout(contrast=eps, photons=1000.0)
+            readout = replace(READOUT, contrast=eps, photons=1000.0)
             values = []
             for t in np.linspace(0.0, 0.4, 41):
                 values.append(readout.counts(run_sequence((Segment(t, F1),), RHO_0)))
@@ -216,7 +218,7 @@ class TestEnsembleStack:
     @pytest.mark.parametrize("noise", [None, NoiseModel(gamma_phi=0.4, gamma_1=0.1)])
     def test_stack_matches_scalar_loop(self, noise):
         seq = hahn_sequence(0.6, 0.9, F1)
-        readout = Readout()
+        readout = READOUT
         rho0 = readout.density()
         p0 = run_sequence(seq, rho0, noise, self.DETUNINGS)
         i_pl = readout.counts(p0)
@@ -245,7 +247,7 @@ class TestEnsembleStack:
         assert np.array_equal(i_pl, np.ones((2, 2)))
 
     def test_scalar_detuning_returns_floats(self):
-        readout = Readout()
+        readout = READOUT
         p0 = run_sequence(hahn_sequence(0.6, 0.9, F1), readout.density(), None, 0.3)
         i_pl = readout.counts(p0)
         assert type(p0) is np.float64 and type(i_pl) is np.float64
