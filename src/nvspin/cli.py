@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .fitting import FIT_MODELS, FitResult, Trace, _is_flat, _uniformly_spaced
+from .fitting import FIT_MODELS, MIN_POINTS, FitResult, Trace, _is_flat, _uniformly_spaced
 
 
 def format_float(value: float) -> str:
@@ -116,11 +116,13 @@ class Experiment(NamedTuple):
     """One experiment as :func:`run` sees it.  ``grid(cfg)`` is its default
     grid, None if it takes no grid; ``outputs(cfg, grid)`` runs its driver
     and returns its CSVs as ``{file name: columns}``, its fits as ``(label
-    or None, FitResult)`` pairs and its report notes; the flags guard the
-    config."""
+    or None, FitResult)`` pairs and its report notes; ``grid_fit(cfg)``
+    names the model of ``FIT_MODELS`` that it fits along its grid, None if
+    it fits none; the flags guard the config."""
 
     grid: Callable | None
     outputs: Callable
+    grid_fit: Callable = lambda cfg: None
     sets_drive: bool = False     # sets the drive frequency itself
     needs_drive: bool = False    # nutates the spin and fits it: needs a drive and spin signal
     duration_grid: bool = False  # sweeps a duration, so its grid is >= 0
@@ -220,12 +222,14 @@ def _levels(cfg, grid):
 
 EXPERIMENTS = {
     "esr": Experiment(_esr_grid, _esr, sets_drive=True),
-    "rabi": Experiment(_rabi_grid, _rabi, needs_drive=True, duration_grid=True,
-                       rabi_fits=True),
-    "echo": Experiment(lambda cfg: np.linspace(0.25, 6.0, 24), _echo, needs_drive=True,
-                       duration_grid=True),
-    "fieldsweep": Experiment(_fieldsweep_grid, _fieldsweep, sets_drive=True, needs_drive=True,
-                             rabi_fits=True),
+    "rabi": Experiment(_rabi_grid, _rabi, lambda cfg: "damped_cosine", needs_drive=True,
+                       duration_grid=True, rabi_fits=True),
+    # with tau1 fixed the echo is not fitted
+    "echo": Experiment(lambda cfg: np.linspace(0.25, 6.0, 24), _echo,
+                       lambda cfg: "exp_decay" if cfg.echo_tau1_us is None else None,
+                       needs_drive=True, duration_grid=True),
+    "fieldsweep": Experiment(_fieldsweep_grid, _fieldsweep, lambda cfg: "lorentzian",
+                             sets_drive=True, needs_drive=True, rabi_fits=True),
     "trend": Experiment(None, _trend, sets_drive=True, needs_drive=True, rabi_fits=True),
     "levels": Experiment(lambda cfg: np.linspace(0.0, 1100.0, 111), _levels),
 }
@@ -277,7 +281,9 @@ def run(experiment: str, values: dict, out_dir: Path) -> None:
             if value == 0:
                 raise ConfigError(f"{key}: {experiment} fits the spin signal, "
                                   f"which {key} = 0 removes")
-    if record.needs_drive and not record.sets_drive:
+    # rabi, echo and trend drive the lowest pair at field.b_gauss; the field
+    # sweep drives it at each field of its grid
+    if record.needs_drive and experiment != "fieldsweep":
         from .hamiltonian import _distinct_levels
 
         try:
@@ -289,6 +295,10 @@ def run(experiment: str, values: dict, out_dir: Path) -> None:
         raise ConfigError(f"sweep.grid: {experiment} sweeps a duration, which must be >= 0")
     if record.grid is None and grid:
         raise ConfigError(f"sweep.grid: {experiment} takes no grid")
+    model = record.grid_fit(cfg)
+    if grid and model and len(grid) < MIN_POINTS[model]:
+        raise ConfigError(f"sweep.grid: {experiment} fits {model} along its grid, which "
+                          f"needs at least {MIN_POINTS[model]} points, got {len(grid)}")
     if record.rabi_fits:
         _check_rabi_sampling(experiment, cfg, grid if record.duration_grid else None)
     if grid:

@@ -14,8 +14,10 @@ damped-cosine traces on one grid (the field sweep's and the Rabi powers')
 is fitted by ``fit_damped_cosines`` in one pass of the same loop over the
 stack, each trace with its own damping and stop test and the same result
 as its scalar fit, through the same model function.  Initial guesses are
-taken from the data (spectral peak, log-linear regression, extremum
-location) so fits are reproducible without hand-tuned starting points.
+taken from the data, so fits are reproducible without hand-tuned starting
+points: a damped cosine starts at its interpolated spectral peak, with the
+least-squares amplitude and phase there, an exponential from a log-linear
+regression and a Lorentzian from its extremum.
 """
 
 import math
@@ -40,6 +42,8 @@ SPACING_RTOL = 1e-6
 # least 5.7e-2 of its largest value, and the rounding noise of an undriven
 # ESR spectrum or of 1/T2' without a bath coupling at most 6.4e-15.
 FLAT_RTOL = 1e-9
+# The fewest points each model's fit takes, by the names of FIT_MODELS.
+MIN_POINTS = {"damped_cosine": 5, "exp_decay": 5, "lorentzian": 7}
 
 
 @dataclass
@@ -232,10 +236,11 @@ def _wrap_phase(phi: float) -> float:
     return float(out)
 
 
-def _check_trace(trace: Trace, min_points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(x, y, np.diff(x)) of a trace long enough and strictly increasing."""
-    if len(trace) < min_points:
-        raise ValueError(f"fit needs at least {min_points} points, got {len(trace)}")
+def _check_trace(trace: Trace, model: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, y, np.diff(x)) of a trace long enough for ``model`` and strictly
+    increasing."""
+    if len(trace) < MIN_POINTS[model]:
+        raise ValueError(f"fit needs at least {MIN_POINTS[model]} points, got {len(trace)}")
     dx = np.diff(trace.x)
     if np.any(dx <= 0):
         raise ValueError("fit needs strictly increasing x values")
@@ -300,26 +305,48 @@ def _damped_cosine_starts(x: np.ndarray, dx: np.ndarray, y: np.ndarray) -> np.nd
     ``(k, n)``, none of them flat, on the grid ``x``, with the checks of
     :func:`fit_damped_cosine`, which takes its start from a one-row stack.
 
-    The frequency, amplitude and phase come from the peak of one discrete
-    Fourier transform over the stack; the decay rate from the drop in
-    oscillation power between the first and second half of each row.
+    The frequency is the peak bin of one discrete Fourier transform over the
+    stack, moved by the vertex of a parabola through the log magnitudes of
+    that bin and its two neighbours (Gaussian interpolation; Gasior and
+    Gonzalez, AIP Conf. Proc. 732, 276 (2004)); the top bin, which has one
+    neighbour, keeps its bin frequency.  The decay rate comes from the drop
+    in oscillation power between the first and second half of each row.
+    With the frequency and rate fixed the model is linear in A cos(phase)
+    and -A sin(phase) (the separable part of variable projection; Golub and
+    Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)), so the amplitude and
+    phase are the closed-form solution of each row's 2 x 2 normal equations
+    about its mean.  Where their determinant vanishes, as the sine column
+    does at a top-bin peak, the peak's spectral amplitude and phase stand in.
     """
     if not _uniformly_spaced(dx):
         raise ValueError("a damped-cosine fit needs uniformly spaced x values")
     mean = np.mean(y, axis=1)
     yc = y - mean[:, None]
     spec = np.fft.rfft(yc)
-    k = 1 + np.argmax(np.abs(spec[:, 1:]), axis=1)
-    peak = spec[np.arange(len(y)), k]
-    f0 = np.fft.rfftfreq(len(x), d=np.mean(dx))[k]
+    mag = np.abs(spec)
+    rows = np.arange(len(y))
+    k = 1 + np.argmax(mag[:, 1:], axis=1)
+    peak = spec[rows, k]
+    step = np.mean(dx)
+    # the peak bin's frequency as np.fft.rfftfreq gives it
+    bin_width = 1.0 / (len(x) * step)
+    f_bin = k * bin_width
     span = x[-1] - x[0]
-    short = np.flatnonzero(f0 * span < 2.0)
+    short = np.flatnonzero(f_bin * span < 2.0)
     if len(short):
         # a peak in the lowest bin has no frequency to count periods with
         shows = ("shows no resolved oscillation; need >= 2 oscillation periods"
                  if k[short[0]] == 1
-                 else f"spans {f0[short[0]] * span:.2f} oscillation periods; need >= 2")
+                 else f"spans {f_bin[short[0]] * span:.2f} oscillation periods; need >= 2")
         raise ValueError(f"trace {shows} for a damped-cosine fit")
+    # two periods put the peak at bin 3 or above, so its lower neighbour is
+    # never the mean's bin 0
+    top = mag.shape[1] - 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        below, at, above = np.log(mag[rows[:, None], np.minimum(k[:, None] + [-1, 0, 1], top)]).T
+        shift = (above - below) / (2.0 * (2.0 * at - below - above))
+    # a zero neighbour or a flat top leaves the shift nan or infinite
+    f0 = (k + np.where((k < top) & (np.abs(shift) <= 1.0), shift, 0.0)) * bin_width
     half = len(x) // 2
     p1 = np.sqrt(np.mean(yc[:, :half] ** 2, axis=1))
     p2 = np.sqrt(np.mean(yc[:, half:] ** 2, axis=1))
@@ -327,7 +354,25 @@ def _damped_cosine_starts(x: np.ndarray, dx: np.ndarray, y: np.ndarray) -> np.nd
     falls = p2 > 0
     decay = 2.0 * np.log(p1[falls] / p2[falls]) / span
     rate0[falls] = np.where(decay > 0.0, decay, 0.0)
-    return np.stack([mean, 2 * np.abs(peak) / len(x), f0, rate0, np.angle(peak)], axis=1)
+    # the model's oscillation at amplitude 1 and phase 0,
+    # z = exp((2 pi i f0 - rate0) x), as powers of one step of the grid
+    exponent = 2j * np.pi * f0 - rate0
+    z = np.empty(y.shape, dtype=complex)
+    z[:, 0], z[:, 1:] = np.exp(exponent * x[0]), np.exp(exponent * step)[:, None]
+    z = np.cumprod(z, axis=1)
+    # the model is offset + Re(g z) with g = A exp(i phase), linear in the
+    # real and imaginary parts of g.  About the mean, in the sums norm =
+    # sum |z|^2, square = sum z^2 and proj = sum yc z, their 2 x 2 normal
+    # equations give g = 2 (norm conj(proj) - conj(square) proj) / (norm^2 -
+    # |square|^2), a denominator 4 times their determinant.  It vanishes as
+    # |square| reaches norm, where the cosine and sine columns are
+    # proportional, and there g keeps the spectral peak's amplitude and
+    # phase; short of 1e-8 of norm the solve keeps about half its digits.
+    norm, square, proj = _rowdot(z, z.conj()).real, _rowdot(z, z), _rowdot(yc, z)
+    g = peak * (2.0 / len(x))
+    np.divide(2 * (norm * proj.conj() - square.conj() * proj), norm * norm - np.abs(square) ** 2,
+              out=g, where=np.abs(square) < (1.0 - 1e-8) * norm)
+    return np.stack([mean, np.abs(g), f0, rate0, np.angle(g)], axis=1)
 
 
 def _damped_cosine_result(p: np.ndarray, residual_norm: float, iterations: int, stop: str,
@@ -364,7 +409,7 @@ def fit_damped_cosine(trace: Trace) -> FitResult:
     rejected, since the starting frequency comes from a discrete Fourier
     transform.
     """
-    x, y, dx = _check_trace(trace, 5)
+    x, y, dx = _check_trace(trace, "damped_cosine")
     if _is_flat(y):
         return _flat_cosine(trace)
     lm = levenberg_marquardt(lambda p: _damped_cosine(p, x, y),
@@ -386,7 +431,7 @@ def fit_damped_cosines(x, ys) -> list[FitResult]:
     traces = [Trace(x, y) for y in np.asarray(ys, dtype=float)]
     if not traces:
         raise ValueError("a stacked fit needs at least one trace")
-    x, _, dx = _check_trace(traces[0], 5)
+    x, _, dx = _check_trace(traces[0], "damped_cosine")
     fitted = [not _is_flat(trace.y) for trace in traces]
     fits = iter(())
     if any(fitted):
@@ -410,7 +455,7 @@ def _exp_decay(p, x, y):
 
 def fit_exp_decay(trace: Trace) -> FitResult:
     """Fit y = offset + A exp(-t/T); T is reported within the decay bounds."""
-    x, y, dx = _check_trace(trace, 5)
+    x, y, dx = _check_trace(trace, "exp_decay")
     if _is_flat(y):
         return _flat_result("exp_decay", trace, {"t_us": np.inf})
     offset0 = float(y[-1])
@@ -457,7 +502,7 @@ def fit_lorentzian(trace: Trace) -> FitResult:
     its center and fwhm are ``nan``, as for a flat trace: the samples do
     not determine them.
     """
-    x, y, dx = _check_trace(trace, 7)
+    x, y, dx = _check_trace(trace, "lorentzian")
     if _is_flat(y):
         # a flat trace has no extremum to locate
         return _flat_result("lorentzian", trace, {"center": math.nan, "fwhm": math.nan})

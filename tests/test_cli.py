@@ -446,12 +446,14 @@ class TestRunCommand:
 
     def test_zero_field_is_a_config_error(self, tmp_path, capsys):
         # at zero field m_S = +1 and -1 coincide, and at the level crossing
-        # 0 and -1, so the pair that rabi and echo drive is ambiguous; both
-        # exited 2 at run time.  ESR sets its own drive, and at zero field
-        # both transitions dip at D
+        # 0 and -1, so the pair that rabi, echo and trend drive is
+        # ambiguous; rabi and echo exited 2 at run time, and trend exited 0
+        # with the same T2' at both fields.  ESR sets its own drive, and at
+        # zero field both transitions dip at D
         cfg = tmp_path / "c.cfg"
         p = standard_config().nv
-        for experiment, b in [("rabi", 0.0), ("echo", 0.0), ("rabi", p.d_mhz / p.gamma)]:
+        for experiment, b in [("rabi", 0.0), ("echo", 0.0), ("trend", 0.0),
+                              ("rabi", p.d_mhz / p.gamma), ("trend", p.d_mhz / p.gamma)]:
             cfg.write_text(f"field.b_gauss = {b!r}\nnoise.n_samples = 2\n")
             out = tmp_path / experiment
             assert self.run_cli("run", experiment, "--config", str(cfg), "--out", str(out)) == 1
@@ -463,6 +465,14 @@ class TestRunCommand:
         assert self.run_cli("run", "esr", "--config", str(cfg), "--out", str(out)) == 0
         report = (out / "fit_report.txt").read_text()
         assert report == "esr dip at 2880.0 MHz (transition 2880.0 MHz)\n"
+
+    def test_echo_with_fixed_tau1_takes_a_short_grid(self, tmp_path):
+        # with tau1 fixed the echo is not fitted, so three delays are enough
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("echo.tau1_us = 3\nsweep.grid = 2,3,4\nnoise.n_samples = 2\n")
+        out = tmp_path / "o"
+        assert self.run_cli("run", "echo", "--config", str(cfg), "--out", str(out)) == 0
+        assert len(read_csv(out / "echo.csv")["tau2_us"]) == 3
 
     def test_missing_config_file(self, tmp_path):
         assert self.run_cli("run", "esr", "--config", str(tmp_path / "nope.cfg"),
@@ -523,6 +533,15 @@ class TestRunCommand:
         ("fieldsweep", "drive.f1_mhz = 21", "drive.f1_mhz:"),
         ("trend", "drive.f1_mhz = 21", "drive.f1_mhz:"),
         ("rabi", "sweep.grid = 0:2:21\nrabi.powers = 1", "drive.f1_mhz, sweep.grid:"),
+        # a grid shorter than the fit along it: each exited 2 at run time
+        # with the fit's "fit needs at least N points"
+        ("echo", "sweep.grid = 1,2,3",
+         "sweep.grid: echo fits exp_decay along its grid, which needs at least 5 points, got 3"),
+        ("fieldsweep", "sweep.grid = 510,514,518", "sweep.grid: fieldsweep fits lorentzian "
+         "along its grid, which needs at least 7 points, got 3"),
+        ("rabi", "sweep.grid = 1",
+         "sweep.grid: rabi fits damped_cosine along its grid, which needs at least 5 points, "
+         "got 1"),
     ])
     def test_config_the_model_cannot_honour(self, tmp_path, capsys, experiment, text, key):
         cfg = tmp_path / "c.cfg"

@@ -10,6 +10,8 @@ from nvspin import experiments, fitting
 from nvspin.cli import EXPERIMENTS
 from nvspin.config import build_experiment_config, resolve_values
 from nvspin.fitting import (
+    FIT_MODELS,
+    MIN_POINTS,
     Trace,
     _damped_cosine,
     _exp_decay,
@@ -409,6 +411,86 @@ class TestStackedFits:
             self._matches_scalar(t, y[None])
         with pytest.raises(ValueError, match="at least one trace"):
             fit_damped_cosines(t, ys[:0])
+
+
+def _refit_class_cosines(n, count, seed, noise):
+    """``count`` seeded damped cosines of ``n`` points drawn as the refit
+    workload of perfbench draws them (amplitude 0.3-1.5, 0.8-3 MHz, T2' of
+    1-4 us over five T2', offset 0.5, phase 0.4), plus white noise of
+    ``noise`` times the amplitude; yields (t, y, f1)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        amp, f1, t2p = rng.uniform(0.3, 1.5), rng.uniform(0.8, 3.0), rng.uniform(1.0, 4.0)
+        t = np.linspace(0.0, 5 * t2p, n)
+        yield t, damped_cosine(t, 0.5, amp, f1, t2p, 0.4) + rng.normal(0.0, noise * amp, n), f1
+
+
+def _start(t, y):
+    return fitting._damped_cosine_starts(t, np.diff(t), np.asarray(y, dtype=float)[None])[0]
+
+
+class TestDampedCosineStart:
+    """The start point: the spectral peak moved by Gaussian interpolation,
+    and the least-squares amplitude and phase at the start's frequency and
+    decay rate."""
+
+    @pytest.mark.parametrize("n", [161, 1201])
+    def test_frequency_within_a_quarter_bin(self, n):
+        # the nearest bin alone was up to 0.56 bin off on these draws
+        for t, y, f1 in _refit_class_cosines(n, 200, 50 + n, 0.0):
+            assert abs(_start(t, y)[2] - f1) * n * (t[1] - t[0]) <= 0.25
+
+    @pytest.mark.parametrize("n", [161, 1201])
+    def test_few_iterations_on_refit_classes(self, n):
+        # from the nearest bin these took 10.5 and 10.2 iterations on average
+        fits = [fit_damped_cosine(Trace(t, y))
+                for t, y, _ in _refit_class_cosines(n, 100, 60 + n, 0.01)]
+        assert all(fit.converged for fit in fits)
+        assert np.mean([fit.iterations for fit in fits]) <= 6
+
+    def test_amplitude_and_phase_are_the_least_squares_ones(self):
+        for t, y, _ in _refit_class_cosines(161, 20, 62, 0.01):
+            offset, amp, f0, rate0, phase = _start(t, y)
+            assert offset == np.mean(y)
+            envelope = np.exp(-rate0 * t)
+            columns = np.stack([envelope * np.cos(2 * np.pi * f0 * t),
+                                -envelope * np.sin(2 * np.pi * f0 * t)], axis=1)
+            a, b = np.linalg.lstsq(columns, y - offset, rcond=None)[0]
+            assert np.isclose(amp, np.hypot(a, b), rtol=1e-9, atol=0)
+            assert abs(_wrap_phase(phase - np.arctan2(b, a))) < 1e-9
+
+    def test_top_bin_keeps_the_spectral_amplitude_and_phase(self):
+        # 160 points put the top bin at the 20 MHz Nyquist frequency, where
+        # the sine column vanishes and the normal equations are singular
+        t = np.arange(160) * 0.025
+        y = damped_cosine(t, 0.5, 0.4, 20.0, 2.0, 0.3)
+        spec = np.fft.rfft(y - np.mean(y))
+        assert np.argmax(np.abs(spec)) == len(spec) - 1
+        _, amp, f0, _, phase = _start(t, y)
+        assert f0 == np.fft.rfftfreq(len(t), np.mean(np.diff(t)))[-1]
+        assert np.isclose(amp, 2 * np.abs(spec[-1]) / len(t), rtol=1e-15, atol=0)
+        assert np.isclose(phase, np.angle(spec[-1]), rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("t, f1, t2p", [
+        (np.arange(160) * 0.025, 20.0, 2.0),
+        (np.linspace(0.0, 4.0, 161), 20 / (161 * 0.025), 2.0),
+        (np.linspace(0.0, 4.0, 161), 5.0, 1e12),
+    ], ids=["top_bin", "on_a_bin", "undamped"])
+    def test_edge_cases_converge_as_in_the_scalar_fit(self, t, f1, t2p):
+        # each beside an ordinary trace, so one stack takes both start paths
+        ys = np.array([damped_cosine(t, 0.5, 0.4, f1, t2p, 0.3),
+                       damped_cosine(t, -0.2, 1.0, 3.1, 1.5, -1.0)])
+        assert abs(_start(t, ys[0])[2] - f1) * len(t) * (t[1] - t[0]) <= 0.25
+        fits = TestStackedFits._matches_scalar(t, ys)
+        assert all(fit.converged for fit in fits)
+        assert abs(fits[0]["f1_mhz"] - f1) < 1e-6
+
+
+@pytest.mark.parametrize("model", FIT_MODELS)
+def test_too_few_points_name_the_models_minimum(model):
+    t = np.arange(MIN_POINTS[model] - 1, dtype=float)
+    with pytest.raises(ValueError, match=f"at least {MIN_POINTS[model]} points, got {len(t)}"):
+        FIT_MODELS[model](Trace(t, np.cos(t)))
 
 
 class TestDampedCosineFit:
