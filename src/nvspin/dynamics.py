@@ -16,9 +16,11 @@ axes index the members of :meth:`NoiseModel.ensemble`.
 The generator is the Hamiltonian's coordinates times cached commutator
 generators plus a dissipator that does not depend on H (Lindblad, Commun.
 Math. Phys. 48, 119 (1976)).  ``evolve_lindblad`` exponentiates the
-generator over one step (the one evolution path of the pulse sequences,
-closed systems included; the tests check it against a fixed-step RK4),
-``lindblad_trajectory`` advances a time grid with the same exponential,
+generator over one step (closed systems included; the tests check it
+against a fixed-step RK4); ``pulseq.run_sequence`` builds its pulse
+sequences from the same ``build_liouvillian`` and :func:`expm`, one
+exponential per distinct segment.  ``lindblad_trajectory`` advances a
+time grid with the same exponential,
 restricted to the coordinates reachable from rho0 (an invariant block,
 Buca & Prosen, New J. Phys. 14, 073007 (2012)), each run of equal steps
 by doubling (P^2m = (P^m)^2); it builds the dissipator, checks
@@ -228,9 +230,9 @@ def build_liouvillian(h: np.ndarray, collapse_ops: CollapseOps) -> np.ndarray:
 
 
 def _check_evolution(h: np.ndarray, rho: np.ndarray) -> None:
-    """Guard shared by the Lindblad integrators: a state of the Hamiltonian's
-    size.  :func:`_hamiltonian_coordinates`, which both reach, checks
-    Hermiticity."""
+    """Guard shared by the Lindblad integrators and ``pulseq.run_sequence``:
+    a state of the Hamiltonian's size.  :func:`_hamiltonian_coordinates`,
+    which all three reach, checks Hermiticity."""
     if h.shape[-2:] != rho.shape[-2:]:
         raise ValueError("Hamiltonian and state dimensions differ")
 

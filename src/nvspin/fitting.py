@@ -300,6 +300,16 @@ def _damped_cosine(p, x, y):
     return offset + amp * c - y, jac
 
 
+def _separable(square, norm):
+    """Whether sampled oscillations z with norm = sum |z|^2 and square =
+    sum z^2 resolve an amplitude and phase: |square| < (1 - 1e-8) norm.
+    Their cosine and sine columns Re z and -Im z are proportional as
+    |square| reaches norm, as at the Nyquist frequency 1 / (2 dx), where
+    the samples fix only A cos(phase); short of 1e-8 of norm a solve for
+    A cos(phase) and A sin(phase) keeps about half its digits."""
+    return np.abs(square) < (1.0 - 1e-8) * norm
+
+
 def _damped_cosine_starts(x: np.ndarray, dx: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Start points ``(k, 5)`` of damped-cosine fits to the rows of ``y``
     ``(k, n)``, none of them flat, on the grid ``x``, with the checks of
@@ -316,7 +326,8 @@ def _damped_cosine_starts(x: np.ndarray, dx: np.ndarray, y: np.ndarray) -> np.nd
     Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)), so the amplitude and
     phase are the closed-form solution of each row's 2 x 2 normal equations
     about its mean.  Where their determinant vanishes, as the sine column
-    does at a top-bin peak, the peak's spectral amplitude and phase stand in.
+    does at a top-bin peak (:func:`_separable`), the peak's spectral
+    amplitude and phase stand in.
     """
     if not _uniformly_spaced(dx):
         raise ValueError("a damped-cosine fit needs uniformly spaced x values")
@@ -361,18 +372,44 @@ def _damped_cosine_starts(x: np.ndarray, dx: np.ndarray, y: np.ndarray) -> np.nd
     z[:, 0], z[:, 1:] = np.exp(exponent * x[0]), np.exp(exponent * step)[:, None]
     z = np.cumprod(z, axis=1)
     # the model is offset + Re(g z) with g = A exp(i phase), linear in the
-    # real and imaginary parts of g.  About the mean, in the sums norm =
-    # sum |z|^2, square = sum z^2 and proj = sum yc z, their 2 x 2 normal
-    # equations give g = 2 (norm conj(proj) - conj(square) proj) / (norm^2 -
-    # |square|^2), a denominator 4 times their determinant.  It vanishes as
-    # |square| reaches norm, where the cosine and sine columns are
-    # proportional, and there g keeps the spectral peak's amplitude and
-    # phase; short of 1e-8 of norm the solve keeps about half its digits.
+    # real and imaginary parts of g.  About the mean, with proj = sum yc z,
+    # their 2 x 2 normal equations give g = 2 (norm conj(proj) -
+    # conj(square) proj) / (norm^2 - |square|^2), a denominator 4 times their
+    # determinant; where it vanishes g keeps the spectral peak's amplitude
+    # and phase
     norm, square, proj = _rowdot(z, z.conj()).real, _rowdot(z, z), _rowdot(yc, z)
     g = peak * (2.0 / len(x))
     np.divide(2 * (norm * proj.conj() - square.conj() * proj), norm * norm - np.abs(square) ** 2,
-              out=g, where=np.abs(square) < (1.0 - 1e-8) * norm)
+              out=g, where=_separable(square, norm))
     return np.stack([mean, np.abs(g), f0, rate0, np.angle(g)], axis=1)
+
+
+def _geometric_sum(a: float, theta: float, n: int) -> complex:
+    """sum_j exp(j L) over j < n, with L = a + i theta: expm1(n L) /
+    expm1(L), each exp(m L) - 1 with the real part expm1(m a) cos(m theta) -
+    2 sin(m theta / 2)^2, which keeps its digits where exp(m L) nears 1;
+    n where L = 0."""
+    def expm1(m):
+        real = math.expm1(m * a) * math.cos(m * theta) - 2.0 * math.sin(m * theta / 2) ** 2
+        return complex(real, math.exp(m * a) * math.sin(m * theta))
+
+    lead = expm1(1)
+    return n if lead == 0 else expm1(n) / lead
+
+
+def _resolved(f1: float, rate: float, x: np.ndarray) -> bool:
+    """The start's test :func:`_separable` at a fitted oscillation on the
+    uniform grid ``x``.  Taken from x[0], which scales every z alike and
+    leaves the test as it is, z_j^2 = exp(j (a + i theta)) and |z_j|^2 =
+    exp(j a), with a = -2 |rate| dx and theta = 4 pi f1 dx, taken into
+    [-pi, pi] so that its multiples keep their digits near the Nyquist
+    frequency, where theta nears 2 pi.  So norm and square are geometric
+    sums in closed form: a few scalar operations in place of sampling z on
+    the grid."""
+    n, step = len(x), (x[-1] - x[0]) / (len(x) - 1)
+    a = -2.0 * abs(rate) * step
+    theta = math.remainder(4.0 * math.pi * f1 * step, 2.0 * math.pi)
+    return bool(_separable(_geometric_sum(a, theta, n), _geometric_sum(a, 0.0, n).real))
 
 
 def _damped_cosine_result(p: np.ndarray, residual_norm: float, iterations: int, stop: str,
@@ -388,8 +425,12 @@ def _damped_cosine_result(p: np.ndarray, residual_norm: float, iterations: int, 
         "t2p_us": t2p,
         "phase_rad": _wrap_phase(phase),
     }
+    flags = (stop, *bound)
+    if not _resolved(f1, rate, x):
+        params.update(amplitude=math.nan, phase_rad=math.nan)
+        flags += ("unresolved",)
     return FitResult("damped_cosine", params, float(residual_norm), stop != "max_iter",
-                     int(iterations), (stop, *bound))
+                     int(iterations), flags)
 
 
 def _flat_cosine(trace: Trace) -> FitResult:
@@ -407,7 +448,9 @@ def fit_damped_cosine(trace: Trace) -> FitResult:
     oscillation periods of the spectral-peak frequency, sampled uniformly:
     x steps that differ by more than SPACING_RTOL of their mean are
     rejected, since the starting frequency comes from a discrete Fourier
-    transform.
+    transform.  A fitted oscillation whose cosine and sine are
+    proportional on the grid (:func:`_resolved`), as at the Nyquist
+    frequency, is flagged ``unresolved`` with ``nan`` amplitude and phase.
     """
     x, y, dx = _check_trace(trace, "damped_cosine")
     if _is_flat(y):

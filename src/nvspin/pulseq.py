@@ -11,16 +11,27 @@ a Rabi frequency ``f1_mhz > 0``, a free delay ``f1_mhz = 0``.
 ``run_sequence`` works in the rotating frame of the addressed pair
 (|0> = bright level, |1> = driven level); quasi-static detunings enter via
 the frame detuning, Markovian rates via the NoiseModel.  An array of frame
-detunings runs the whole ensemble at once: every segment is one stacked
-``evolve_lindblad`` step over the members, which exponentiates their real
-4 x 4 generators and returns Hermitian pair states.
+detunings runs the whole ensemble at once.  A sequence's propagator is the
+ordered product of its segments' propagators, so ``run_sequence`` builds
+the real 4 x 4 generators of its distinct drive strengths in one
+``build_liouvillian`` call, exponentiates each distinct segment once (a
+swept Hahn echo has three: the pi/2 pulse, the delay and the pi pulse) and
+steps the state's real coordinates through them, each step one stacked
+product over the members.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import NoiseModel, evolve_lindblad, pair_collapse_ops
+from .dynamics import (
+    NoiseModel,
+    _check_evolution,
+    _coordinates,
+    build_liouvillian,
+    expm,
+    pair_collapse_ops,
+)
 from .hamiltonian import _check_finite, pair_hamiltonian
 
 
@@ -98,11 +109,24 @@ def run_sequence(seq: tuple[Segment, ...], rho0: np.ndarray,
     ``noise`` act during pulses and delays).  A scalar detuning gives a
     float; an array of detunings gives an array of that shape, one entry
     per detuning.
+
+    The generators of the distinct drive strengths are one stack from one
+    ``build_liouvillian`` call, which checks their Hermiticity, and each
+    distinct segment of nonzero duration is exponentiated once; a segment
+    of zero duration leaves the state as it is.  The state advances as its
+    real coordinates x, and P0 is x[0], the coordinate of |0><0|.
     """
     detuning = np.asarray(detuning_mhz, dtype=float)
     rho = np.asarray(rho0, dtype=complex)
-    collapse = pair_collapse_ops(noise)
-    for segment in seq:
-        rho = evolve_lindblad(pair_hamiltonian(detuning, segment.f1_mhz), collapse, rho,
-                              segment.duration_us)
-    return np.broadcast_to(rho[..., 0, 0].real, detuning.shape).copy()[()]
+    x = _coordinates(rho)
+    if seq:
+        drives = dict.fromkeys(s.f1_mhz for s in seq)
+        h = np.stack([pair_hamiltonian(detuning, f1) for f1 in drives])
+        _check_evolution(h, rho)
+        liou = dict(zip(drives, build_liouvillian(h, pair_collapse_ops(noise))))
+        propagators = {s: expm(liou[s.f1_mhz] * s.duration_us)
+                       for s in dict.fromkeys(seq) if s.duration_us > 0}
+        for segment in seq:
+            if segment in propagators:
+                x = (propagators[segment] @ x[..., None])[..., 0]
+    return np.broadcast_to(x[..., 0], detuning.shape).copy()[()]

@@ -1,10 +1,12 @@
 """Reference implementations the tests compare the library against.
 
 None of these is on a production path: the library evolves every state
-through ``dynamics.evolve_lindblad`` and ``dynamics.lindblad_trajectory``
-and writes the static levels in closed form (``hamiltonian.nv_levels``).
-``stepped_trajectory`` is the per-step loop that ``lindblad_trajectory``
-ran before it advanced runs of equal steps by doubling.
+through ``dynamics.evolve_lindblad``, ``dynamics.lindblad_trajectory`` or
+``pulseq.run_sequence`` and writes the static levels in closed form
+(``hamiltonian.nv_levels``).  ``stepped_trajectory`` is the per-step loop
+that ``lindblad_trajectory`` ran before it advanced runs of equal steps by
+doubling, and ``run_sequence_per_segment`` the loop that ``run_sequence``
+ran before it exponentiated each distinct segment once.
 Each function here is an independent route to a quantity that those paths
 or the experiments also produce; the dense Hamiltonians are built from
 ladder-operator spin matrices and diagonalised numerically.  The
@@ -25,7 +27,7 @@ import numpy as np
 from nvspin import dynamics
 from nvspin.dynamics import CollapseOps
 from nvspin.fitting import LM_FTOL, LM_GTOL, LM_MAX_ITER, LM_XTOL, LMResult, Trace
-from nvspin.hamiltonian import NvParams
+from nvspin.hamiltonian import NvParams, pair_hamiltonian
 from nvspin.pulseq import Segment, pi2_duration
 from nvspin.spinops import NonHermitianError, is_hermitian
 
@@ -231,6 +233,20 @@ def ramsey_sequence(tau_us: float, f1_mhz: float) -> tuple[Segment, ...]:
     """Unrefocused pi/2 - tau - pi/2 reference for the echo comparison."""
     t_pi2 = pi2_duration(f1_mhz)
     return (Segment(t_pi2, f1_mhz), Segment(tau_us), Segment(t_pi2, f1_mhz))
+
+
+def run_sequence_per_segment(seq: tuple[Segment, ...], rho0: np.ndarray,
+                             noise: dynamics.NoiseModel | None = None, detuning_mhz=0.0):
+    """``pulseq.run_sequence`` as one ``evolve_lindblad`` step per segment,
+    each building its own generators and exponential and mapping the state
+    back to a matrix."""
+    detuning = np.asarray(detuning_mhz, dtype=float)
+    rho = np.asarray(rho0, dtype=complex)
+    collapse = dynamics.pair_collapse_ops(noise)
+    for segment in seq:
+        rho = dynamics.evolve_lindblad(pair_hamiltonian(detuning, segment.f1_mhz), collapse, rho,
+                                       segment.duration_us)
+    return np.broadcast_to(rho[..., 0, 0].real, detuning.shape).copy()[()]
 
 
 def levenberg_marquardt(fun, p0) -> LMResult:

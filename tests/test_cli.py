@@ -685,6 +685,27 @@ class TestFitCommand:
         out = capsys.readouterr().out
         assert "t_us" in out and "converged: True" in out
 
+    @pytest.mark.parametrize("f1", [20.0, 19.5], ids=["nyquist", "below_nyquist"])
+    def test_damped_cosine_at_the_nyquist_frequency_is_unresolved(self, tmp_path, capsys, f1):
+        # at 1 / (2 dt) = 20 MHz the samples fix only A cos(phase); the fit
+        # reported amplitude 0.3846 and phase -0.1131, flagged only xtol
+        t = np.arange(160) * 0.025
+        path = tmp_path / "d.csv"
+        y = 0.5 + 0.4 * np.exp(-t / 2) * np.cos(2 * np.pi * f1 * t + 0.3)
+        write_csv(path, {"t_us": t, "y": y})
+        assert main(["fit", "damped_cosine", str(path)]) == 0
+        out = capsys.readouterr().out
+        params = dict(re.findall(r"^  (\S+) = (\S+)$", out, re.M))
+        assert "converged: True" in out and abs(float(params["f1_mhz"]) - f1) < 1e-6
+        flags = re.search(r"^flags: (\S+)$", out, re.M).group(1).split(",")
+        if f1 == 20.0:
+            assert "unresolved" in flags
+            assert params["amplitude"] == params["phase_rad"] == "nan"
+        else:
+            assert flags == ["xtol"]
+            assert abs(float(params["amplitude"]) - 0.4) < 1e-9
+            assert abs(float(params["phase_rad"]) - 0.3) < 1e-9
+
     def test_non_uniform_damped_cosine_csv_is_an_error(self, tmp_path, capsys):
         t = np.array([0.0, 0.05, 0.1, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0])
         path = tmp_path / "d.csv"

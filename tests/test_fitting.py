@@ -1,4 +1,5 @@
 import itertools
+import math
 import zlib
 
 import numpy as np
@@ -484,6 +485,33 @@ class TestDampedCosineStart:
         fits = TestStackedFits._matches_scalar(t, ys)
         assert all(fit.converged for fit in fits)
         assert abs(fits[0]["f1_mhz"] - f1) < 1e-6
+
+    def test_fit_at_the_nyquist_frequency_is_unresolved(self):
+        # the start's rank test at the fitted f1 and rate: 1 - |sum z^2| /
+        # sum |z|^2 reads 7e-15 at 20 MHz against 0.84 at 19.5 MHz
+        t = np.arange(160) * 0.025
+        ys = np.array([damped_cosine(t, 0.5, 0.4, f1, 2.0, 0.3) for f1 in (20.0, 19.5)])
+        nyquist, below = TestStackedFits._matches_scalar(t, ys)
+        assert nyquist.converged and nyquist.flags[-1] == "unresolved"
+        assert np.isnan(nyquist["amplitude"]) and np.isnan(nyquist["phase_rad"])
+        assert abs(nyquist["f1_mhz"] - 20.0) < 1e-6 and abs(nyquist["t2p_us"] - 2.0) < 1e-6
+        assert "unresolved" not in below.flags
+        assert abs(below["amplitude"] - 0.4) < 1e-9 and abs(below["phase_rad"] - 0.3) < 1e-9
+
+    @pytest.mark.parametrize("f1, rate", [
+        (20.0, 0.5), (19.99999998878843, 0.5), (19.5, 0.5), (20.0, 0.0), (3.1, 0.0),
+        (0.0, 0.0), (3.1, 1e4), (57.3, 2.0), (-7.0, -0.3), (20.0000003, 2e-8)])
+    def test_resolved_sums_are_the_sampled_ones(self, f1, rate):
+        # the closed-form geometric sums against z sampled on the grid; the
+        # last case, undamped and next to the Nyquist frequency, misses the
+        # 1e-8 test by 2.6e-8 with exp(L) - 1 taken plainly
+        t = np.arange(160) * 0.025
+        z = np.exp((2j * np.pi * f1 - abs(rate)) * t)
+        norm, square = np.sum(np.abs(z) ** 2), np.sum(z * z)
+        a, theta = -2.0 * abs(rate) * 0.025, math.remainder(4.0 * np.pi * f1 * 0.025, 2 * np.pi)
+        assert abs(fitting._geometric_sum(a, theta, len(t)) - square) <= 1e-12 * norm
+        assert abs(fitting._geometric_sum(a, 0.0, len(t)) - norm) <= 1e-12 * norm
+        assert fitting._resolved(f1, rate, t) == fitting._separable(square, norm)
 
 
 @pytest.mark.parametrize("model", FIT_MODELS)

@@ -1,11 +1,12 @@
 import inspect
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import nvspin
-from nvspin import pulseq, standard_config
+from nvspin import exp_hahn, pulseq, standard_config
 from nvspin.dynamics import NoiseModel
 from nvspin.hamiltonian import pair_hamiltonian
 from nvspin.pulseq import (
@@ -16,7 +17,7 @@ from nvspin.pulseq import (
     pi_duration,
     run_sequence,
 )
-from oracles import basis_density, propagate, rabi_probability
+from oracles import basis_density, propagate, rabi_probability, run_sequence_per_segment
 
 F1 = 5.0
 PERFECT_READ = Readout(polarization=1.0, contrast=1.0, photons=1.0)
@@ -251,3 +252,68 @@ class TestEnsembleStack:
         p0 = run_sequence(hahn_sequence(0.6, 0.9, F1), readout.density(), None, 0.3)
         i_pl = readout.counts(p0)
         assert type(p0) is np.float64 and type(i_pl) is np.float64
+
+
+@pytest.fixture
+def work(monkeypatch):
+    """Calls that ``run_sequence`` makes to ``build_liouvillian`` and
+    ``expm`` through its own bindings, by name."""
+    counts = Counter()
+
+    def count(name):
+        original = getattr(pulseq, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pulseq, name, counted)
+
+    count("build_liouvillian")
+    count("expm")
+    return counts
+
+
+class TestDistinctSegments:
+    """One generator stack per sequence and one exponential per distinct
+    segment, against the per-segment loop that ran before."""
+
+    # name: (sequence, exponentials), the exponentials being its distinct
+    # segments of nonzero duration
+    SEQUENCES = {
+        "hahn_tau1_eq_tau2": (hahn_sequence(0.6, 0.6, F1), 3),
+        "hahn_tau1_ne_tau2": (hahn_sequence(0.6, 0.9, F1), 4),
+        "three_drives_repeated": ((Segment(0.07, F1), Segment(0.3), Segment(0.11, 2.0),
+                                   Segment(0.07, F1), Segment(0.05, 9.0), Segment(0.3),
+                                   Segment(0.11, 2.0)), 4),
+        "zero_durations": ((Segment(0.0, F1), Segment(0.3), Segment(0.0),
+                            Segment(pi_duration(F1), F1), Segment(0.0, 2.0)), 2),
+        "empty": ((), 0),
+    }
+    DETUNINGS = {"scalar": 0.4, "1-d": np.array([-1.3, 0.0, 0.4, 2.5]),
+                 "2-d": np.array([[-1.3, 0.0], [0.4, 2.5]])}
+
+    @pytest.mark.parametrize("noise", [None, NoiseModel(gamma_phi=0.4, gamma_1=0.1)],
+                             ids=["closed", "markovian"])
+    @pytest.mark.parametrize("detuning", DETUNINGS.values(), ids=DETUNINGS.keys())
+    def test_matches_per_segment_loop(self, work, noise, detuning):
+        rho0 = READOUT.density()
+        for name, (seq, exponentials) in self.SEQUENCES.items():
+            work.clear()
+            p0 = run_sequence(seq, rho0, noise, detuning)
+            builds, calls = work["build_liouvillian"], work["expm"]
+            ref = run_sequence_per_segment(seq, rho0, noise, detuning)
+            assert type(p0) is type(ref) and np.shape(p0) == np.shape(ref), name
+            assert np.max(np.abs(p0 - ref)) <= 1e-12, name
+            assert (builds, calls) == (int(bool(seq)), exponentials), name
+
+    @pytest.mark.parametrize("tau1_us, exponentials", [(None, 24 * 3), (3.0, 23 * 4 + 3)])
+    def test_default_echo_dataset_work(self, work, tau1_us, exponentials):
+        # 24 delays, one sequence each; a fixed tau1 shares the delay
+        # segment only where tau2 = tau1 (3 us lies on the grid)
+        exp_hahn(replace(standard_config(), echo_tau1_us=tau1_us), np.linspace(0.25, 6.0, 24))
+        assert work == {"build_liouvillian": 24, "expm": exponentials}
+
+    def test_state_of_another_size_rejected(self):
+        with pytest.raises(ValueError, match="dimensions differ"):
+            run_sequence(hahn_sequence(0.6, 0.9, F1), basis_density(3, 0))
