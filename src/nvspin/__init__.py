@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "config": ("ExperimentConfig", "standard_config"),
-    "dynamics": ("NoiseModel", "evolve_lindblad", "lindblad_trajectory", "steady_state"),
+    "dynamics": ("NoiseModel", "lindblad_trajectory", "steady_state"),
     "experiments": ("SweepResult", "exp_cw_esr", "exp_field_sweep", "exp_hahn", "exp_levels",
                     "exp_rabi", "exp_t2p_vs_dip", "trend_configs"),
     "fitting": ("FitResult", "Trace", "fit_damped_cosine", "fit_exp_decay", "fit_lorentzian"),

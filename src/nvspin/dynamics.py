@@ -15,24 +15,23 @@ axes index the members of :meth:`NoiseModel.ensemble`.
 
 The generator is the Hamiltonian's coordinates times cached commutator
 generators plus a dissipator that does not depend on H (Lindblad, Commun.
-Math. Phys. 48, 119 (1976)).  ``evolve_lindblad`` exponentiates the
-generator over one step (closed systems included; the tests check it
-against a fixed-step RK4); ``pulseq.run_sequence`` builds its pulse
-sequences from the same ``build_liouvillian`` and :func:`expm`, one
-exponential per distinct segment.  ``lindblad_trajectory`` advances a
-time grid with the same exponential,
-restricted to the coordinates reachable from rho0 (an invariant block,
-Buca & Prosen, New J. Phys. 14, 073007 (2012)), each run of equal steps
-by doubling (P^2m = (P^m)^2); it builds the dissipator, checks
-Hermiticity and finds the sector once per call, for the whole stack, and
-forms each block's generators from them.  ``steady_state`` takes every
-member's null space in one batched solve.  Both integrators reject a
-non-Hermitian Hamiltonian and a state whose size differs from it.  Their
-exponential is :func:`expm`, numpy only and free of linear solves:
-scaling and squaring with the degree-18 Taylor polynomial, whose
-threshold theta_18 = 1.0909 keeps the backward error below 2^-53, one
-squaring count for the whole stack.  scipy is imported by
-``steady_state`` alone, for ``null_space``.
+Math. Phys. 48, 119 (1976)).  Two paths evolve states with it, closed
+systems included.  ``lindblad_trajectory`` (rabi, fieldsweep, trend)
+advances a time grid, restricted to the coordinates reachable from rho0
+(an invariant block, Buca & Prosen, New J. Phys. 14, 073007 (2012)), each
+run of equal steps by doubling (P^2m = (P^m)^2); it builds the
+dissipator, checks Hermiticity and finds the sector once per call, for
+the whole stack, and forms each block's generators from them.
+``pulseq.run_sequence`` (the echo) builds its generators with
+``build_liouvillian`` and exponentiates each distinct segment once, a
+sequence's propagator being the ordered product of its segments'.  Both
+reject a non-Hermitian Hamiltonian and a state whose size differs from
+it.  ``steady_state`` (CW ESR) takes every member's null space in one
+batched solve.  The exponential is :func:`expm`, numpy only and free of
+linear solves: scaling and squaring with the degree-18 Taylor
+polynomial, whose threshold theta_18 = 1.0909 keeps the backward error
+below 2^-53, one squaring count for the whole stack.  scipy is imported
+by ``steady_state`` alone, for ``null_space``.
 """
 
 import functools
@@ -230,9 +229,9 @@ def build_liouvillian(h: np.ndarray, collapse_ops: CollapseOps) -> np.ndarray:
 
 
 def _check_evolution(h: np.ndarray, rho: np.ndarray) -> None:
-    """Guard shared by the Lindblad integrators and ``pulseq.run_sequence``:
-    a state of the Hamiltonian's size.  :func:`_hamiltonian_coordinates`,
-    which all three reach, checks Hermiticity."""
+    """Guard shared by the two evolution paths, ``lindblad_trajectory`` and
+    ``pulseq.run_sequence``: a state of the Hamiltonian's size.
+    :func:`_hamiltonian_coordinates`, which both reach, checks Hermiticity."""
     if h.shape[-2:] != rho.shape[-2:]:
         raise ValueError("Hamiltonian and state dimensions differ")
 
@@ -280,27 +279,6 @@ def expm(a: np.ndarray) -> np.ndarray:
     for _ in range(s):
         r = r @ r
     return r
-
-
-def evolve_lindblad(h: np.ndarray, collapse_ops: CollapseOps, rho0: np.ndarray,
-                    t: float) -> np.ndarray:
-    """Evolve a density matrix for time ``t`` under a constant Hamiltonian
-    and Lindblad dissipators.
-
-    ``h`` and ``rho0`` may be stacks ``(..., d, d)`` whose leading axes
-    broadcast against each other; the result has the broadcast shape.  Each
-    member's real generator is exponentiated exactly and the coordinates are
-    mapped back to Hermitian matrices.
-    """
-    if not (np.isfinite(t) and t >= 0):
-        raise ValueError(f"evolution time must be finite and >= 0, got {t}")
-    rho = np.asarray(rho0, dtype=complex)
-    _check_evolution(h, rho)
-    liou = build_liouvillian(h, collapse_ops)
-    if t == 0:
-        return np.broadcast_to(rho, np.broadcast_shapes(h.shape, rho.shape)).copy()
-    x = expm(liou * t) @ _coordinates(rho)[..., None]
-    return _matrices(x[..., 0], rho.shape[-1])
 
 
 # members that lindblad_trajectory steps together: 96 (four field points of
@@ -351,9 +329,9 @@ def lindblad_trajectory(h: np.ndarray, collapse_ops: CollapseOps, rho0: np.ndarr
     """Density matrices at each time in ``times`` (finite, sorted, >= 0),
     or, given an ``observable`` O, only the real tr(O rho) at each time.
 
-    ``h`` is one Hamiltonian ``(d, d)`` or a stack ``(..., d, d)``, and
-    ``rho0`` is one ``(d, d)`` state shared by every member; both pass
-    ``evolve_lindblad``'s guards.  The result has shape
+    ``h`` is one Hermitian Hamiltonian ``(d, d)`` or a stack of them
+    ``(..., d, d)``, and ``rho0`` is one ``(d, d)`` state of that size,
+    shared by every member.  The result has shape
     ``(..., len(times), d, d)``, or ``(..., len(times))`` with an observable.
     The stack steps on the real coordinates of rho0, restricted to the
     sector the whole stack can reach from them (:func:`_reachable`) under a

@@ -17,7 +17,10 @@ as its scalar fit, through the same model function.  Initial guesses are
 taken from the data, so fits are reproducible without hand-tuned starting
 points: a damped cosine starts at its interpolated spectral peak, with the
 least-squares amplitude and phase there, an exponential from a log-linear
-regression and a Lorentzian from its extremum.
+regression and a Lorentzian from its extremum.  A damped cosine is fitted
+on its grid shifted to start at zero, x - x[0], so that a trace recorded
+far from t = 0 has a start and a Jacobian as well scaled as one from 0;
+its amplitude and phase are then mapped back to t = 0 in closed form.
 """
 
 import math
@@ -414,9 +417,18 @@ def _resolved(f1: float, rate: float, x: np.ndarray) -> bool:
 
 def _damped_cosine_result(p: np.ndarray, residual_norm: float, iterations: int, stop: str,
                           x: np.ndarray, dx: np.ndarray) -> FitResult:
+    """The result of a fit ``p`` on the shifted grid x - x[0], its
+    amplitude and phase mapped back to t = 0: A exp(|rate| x[0]), which is
+    inf past the float range, and phase - 2 pi f1 x[0], negated when f1 < 0
+    to go with the reported |f1|, as cos(-a) = cos(a)."""
     offset, amp, f1, rate, phase = p
     if amp < 0:
         amp, phase = -amp, phase + np.pi
+    with np.errstate(over="ignore"):
+        amp = amp * np.exp(abs(rate) * x[0])
+    phase = phase - 2 * np.pi * f1 * x[0]
+    if f1 < 0:
+        phase = -phase
     t2p, bound = _bounded_decay_time(abs(rate), x, dx)
     params = {
         "offset": float(offset),
@@ -455,8 +467,9 @@ def fit_damped_cosine(trace: Trace) -> FitResult:
     x, y, dx = _check_trace(trace, "damped_cosine")
     if _is_flat(y):
         return _flat_cosine(trace)
-    lm = levenberg_marquardt(lambda p: _damped_cosine(p, x, y),
-                             _damped_cosine_starts(x, dx, y[None])[0])
+    t = x - x[0]
+    lm = levenberg_marquardt(lambda p: _damped_cosine(p, t, y),
+                             _damped_cosine_starts(t, dx, y[None])[0])
     return _damped_cosine_result(lm.params, lm.residual_norm, lm.iterations, lm.stop, x, dx)
 
 
@@ -479,8 +492,9 @@ def fit_damped_cosines(x, ys) -> list[FitResult]:
     fits = iter(())
     if any(fitted):
         y = np.array([trace.y for trace, fit in zip(traces, fitted) if fit])
-        lm = _lm_stack(lambda p, rows: _damped_cosine(p, x, y[rows]),
-                       _damped_cosine_starts(x, dx, y))
+        t = x - x[0]
+        lm = _lm_stack(lambda p, rows: _damped_cosine(p, t, y[rows]),
+                       _damped_cosine_starts(t, dx, y))
         fits = (_damped_cosine_result(*row, x, dx) for row in zip(*lm))
     return [next(fits) if fit else _flat_cosine(trace) for trace, fit in zip(traces, fitted)]
 

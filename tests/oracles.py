@@ -1,15 +1,17 @@
 """Reference implementations the tests compare the library against.
 
 None of these is on a production path: the library evolves every state
-through ``dynamics.evolve_lindblad``, ``dynamics.lindblad_trajectory`` or
-``pulseq.run_sequence`` and writes the static levels in closed form
-(``hamiltonian.nv_levels``).  ``stepped_trajectory`` is the per-step loop
-that ``lindblad_trajectory`` ran before it advanced runs of equal steps by
-doubling, and ``run_sequence_per_segment`` the loop that ``run_sequence``
-ran before it exponentiated each distinct segment once.
-Each function here is an independent route to a quantity that those paths
-or the experiments also produce; the dense Hamiltonians are built from
-ladder-operator spin matrices and diagonalised numerically.  The
+along one of two paths, ``dynamics.lindblad_trajectory`` or
+``pulseq.run_sequence``, and writes the static levels in closed form
+(``hamiltonian.nv_levels``).  ``evolve_lindblad`` is one exponential
+step of a state or stack, the per-member reference of the stack tests;
+``run_sequence_per_segment`` steps a sequence through it one segment at a
+time, the loop that ``run_sequence`` ran before it exponentiated each
+distinct segment once.  ``stepped_trajectory`` is the per-step loop that
+``lindblad_trajectory`` ran before it advanced runs of equal steps by
+doubling.  Each function here is an independent route to a quantity that
+those paths or the experiments also produce; the dense Hamiltonians are
+built from ladder-operator spin matrices and diagonalised numerically.  The
 Levenberg-Marquardt loop and the three fit models (each building its
 Jacobian with ``np.column_stack``) are the plain forms of the library's,
 which must give the same floating-point results bit for bit.
@@ -166,6 +168,27 @@ def rk4_lindblad(h: np.ndarray, collapse_ops: CollapseOps, rho: np.ndarray,
     return rho
 
 
+def evolve_lindblad(h: np.ndarray, collapse_ops: CollapseOps, rho0: np.ndarray,
+                    t: float) -> np.ndarray:
+    """Evolve a density matrix for time ``t`` under a constant Hamiltonian
+    and Lindblad dissipators.
+
+    ``h`` and ``rho0`` may be stacks ``(..., d, d)`` whose leading axes
+    broadcast against each other; the result has the broadcast shape.  Each
+    member's real generator is exponentiated exactly and the coordinates are
+    mapped back to Hermitian matrices.
+    """
+    if not (np.isfinite(t) and t >= 0):
+        raise ValueError(f"evolution time must be finite and >= 0, got {t}")
+    rho = np.asarray(rho0, dtype=complex)
+    dynamics._check_evolution(h, rho)
+    liou = dynamics.build_liouvillian(h, collapse_ops)
+    if t == 0:
+        return np.broadcast_to(rho, np.broadcast_shapes(h.shape, rho.shape)).copy()
+    x = dynamics.expm(liou * t) @ dynamics._coordinates(rho)[..., None]
+    return dynamics._matrices(x[..., 0], rho.shape[-1])
+
+
 def stepped_trajectory(h: np.ndarray, collapse_ops: CollapseOps, rho0: np.ndarray,
                        times: np.ndarray, observable: np.ndarray | None = None) -> np.ndarray:
     """``dynamics.lindblad_trajectory`` one step at a time: the same blocks
@@ -244,8 +267,8 @@ def run_sequence_per_segment(seq: tuple[Segment, ...], rho0: np.ndarray,
     rho = np.asarray(rho0, dtype=complex)
     collapse = dynamics.pair_collapse_ops(noise)
     for segment in seq:
-        rho = dynamics.evolve_lindblad(pair_hamiltonian(detuning, segment.f1_mhz), collapse, rho,
-                                       segment.duration_us)
+        rho = evolve_lindblad(pair_hamiltonian(detuning, segment.f1_mhz), collapse, rho,
+                              segment.duration_us)
     return np.broadcast_to(rho[..., 0, 0].real, detuning.shape).copy()[()]
 
 

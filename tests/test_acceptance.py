@@ -14,13 +14,7 @@ import scipy.optimize
 
 from cli_env import cli_env
 from nvspin.config import standard_config
-from nvspin.dynamics import (
-    NoiseModel,
-    evolve_lindblad,
-    expm,
-    lindblad_trajectory,
-    pair_collapse_ops,
-)
+from nvspin.dynamics import NoiseModel, expm, lindblad_trajectory, pair_collapse_ops
 from nvspin.experiments import (
     exp_cw_esr,
     exp_field_sweep,
@@ -32,8 +26,8 @@ from nvspin.experiments import (
     trend_configs,
 )
 from nvspin.fitting import Trace, fit_damped_cosine, fit_exp_decay, fit_lorentzian
-from nvspin.hamiltonian import DriveParams, pair_hamiltonian, resonance_field
-from nvspin.pulseq import hahn_sequence, run_sequence
+from nvspin.hamiltonian import DriveParams, resonance_field
+from nvspin.pulseq import Segment, hahn_sequence, run_sequence
 from oracles import (
     basis_density,
     eigensystem,
@@ -62,15 +56,14 @@ def criterion(number: int, description: str, budget_s: float):
 def test_criterion_1_rabi_formula_equivalence():
     with criterion(1, "two-level propagation matches the analytic nutation "
                       "formula to 1e-6 on a 100 x 10 grid", 1.0):
-        # the closed-system path of every pulse sequence: evolve_lindblad
-        # with no collapse operators, one stacked step per time
+        # the closed-system path of every pulse sequence: run_sequence with
+        # no Markovian noise, one pulse of each duration over the detunings
         f1 = 1.7
         rho0 = basis_density(2, 0)
         dfs = np.linspace(-4.0, 4.0, 10)
-        h = pair_hamiltonian(dfs, f1)
         worst = 0.0
         for t in np.linspace(0.0, 3.0, 100):
-            p = evolve_lindblad(h, [], rho0, t)[:, 0, 0].real
+            p = run_sequence((Segment(t, f1),), rho0, None, dfs)
             worst = max(worst, np.max(np.abs(p - rabi_probability(f1, dfs, t))))
         assert worst < 1e-6
 

@@ -15,7 +15,6 @@ from nvspin.dynamics import (
     DegenerateSteadyStateError,
     NoiseModel,
     build_liouvillian,
-    evolve_lindblad,
     lindblad_trajectory,
     pair_collapse_ops,
     steady_state,
@@ -30,10 +29,11 @@ from nvspin.experiments import (
 )
 from nvspin.fitting import Trace, fit_exp_decay
 from nvspin.hamiltonian import pair_hamiltonian, resonance_field
-from nvspin.pulseq import hahn_sequence, run_sequence
+from nvspin.pulseq import Segment, hahn_sequence, run_sequence
 from nvspin.spinops import NonHermitianError
 from oracles import (
     basis_density,
+    evolve_lindblad,
     propagate,
     rabi_probability,
     ramsey_sequence,
@@ -121,11 +121,19 @@ class TestPropagate:
             propagate([(rwa_hamiltonian(1, 0), 0.1)], basis_density(3, 0))
 
 
+def evolve_once(h, collapse_ops, rho0, t):
+    """The state at time ``t`` alone, from ``lindblad_trajectory``."""
+    return lindblad_trajectory(h, collapse_ops, rho0, [t])[..., 0, :, :]
+
+
 class TestEvolveLindblad:
+    """Evolution under the Lindblad equation: analytic cases on
+    ``lindblad_trajectory`` at one time point, and its guards."""
+
     def test_closed_system_matches_propagate(self):
         h = rwa_hamiltonian(1.7, 0.4)
         rho0 = basis_density(2, 0)
-        a = evolve_lindblad(h, [], rho0, 0.9)
+        a = evolve_once(h, [], rho0, 0.9)
         b = propagate([(h, 0.9)], rho0)
         assert np.max(np.abs(a - b)) < 1e-7
 
@@ -133,8 +141,7 @@ class TestEvolveLindblad:
         gamma_phi = 0.8
         rho0 = np.full((2, 2), 0.5, dtype=complex)
         t = 1.0 / gamma_phi
-        out = evolve_lindblad(np.zeros((2, 2), dtype=complex),
-                              [(SZ, gamma_phi / 2)], rho0, t)
+        out = evolve_once(np.zeros((2, 2), dtype=complex), [(SZ, gamma_phi / 2)], rho0, t)
         assert abs(out[0, 1].real - 0.5 * np.exp(-1.0)) < 1e-4
 
     def test_relaxation_analytic(self):
@@ -143,15 +150,14 @@ class TestEvolveLindblad:
         lower[0, 1] = 1.0
         rho0 = basis_density(2, 1)
         for t in (0.5, 2.0):
-            out = evolve_lindblad(np.zeros((2, 2), dtype=complex),
-                                  [(lower, gamma_1)], rho0, t)
+            out = evolve_once(np.zeros((2, 2), dtype=complex), [(lower, gamma_1)], rho0, t)
             assert abs(out[1, 1].real - np.exp(-gamma_1 * t)) < 1e-7
 
     def test_rk4_agrees_with_expm(self):
         h = rwa_hamiltonian(3.0, 1.0)
         collapse = [(SZ, 0.3), (np.array([[0, 1], [0, 0]], dtype=complex), 0.2)]
         rho0 = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]], dtype=complex)
-        a = evolve_lindblad(h, collapse, rho0, 1.5)
+        a = evolve_once(h, collapse, rho0, 1.5)
         b = rk4_lindblad(h, collapse, rho0, 1.5)
         assert np.max(np.abs(a - b)) < 1e-6
 
@@ -167,23 +173,22 @@ class TestEvolveLindblad:
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError):
-            evolve_lindblad(np.array([[0, 1], [0, 0]], dtype=complex), [],
-                            basis_density(2, 0), 1.0)
+            evolve_once(np.array([[0, 1], [0, 0]], dtype=complex), [], basis_density(2, 0), 1.0)
 
     @pytest.mark.parametrize("t", [np.nan, np.inf])
     def test_non_finite_time_rejected(self, t):
         # raised by the guard, before the exponential could warn or fail
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=f"finite and >= 0, got {t}"):
-                evolve_lindblad(rwa_hamiltonian(1.0, 0.0), [(SZ, 0.5)],
-                                basis_density(2, 0), t)
+            with pytest.raises(ValueError, match="times must be finite"):
+                lindblad_trajectory(rwa_hamiltonian(1.0, 0.0), [(SZ, 0.5)],
+                                    basis_density(2, 0), [0.0, t])
 
     def test_non_hermitian_rejected_at_zero_time(self):
-        # a zero step returns rho0 unchanged, but still checks the Hamiltonian
+        # a grid at t = 0 alone takes no exponential, but still checks the
+        # Hamiltonian
         with pytest.raises(NonHermitianError, match="Hermitian"):
-            evolve_lindblad(np.array([[0, 1], [0, 0]], dtype=complex), [],
-                            basis_density(2, 0), 0.0)
+            evolve_once(np.array([[0, 1], [0, 0]], dtype=complex), [], basis_density(2, 0), 0.0)
 
     def test_trajectory_rejects_non_hermitian_stack(self):
         hs = np.array([rwa_hamiltonian(1.0, df) for df in (0.0, 0.5)])
@@ -216,7 +221,7 @@ class TestEvolveLindblad:
             direct = evolve_lindblad(h, collapse, rho0, t)
             assert np.max(np.abs(rho - direct)) < 1e-9
 
-    def test_trajectory_defective_liouvillian_fallback(self):
+    def test_trajectory_defective_liouvillian(self):
         # equal-rate decay cascade |2> -> |1> -> |0>: the Liouvillian has a
         # Jordan block, which no eigenbasis can represent; the middle
         # population is analytic, t exp(-t)
@@ -234,18 +239,15 @@ class TestEvolveLindblad:
 
 
 def test_reference_paths_are_not_library_api():
-    # the library has one evolution path and closed-form static levels; the
-    # references live in tests/oracles.py
+    # the library has two evolution paths and closed-form static levels;
+    # the references live in tests/oracles.py
     moved = ("propagate", "expm_unitary", "rabi_probability", "basis_density",
              "_rk4_steps", "_lindblad_rhs", "spectral_peak_count", "ramsey_sequence",
              "spin_matrices", "SUPPORTED_SPINS", "UnsupportedSpinError", "eigensystem",
-             "h_nv", "h_n", "rotating_frame")
+             "h_nv", "h_n", "rotating_frame", "evolve_lindblad")
     for module in (nvspin, dynamics, spinops, hamiltonian, experiments, pulseq):
         assert not [name for name in moved if hasattr(module, name)], module
     assert not set(moved) & set(nvspin.__all__)
-    with pytest.raises(TypeError):
-        evolve_lindblad(rwa_hamiltonian(1.0, 0.0), [], basis_density(2, 0), 1.0,
-                        method="rk4")
 
 
 def kron_liouvillian(h, collapse_ops):
@@ -340,33 +342,32 @@ class TestHamiltonianStacks:
         assert np.max(np.abs(traj[:, 0, 0].real - rabi_probability(6.0, df, times))) <= 1e-12
 
     def test_stacked_evolve_matches_per_member(self):
-        hs = np.array([rwa_hamiltonian(f1, df)
-                       for f1, df in ((5.0, 0.0), (5.0, -1.3), (0.0, 0.7))])
-        collapse = pair_collapse_ops(NoiseModel(gamma_phi=0.4, gamma_1=0.1))
+        # one pulse or wait through run_sequence, every detuning at once,
+        # against one exponential step per member
+        dfs = np.array([0.0, -1.3, 0.7])
+        noise = NoiseModel(gamma_phi=0.4, gamma_1=0.1)
+        collapse = pair_collapse_ops(noise)
         rho0 = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]], dtype=complex)
-        rhos = np.array([rho0, basis_density(2, 1), np.eye(2) / 2])
-        for t in (0.0, 0.37, 2.1):
-            shared = evolve_lindblad(hs, collapse, rho0, t)
-            paired = evolve_lindblad(hs, collapse, rhos, t)
-            assert shared.shape == paired.shape == (3, 2, 2)
-            for k in range(3):
-                direct = evolve_lindblad(hs[k], collapse, rho0, t)
-                assert np.max(np.abs(shared[k] - direct)) <= 1e-12
-                direct = evolve_lindblad(hs[k], collapse, rhos[k], t)
-                assert np.max(np.abs(paired[k] - direct)) <= 1e-12
+        for f1 in (5.0, 0.0):
+            for t in (0.0, 0.37, 2.1):
+                stacked = run_sequence((Segment(t, f1),), rho0, noise, dfs)
+                assert stacked.shape == (3,)
+                for k, df in enumerate(dfs):
+                    direct = evolve_lindblad(pair_hamiltonian(df, f1), collapse, rho0, t)
+                    assert abs(stacked[k] - direct[0, 0].real) <= 1e-12
 
     def test_stack_with_one_non_hermitian_member_rejected(self):
         hs = np.array([rwa_hamiltonian(1.0, df) for df in (0.0, 0.5, -0.5)])
         hs[1, 0, 1] += 0.1j
         with pytest.raises(NonHermitianError):
-            evolve_lindblad(hs, [], basis_density(2, 0), 1.0)
+            evolve_once(hs, [], basis_density(2, 0), 1.0)
 
     def test_state_dimension_mismatch_rejected(self):
         hs = np.array([rwa_hamiltonian(1.0, df) for df in (0.0, 0.5)])
         with pytest.raises(ValueError, match="dimensions"):
-            evolve_lindblad(hs, [], basis_density(3, 0), 1.0)
+            evolve_once(hs, [], basis_density(3, 0), 1.0)
         with pytest.raises(ValueError, match="dimensions"):
-            evolve_lindblad(hs[0], [], basis_density(3, 0), 1.0)
+            evolve_once(hs[0], [], basis_density(3, 0), 1.0)
 
     def test_observable_matches_trace_of_full_states(self):
         # a stack longer than two blocks, so members on both sides of each

@@ -622,6 +622,31 @@ class TestDampedCosineFit:
         assert fit.converged
         assert abs(fit["f1_mhz"] - 5.0) < 1e-6
 
+    def test_grid_far_from_zero(self):
+        # on t itself the envelope e^(-t/2) scales the Jacobian by e^-500;
+        # from 1000.1, f1 t[0] is not a whole number of periods, so the
+        # phase mapped back to t = 0 differs from the fitted one
+        for start in (1000.0, 1000.1):
+            t = np.linspace(start, start + 4.0, 161)
+            y = damped_cosine(t - 1000.0, 0.5, 0.4, 3.1, 2.0, 0.3)
+            for fit in (fit_damped_cosine(Trace(t, y)), fit_damped_cosines(t, [y])[0]):
+                assert fit.converged and fit.iterations > 1
+                assert abs(fit["f1_mhz"] - 3.1) < 1e-6
+                assert abs(fit["t2p_us"] - 2.0) < 1e-6
+                assert abs(_wrap_phase(fit["phase_rad"] - 0.3)) < 1e-6
+                assert np.isclose(fit["amplitude"], 0.4 * np.exp(500.0), rtol=1e-6)
+        # a fit that ends at -f1 and -phase has found the same cosine
+        p = np.array([0.5, 0.4, 3.1, 0.5, 0.3])
+        a, b = (fitting._damped_cosine_result(q, 0.0, 2, "ftol", t, np.diff(t)).params
+                for q in (p, p * [1, 1, -1, 1, -1]))
+        assert a["f1_mhz"] == b["f1_mhz"]
+        assert abs(_wrap_phase(a["phase_rad"] - b["phase_rad"])) < 1e-9
+        # from t = 2000 the amplitude at t = 0, 0.4 e^1000, is past the float range
+        t = np.linspace(2000.0, 2004.0, 161)
+        fit = fit_damped_cosine(Trace(t, damped_cosine(t - 2000.0, 0.5, 0.4, 3.1, 2.0, 0.3)))
+        assert fit["amplitude"] == np.inf
+        assert abs(fit["f1_mhz"] - 3.1) < 1e-6 and abs(fit["t2p_us"] - 2.0) < 1e-6
+
     def test_affine_rescale_invariance(self):
         t = np.linspace(0.0, 10.0, 201)
         y = damped_cosine(t, 0.4, 0.6, 1.7, 3.0, -0.8)
