@@ -11,6 +11,7 @@ import argparse
 import sys
 import time
 from collections.abc import Callable
+from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -235,22 +236,21 @@ EXPERIMENTS = {
 }
 
 
-def _check_rabi_sampling(experiment: str, cfg, grid: tuple | None) -> None:
+def _check_rabi_sampling(experiment: str, top: float, keys: list[str],
+                         grid: tuple | None) -> None:
     """Raise ConfigError unless the damped-cosine fits resolve the Rabi
-    nutations.  ``grid`` is rabi's duration grid, which must be uniform, and
-    rabi nutates at f1 * sqrt(power) on it, or on the fixed window when it is
-    empty; None means f1 alone on the window.  The top frequency must lie
-    below the Nyquist frequency 1/(2 dt) of the times fitted."""
+    nutations, whose top frequency ``top`` the config ``keys`` set.
+    ``grid`` is rabi's duration grid, which must be uniform, or None for the
+    fixed window; an empty grid is the window too.  ``top`` must lie below
+    the Nyquist frequency 1/(2 dt) of the times fitted."""
     from .config import ConfigError
     from .experiments import RABI_WINDOW_US
 
-    times, top, keys = RABI_WINDOW_US, cfg.drive.f1_mhz, ["drive.f1_mhz"]
+    times = RABI_WINDOW_US
     if grid is not None:
         if len(grid) > 2 and not _uniformly_spaced(np.diff(grid)):
             raise ConfigError(f"sweep.grid: {experiment} fits a damped cosine, which needs "
                               "uniformly spaced times")
-        top *= np.sqrt(max(cfg.rabi_powers))
-        keys += ["rabi.powers"] if max(cfg.rabi_powers) != 1 else []
         if grid:
             times, keys = grid, keys + ["sweep.grid"]
     step = (times[-1] - times[0]) / max(len(times) - 1, 1)
@@ -281,16 +281,21 @@ def run(experiment: str, values: dict, out_dir: Path) -> None:
             if value == 0:
                 raise ConfigError(f"{key}: {experiment} fits the spin signal, "
                                   f"which {key} = 0 removes")
-    # rabi, echo and trend drive the lowest pair at field.b_gauss; the field
-    # sweep drives it at each field of its grid
+    # the strongest Rabi frequency the experiment drives, and the keys that set it
+    top, keys = cfg.drive.f1_mhz, ["drive.f1_mhz"]
+    if experiment == "rabi" and max(cfg.rabi_powers) != 1:
+        top, keys = top * np.sqrt(max(cfg.rabi_powers)), keys + ["rabi.powers"]
+    # rabi, echo and trend drive the lowest pair at field.b_gauss, which
+    # frame_detuning judges at that drive; the field sweep drives it on
+    # resonance at each field of its grid
     if record.needs_drive and experiment != "fieldsweep":
-        from .hamiltonian import _distinct_levels
+        from .hamiltonian import frame_detuning
 
         try:
-            _distinct_levels(cfg.b_field_gauss, cfg.nv)
+            frame_detuning(cfg.b_field_gauss, cfg.nv, replace(cfg.drive, f1_mhz=top))
         except ValueError as exc:
-            raise ConfigError(f"field.b_gauss: {experiment} drives the lowest N-V pair; "
-                              f"{exc}") from None
+            raise ConfigError(f"{', '.join(['field.b_gauss', *keys])}: {experiment} drives "
+                              f"the lowest N-V pair; {exc}") from None
     if record.duration_grid and grid and grid[0] < 0:
         raise ConfigError(f"sweep.grid: {experiment} sweeps a duration, which must be >= 0")
     if record.grid is None and grid:
@@ -300,7 +305,7 @@ def run(experiment: str, values: dict, out_dir: Path) -> None:
         raise ConfigError(f"sweep.grid: {experiment} fits {model} along its grid, which "
                           f"needs at least {MIN_POINTS[model]} points, got {len(grid)}")
     if record.rabi_fits:
-        _check_rabi_sampling(experiment, cfg, grid if record.duration_grid else None)
+        _check_rabi_sampling(experiment, top, keys, grid if record.duration_grid else None)
     if grid:
         grid = np.asarray(grid, dtype=float)
     elif record.grid:

@@ -17,10 +17,12 @@ as its scalar fit, through the same model function.  Initial guesses are
 taken from the data, so fits are reproducible without hand-tuned starting
 points: a damped cosine starts at its interpolated spectral peak, with the
 least-squares amplitude and phase there, an exponential from a log-linear
-regression and a Lorentzian from its extremum.  A damped cosine is fitted
-on its grid shifted to start at zero, x - x[0], so that a trace recorded
-far from t = 0 has a start and a Jacobian as well scaled as one from 0;
-its amplitude and phase are then mapped back to t = 0 in closed form.
+regression and a Lorentzian from its extremum.  A damped cosine and an
+exponential are fitted on their grid shifted to start at zero, x - x[0], so
+that a trace recorded far from t = 0 has a start and a Jacobian as well
+scaled as one from 0; amplitude and phase are then mapped back to t = 0 in
+closed form.  One rule, ``_separable``, decides whether an oscillation
+resolves an amplitude and phase, at a damped cosine's start and its result.
 """
 
 import math
@@ -387,32 +389,12 @@ def _damped_cosine_starts(x: np.ndarray, dx: np.ndarray, y: np.ndarray) -> np.nd
     return np.stack([mean, np.abs(g), f0, rate0, np.angle(g)], axis=1)
 
 
-def _geometric_sum(a: float, theta: float, n: int) -> complex:
-    """sum_j exp(j L) over j < n, with L = a + i theta: expm1(n L) /
-    expm1(L), each exp(m L) - 1 with the real part expm1(m a) cos(m theta) -
-    2 sin(m theta / 2)^2, which keeps its digits where exp(m L) nears 1;
-    n where L = 0."""
-    def expm1(m):
-        real = math.expm1(m * a) * math.cos(m * theta) - 2.0 * math.sin(m * theta / 2) ** 2
-        return complex(real, math.exp(m * a) * math.sin(m * theta))
-
-    lead = expm1(1)
-    return n if lead == 0 else expm1(n) / lead
-
-
 def _resolved(f1: float, rate: float, x: np.ndarray) -> bool:
-    """The start's test :func:`_separable` at a fitted oscillation on the
-    uniform grid ``x``.  Taken from x[0], which scales every z alike and
-    leaves the test as it is, z_j^2 = exp(j (a + i theta)) and |z_j|^2 =
-    exp(j a), with a = -2 |rate| dx and theta = 4 pi f1 dx, taken into
-    [-pi, pi] so that its multiples keep their digits near the Nyquist
-    frequency, where theta nears 2 pi.  So norm and square are geometric
-    sums in closed form: a few scalar operations in place of sampling z on
-    the grid."""
-    n, step = len(x), (x[-1] - x[0]) / (len(x) - 1)
-    a = -2.0 * abs(rate) * step
-    theta = math.remainder(4.0 * math.pi * f1 * step, 2.0 * math.pi)
-    return bool(_separable(_geometric_sum(a, theta, n), _geometric_sum(a, 0.0, n).real))
+    """The start's test :func:`_separable` at a fitted oscillation
+    z = exp((2 pi i f1 - |rate|) t), sampled on the grid the fit ran on,
+    t = x - x[0]."""
+    z = np.exp((2j * np.pi * f1 - abs(rate)) * (x - x[0]))
+    return bool(_separable(z @ z, np.vdot(z, z).real))
 
 
 def _damped_cosine_result(p: np.ndarray, residual_norm: float, iterations: int, stop: str,
@@ -511,25 +493,30 @@ def _exp_decay(p, x, y):
 
 
 def fit_exp_decay(trace: Trace) -> FitResult:
-    """Fit y = offset + A exp(-t/T); T is reported within the decay bounds."""
+    """Fit y = offset + A exp(-t/T); T is reported within the decay bounds.
+    Fitted on x - x[0] like a damped cosine, A is mapped back to t = 0 as
+    A exp(x[0] / T), inf past the float range."""
     x, y, dx = _check_trace(trace, "exp_decay")
     if _is_flat(y):
         return _flat_result("exp_decay", trace, {"t_us": np.inf})
+    t = x - x[0]
     offset0 = float(y[-1])
     a0 = float(y[0] - offset0)
     # log-linear slope over the early part of the decay
     dev = y - offset0
     mask = np.abs(dev) > 0.05 * abs(a0) if a0 != 0 else np.zeros(len(y), bool)
     if np.count_nonzero(mask) >= 2 and a0 != 0:
-        slope = np.polyfit(x[mask], np.log(np.abs(dev[mask])), 1)[0]
+        slope = np.polyfit(t[mask], np.log(np.abs(dev[mask])), 1)[0]
         rate0 = max(-slope, 1e-6)
     else:
-        rate0 = 1.0 / (x[-1] - x[0])
+        rate0 = 1.0 / t[-1]
 
-    lm = levenberg_marquardt(lambda p: _exp_decay(p, x, y), [offset0, a0, rate0])
+    lm = levenberg_marquardt(lambda p: _exp_decay(p, t, y), [offset0, a0, rate0])
     offset, amp, rate = lm.params
-    t, bound = _bounded_decay_time(abs(rate), x, dx)
-    params = {"offset": float(offset), "amplitude": float(amp), "t_us": t}
+    with np.errstate(over="ignore"):
+        amp = amp * np.exp(abs(rate) * x[0])
+    t_us, bound = _bounded_decay_time(abs(rate), x, dx)
+    params = {"offset": float(offset), "amplitude": float(amp), "t_us": t_us}
     return FitResult("exp_decay", params, lm.residual_norm, lm.converged,
                      lm.iterations, (lm.stop, *bound))
 

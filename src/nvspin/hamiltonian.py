@@ -1,6 +1,6 @@
 """Static levels of the N-V center for a field along its symmetry axis,
-the rotating frame of its driven transition, and the physical constants
-they use.
+the rotating frame of its driven transition with the one test that this
+frame holds (``frame_detuning``), and the physical constants they use.
 
 Levels and Hamiltonians are frequencies in MHz; the static magnetic field
 is taken along the N-V symmetry axis (z) and is given in gauss.  Along
@@ -9,7 +9,6 @@ its levels D m^2 + gamma B m are written down rather than diagonalised.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,35 +119,26 @@ def pair_hamiltonian(detuning_mhz, f1_mhz: float) -> np.ndarray:
     return h
 
 
-def _distinct_levels(b_gauss: float, p: NvParams) -> np.ndarray:
-    """The N-V levels in ascending order; raises ValueError where two
-    coincide, as the driven pair, the lowest two, is then ambiguous."""
-    w = np.sort(nv_levels(b_gauss, p))
-    if np.any(np.diff(w) < 1e-6):
-        raise ValueError(
-            f"N-V levels are degenerate at {b_gauss} G; addressed transition is ambiguous"
-        )
-    return w
-
-
 def frame_detuning(b_gauss: float, p: NvParams, drive: DriveParams) -> float:
     """Detuning of the drive from the transition between the two lowest N-V
     levels, the pair every driven experiment addresses; the rotating-frame
     Hamiltonian is ``pair_hamiltonian(detuning, drive.f1_mhz)``.
 
-    Raises if either level of the pair is degenerate (the addressed pair
-    would be ambiguous) and warns when a spectator transition to the third
-    level lies within ``SELECTIVITY_FACTOR * f1`` of the drive.
+    Raises ValueError where that two-level frame fails: where two N-V
+    levels coincide, so that the addressed pair is ambiguous, and where a
+    spectator transition to the third level lies within
+    ``SELECTIVITY_FACTOR * f1`` of the drive.
     """
-    w = _distinct_levels(b_gauss, p)
+    w = np.sort(nv_levels(b_gauss, p))
+    if np.any(np.diff(w) < 1e-6):
+        raise ValueError(
+            f"N-V levels are degenerate at {b_gauss} G; addressed transition is ambiguous"
+        )
     f_t = w[1] - w[0]
     f_rf = drive.f_rf_mhz if drive.f_rf_mhz is not None else f_t
-    if drive.f1_mhz > 0:
-        for level in (0, 1):
-            if abs(w[2] - w[level] - f_rf) < SELECTIVITY_FACTOR * drive.f1_mhz:
-                warnings.warn(
-                    "drive is not selective: spectator transition "
-                    f"({level},2) lies within {SELECTIVITY_FACTOR} f1 of the drive",
-                    stacklevel=2,
-                )
+    gap = float(np.min(np.abs(w[2] - w[:2] - f_rf)))
+    if gap < SELECTIVITY_FACTOR * drive.f1_mhz:
+        raise ValueError(f"drive is not selective at {b_gauss} G: a spectator transition "
+                         f"lies {gap:.6g} MHz from the drive, within {SELECTIVITY_FACTOR:g} "
+                         f"times its Rabi frequency of {drive.f1_mhz:.6g} MHz")
     return float(f_t - f_rf)

@@ -542,6 +542,17 @@ class TestRunCommand:
         ("rabi", "sweep.grid = 1",
          "sweep.grid: rabi fits damped_cosine along its grid, which needs at least 5 points, "
          "got 1"),
+        # a drive that reaches a spectator transition, so that the two-level
+        # model does not hold: echo warned and reported T2 = 6.0001 us, trend
+        # (0 -> +1 56 MHz from the drive) and rabi (power 9 at 240 MHz) ran
+        # without a word; each exited 0
+        ("echo", "drive.f1_mhz = 250", "field.b_gauss, drive.f1_mhz: echo drives the lowest "
+         "N-V pair; drive is not selective"),
+        ("trend", "field.b_gauss = 10", "field.b_gauss, drive.f1_mhz: trend drives the lowest "
+         "N-V pair; drive is not selective"),
+        ("rabi", "drive.f1_mhz = 80\nsweep.grid = 0:0.2:201",
+         "field.b_gauss, drive.f1_mhz, rabi.powers: rabi drives the lowest N-V pair; drive is "
+         "not selective"),
     ])
     def test_config_the_model_cannot_honour(self, tmp_path, capsys, experiment, text, key):
         cfg = tmp_path / "c.cfg"

@@ -1,5 +1,4 @@
 import itertools
-import math
 import zlib
 
 import numpy as np
@@ -498,20 +497,23 @@ class TestDampedCosineStart:
         assert "unresolved" not in below.flags
         assert abs(below["amplitude"] - 0.4) < 1e-9 and abs(below["phase_rad"] - 0.3) < 1e-9
 
-    @pytest.mark.parametrize("f1, rate", [
-        (20.0, 0.5), (19.99999998878843, 0.5), (19.5, 0.5), (20.0, 0.0), (3.1, 0.0),
-        (0.0, 0.0), (3.1, 1e4), (57.3, 2.0), (-7.0, -0.3), (20.0000003, 2e-8)])
-    def test_resolved_sums_are_the_sampled_ones(self, f1, rate):
-        # the closed-form geometric sums against z sampled on the grid; the
-        # last case, undamped and next to the Nyquist frequency, misses the
-        # 1e-8 test by 2.6e-8 with exp(L) - 1 taken plainly
+    RESOLVED = [(20.0, 0.5, False), (19.99999998878843, 0.5, False), (19.5, 0.5, True),
+                (20.0, 0.0, False), (3.1, 0.0, True), (0.0, 0.0, False), (3.1, 1e4, False),
+                (57.3, 2.0, True), (-7.0, -0.3, True), (20.0000003, 2e-8, False)]
+
+    @pytest.mark.parametrize("f1, rate, resolved", RESOLVED,
+                             ids=[f"{f1}-{rate}" for f1, rate, _ in RESOLVED])
+    def test_resolved_sums_are_the_sampled_ones(self, f1, rate, resolved):
+        # the decisions on 160 points at 0.025 us, whose Nyquist frequency is
+        # 20 MHz, from 0 and from 1000.1: unresolved at, 1.1e-8 MHz below and
+        # (undamped) 3e-7 MHz above the Nyquist frequency, at zero frequency
+        # and at a decay within one step; each is the start's test on z
+        # sampled from zero
         t = np.arange(160) * 0.025
         z = np.exp((2j * np.pi * f1 - abs(rate)) * t)
-        norm, square = np.sum(np.abs(z) ** 2), np.sum(z * z)
-        a, theta = -2.0 * abs(rate) * 0.025, math.remainder(4.0 * np.pi * f1 * 0.025, 2 * np.pi)
-        assert abs(fitting._geometric_sum(a, theta, len(t)) - square) <= 1e-12 * norm
-        assert abs(fitting._geometric_sum(a, 0.0, len(t)) - norm) <= 1e-12 * norm
-        assert fitting._resolved(f1, rate, t) == fitting._separable(square, norm)
+        assert fitting._separable(np.sum(z * z), np.sum(np.abs(z) ** 2)) == resolved
+        for origin in (0.0, 1000.1):
+            assert fitting._resolved(f1, rate, origin + t) == resolved
 
 
 @pytest.mark.parametrize("model", FIT_MODELS)
@@ -689,6 +691,22 @@ class TestExpDecayFit:
         fit = fit_exp_decay(Trace(t, exp_decay(t, 1.0, -0.5, 4.0)))
         assert fit["amplitude"] < 0
         assert abs(fit["t_us"] - 4.0) / 4.0 < 1e-3
+
+    def test_grid_far_from_zero(self):
+        # A e^(-t/T) on t itself puts A e^(start/T) into the amplitude, which
+        # left the decay from 20 at the lower bound and the one from 1000 at
+        # T = 3.73, converged
+        for start in (0.0, 10.0, 20.0, 1000.0):
+            t = np.linspace(start + 0.5, start + 12.0, 24)
+            fit = fit_exp_decay(Trace(t, exp_decay(t - start, 0.3, 0.8, 6.0)))
+            assert fit.converged and "at_bound" not in fit.flags
+            assert abs(fit["t_us"] - 6.0) < 1e-9
+            assert abs(fit["offset"] - 0.3) < 1e-9
+            assert np.isclose(fit["amplitude"], 0.8 * np.exp(start / 6.0), rtol=1e-9)
+        # from t = 6000 the amplitude at t = 0, 0.8 e^1000, is past the float range
+        t = np.linspace(6000.5, 6012.0, 24)
+        fit = fit_exp_decay(Trace(t, exp_decay(t - 6000.0, 0.3, 0.8, 6.0)))
+        assert fit["amplitude"] == np.inf and abs(fit["t_us"] - 6.0) < 1e-9
 
 
 class TestLorentzianFit:

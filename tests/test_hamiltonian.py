@@ -193,10 +193,14 @@ class TestRotatingFrame:
             with pytest.raises(ValueError, match="degenerate"):
                 frame_detuning(b, p, DriveParams(f1_mhz=1.0))
 
-    def test_poor_selectivity_warns(self):
-        # at low field the m_S = +1 transition sits within 20 f1 of the drive
-        with pytest.warns(UserWarning, match="selective"):
+    def test_poor_selectivity_rejected(self):
+        # at 10 G the 0 -> +1 transition sits 56 MHz from the drive, within
+        # 20 f1 = 100 MHz; at 850 G the nearest spectator is 4,270 MHz away
+        with pytest.raises(ValueError, match="selective"):
             frame_detuning(10.0, NV, DriveParams(f1_mhz=5.0))
+        with pytest.raises(ValueError, match="selective"):
+            frame_detuning(850.0, NV, DriveParams(f1_mhz=250.0))
+        assert frame_detuning(850.0, NV, DriveParams(f1_mhz=200.0)) == 0.0
 
 
 class TestDriveParams:
